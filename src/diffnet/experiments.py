@@ -281,16 +281,6 @@ def featurize_cascades(
     return [_featurize_one(cascade) for cascade in cascades]
 
 
-def _temporal_cell(args) -> tuple[int, EvaluationReport]:
-    cascades, lifetime, folds, test_fraction, seed, C = args
-    truncated = [truncate_by_lifetime(c, lifetime) for c in cascades]
-    samples = featurize_cascades(truncated)
-    report = stratified_shuffle_cv(
-        samples, folds=folds, test_fraction=test_fraction, seed=seed, C=C
-    )
-    return lifetime, report
-
-
 def temporal_sweep(
     cascades: Sequence[ArticleCascade],
     lifetimes: Sequence[int] = LIFETIME_LADDER,
@@ -300,21 +290,41 @@ def temporal_sweep(
     C: float = 1.0,
     jobs: int = 1,
 ) -> list[tuple[int, EvaluationReport]]:
-    """Rebuild networks per lifetime truncation and cross-validate each.
+    """Cross-validate on each lifetime truncation of the corpus, in the
+    order given.
 
-    The article set never shrinks (the earliest tweet always survives) and
-    every cell reuses the same master seed, so the longest lifetime on a
-    fully covered corpus reproduces the untruncated report. Cells are
-    independent; any jobs count gives the same series.
+    Each cut keeps a prefix of its time-sorted cascade, and many cuts of an
+    article keep the same prefix, so every distinct (article, prefix length)
+    is featurized once, ``jobs`` processes sharing the work, and CV then
+    runs per lifetime on the shared vectors. The article set never shrinks
+    (the earliest tweet always survives) and every cell reuses the same
+    master seed, so the longest lifetime on a fully covered corpus
+    reproduces the untruncated report. Any jobs count gives the same series.
     """
-    tasks = [
-        (tuple(cascades), lifetime, folds, test_fraction, seed, C)
-        for lifetime in lifetimes
+    prefixes: list[ArticleCascade] = []
+    slot: dict[tuple[int, int], int] = {}
+    rows = []
+    for lifetime in lifetimes:
+        row = []
+        for pos, cascade in enumerate(cascades):
+            cut = truncate_by_lifetime(cascade, lifetime)
+            key = (pos, len(cut.tweets))
+            if key not in slot:
+                slot[key] = len(prefixes)
+                prefixes.append(cut)
+            row.append(slot[key])
+        rows.append(row)
+    samples = featurize_cascades(prefixes, jobs)
+    return [
+        (
+            lifetime,
+            stratified_shuffle_cv(
+                [samples[i] for i in row],
+                folds=folds, test_fraction=test_fraction, seed=seed, C=C,
+            ),
+        )
+        for lifetime, row in zip(lifetimes, rows)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_temporal_cell, tasks))
-    return [_temporal_cell(task) for task in tasks]
 
 
 def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[LabeledSample]:

@@ -2,15 +2,26 @@
 
 Everything here is weight-agnostic: parallel edges collapse, self-loops are
 dropped, and metrics that call for an undirected view use the simple
-undirected projection. Graphs in this package are single-article sharing
-cascades, which are small and sparse, so distances are computed exactly by
-breadth-first search with no approximation.
+undirected projection. Distances (diameter, structural virality) are
+exact. The node set is relabelled to 0..n-1 once; a tree (n - 1 edges)
+takes an O(n) path, subtree sizes for the pair sum and two breadth-first
+searches for the diameter. Any other graph runs compiled unweighted
+shortest paths over an integer CSR matrix in row blocks, so memory stays
+O(block * n) rather than n^2.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Hashable, Iterable, Optional
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+# most distances the general path holds at once (8 MB of float64)
+_BLOCK_CELLS = 1 << 20
 
 
 class DirectedGraph:
@@ -152,19 +163,85 @@ def weakly_connected_components(g: DirectedGraph) -> list[set]:
     return components
 
 
+def _bfs(adj: list[list[int]], src: int) -> tuple[list[int], list[int], list[int]]:
+    """Visit order, distances and BFS-tree parents from ``src``; -1 marks
+    unreached nodes (and the root's parent)."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    dist[src] = 0
+    order = [src]
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                parent[v] = u
+                order.append(v)
+    return order, dist, parent
+
+
+def _tree_distance_stats(
+    adj: list[list[int]], order: list[int], parent: list[int]
+) -> tuple[int, int]:
+    """Diameter and ordered-pair distance sum of a tree, in O(n).
+
+    Each edge lies on the paths of s * (n - s) unordered pairs, s being the
+    size of the subtree below it (the Wiener index). The node farthest from
+    any start is one end of a longest path, so a second BFS from it finds
+    the diameter.
+    """
+    n = len(adj)
+    size = [1] * n
+    total = 0
+    for u in reversed(order[1:]):  # children before their parents
+        s = size[u]
+        total += s * (n - s)
+        size[parent[u]] += s
+    _, dist, _ = _bfs(adj, order[-1])
+    return max(dist), 2 * total
+
+
+def _general_distance_stats(adj: list[list[int]]) -> tuple[int, int]:
+    """Diameter and ordered-pair distance sum of a connected graph.
+
+    Unweighted shortest paths from every node in compiled code, taken in
+    row blocks so at most ``_BLOCK_CELLS`` distances are held at once. The
+    adjacency lists hold both directions of each edge, so the matrix is
+    symmetric and is searched as directed, which skips csgraph's own
+    symmetrization.
+    """
+    n = len(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adj], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(indptr[-1]))
+    csr = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    block = max(1, _BLOCK_CELLS // n)
+    max_dist = 0
+    total = 0
+    for start in range(0, n, block):
+        dist = shortest_path(
+            csr, method="D", directed=True, unweighted=True,
+            indices=np.arange(start, min(n, start + block)),
+        ).astype(np.int64)
+        max_dist = max(max_dist, int(dist.max()))
+        total += int(dist.sum())
+    return max_dist, total
+
+
 def undirected_distance_stats(
     g: DirectedGraph, nodes: Optional[Iterable[Hashable]] = None
 ) -> tuple[int, int]:
-    """All-pairs BFS over the undirected projection restricted to ``nodes``.
+    """Shortest undirected distances over the projection restricted to ``nodes``.
 
     Returns ``(max_distance, sum_of_ordered_pair_distances)``. The node set
     must induce a connected undirected subgraph (a single node counts as
     connected); otherwise ValueError. Shared by the diameter and structural
-    virality metrics so the component is swept once per caller.
+    virality metrics so the component is swept once per caller. Trees (n - 1
+    edges) take an O(n) path; anything else the compiled all-pairs path.
     """
     und = g.undirected_adj()
     if nodes is None:
-        members = set(und)
+        members = list(und)
     else:
         members = set(nodes)
         for n in members:
@@ -174,27 +251,14 @@ def undirected_distance_stats(
     if n == 0:
         raise ValueError("empty node set")
 
-    restricted = len(members) != len(und)
-    max_dist = 0
-    total = 0
-    for src in members:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in und[u]:
-                if v in dist or (restricted and v not in members):
-                    continue
-                dist[v] = du + 1
-                queue.append(v)
-        if len(dist) < n:
-            raise ValueError("node set does not induce a connected subgraph")
-        far = max(dist.values())
-        if far > max_dist:
-            max_dist = far
-        total += sum(dist.values())
-    return max_dist, total
+    index = {v: i for i, v in enumerate(members)}
+    adj = [[index[w] for w in und[v] if w in index] for v in members]
+    order, _, parent = _bfs(adj, 0)
+    if len(order) < n:
+        raise ValueError("node set does not induce a connected subgraph")
+    if sum(map(len, adj)) == 2 * (n - 1):
+        return _tree_distance_stats(adj, order, parent)
+    return _general_distance_stats(adj)
 
 
 def diameter_undirected(

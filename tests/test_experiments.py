@@ -329,6 +329,46 @@ class TestTemporalSweep:
         # max span in the mini corpus is far below 7 days
         assert results[-1][1].to_text() == untruncated.to_text()
 
+    def test_each_distinct_prefix_featurized_once(self, monkeypatch):
+        import diffnet.experiments as experiments
+
+        cascades = _mini_corpus(random.Random(13), n_per_class=6)
+        calls = []
+        original = experiments.assemble_vector
+
+        def counting(net):
+            calls.append(net)
+            return original(net)
+
+        monkeypatch.setattr(experiments, "assemble_vector", counting)
+        temporal_sweep(cascades, folds=3, seed=5)
+        distinct = {
+            (i, len(truncate_by_lifetime(c, lifetime).tweets))
+            for lifetime in LIFETIME_LADDER
+            for i, c in enumerate(cascades)
+        }
+        assert len(calls) == len(distinct) < len(LIFETIME_LADDER) * len(cascades)
+
+    def test_jobs_give_the_same_reports(self):
+        cascades = _mini_corpus(random.Random(14), n_per_class=6)
+        lifetimes = (600, 1800, 3600, 86400)
+        serial = temporal_sweep(cascades, lifetimes, folds=3, seed=5, jobs=1)
+        parallel = temporal_sweep(cascades, lifetimes, folds=3, seed=5, jobs=2)
+        assert [lt for lt, _ in parallel] == list(lifetimes)
+        assert [r.to_metric_rows() for _, r in parallel] == [
+            r.to_metric_rows() for _, r in serial
+        ]
+
+    def test_unsorted_and_repeated_lifetimes_match_single_calls(self):
+        cascades = _mini_corpus(random.Random(15), n_per_class=6)
+        lifetimes = (3600, 600, 86400, 600, 1800)
+        swept = temporal_sweep(cascades, lifetimes, folds=3, seed=5)
+        assert [lt for lt, _ in swept] == list(lifetimes)
+        for lifetime, report in swept:
+            [(alone_lifetime, alone)] = temporal_sweep(cascades, (lifetime,), folds=3, seed=5)
+            assert alone_lifetime == lifetime
+            assert report.to_metric_rows() == alone.to_metric_rows()
+
     def test_tweet_sets_monotone_across_ladder(self):
         rng = random.Random(12)
         cascades = _mini_corpus(rng, n_per_class=3)

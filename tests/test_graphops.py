@@ -205,3 +205,94 @@ class TestOracleEquivalence:
         for _ in range(100):
             nodes, edges, g = _random_graph(rng)
             assert density(g) == pytest.approx(bf.density(nodes, edges))
+
+
+def _random_tree_edges(rng, nodes):
+    """Each node after the first hangs off an earlier one, in a random direction."""
+    edges = []
+    for i in range(1, len(nodes)):
+        u, v = nodes[rng.randrange(i)], nodes[i]
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    return edges
+
+
+def _random_cyclic_edges(rng, nodes):
+    """A random tree plus random chords, at least one of them new: a cycle.
+
+    Needs three or more nodes. Chords may repeat or reverse an edge.
+    """
+    edges = _random_tree_edges(rng, nodes)
+    linked = {frozenset(e) for e in edges}
+    while True:
+        u, v = rng.sample(nodes, 2)
+        if frozenset((u, v)) not in linked:
+            edges.append((u, v))
+            break
+    for _ in range(rng.randint(0, len(nodes))):
+        edges.append(tuple(rng.sample(nodes, 2)))
+    return edges
+
+
+class TestDistanceKernelOracle:
+    """Tree and general distance paths against Floyd-Warshall, n up to 60."""
+
+    def _check(self, g, nodes, edges, comp=None):
+        max_dist, total = undirected_distance_stats(g, comp)
+        if comp is not None:
+            # paths stay inside the node set: the oracle sees only its
+            # induced subgraph
+            nodes = sorted(comp)
+            edges = [(u, v) for u, v in edges if u in comp and v in comp]
+        n = len(nodes)
+        assert max_dist == bf.diameter(nodes, edges)
+        # the oracle's mean times the pair count is an exact integer
+        assert total == round(bf.avg_pair_distance(nodes, edges) * n * (n - 1))
+
+    def test_random_trees(self):
+        rng = random.Random(31)
+        for n in range(1, 61):
+            nodes = list(range(n))
+            edges = _random_tree_edges(rng, nodes)
+            self._check(DirectedGraph(edges, nodes=nodes), nodes, edges)
+
+    def test_random_graphs_with_cycles(self):
+        rng = random.Random(32)
+        for n in range(3, 61):
+            nodes = list(range(n))
+            edges = _random_cyclic_edges(rng, nodes)
+            assert len({frozenset(e) for e in edges}) >= n  # not a tree
+            self._check(DirectedGraph(edges, nodes=nodes), nodes, edges)
+
+    @pytest.mark.parametrize("make", [_random_tree_edges, _random_cyclic_edges])
+    def test_restricted_to_one_component(self, make):
+        rng = random.Random(57)
+        for n in range(3, 61, 3):
+            comp = list(range(n))
+            other = list(range(100, 100 + rng.randint(3, 12)))
+            edges = make(rng, comp) + _random_cyclic_edges(rng, other)
+            nodes = comp + other
+            g = DirectedGraph(edges, nodes=nodes)
+            self._check(g, nodes, edges, set(comp))
+            self._check(g, nodes, edges, set(other))
+            # every node hangs off an earlier one, so a head of the
+            # component is connected; the rest of it lies outside the set
+            self._check(g, nodes, edges, set(comp[: n // 2 + 1]))
+
+    def test_long_path_closed_form(self):
+        n = 20000
+        g = DirectedGraph((i, i + 1) for i in range(n - 1))
+        assert undirected_distance_stats(g) == (n - 1, n * (n * n - 1) // 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 60, 61, 1500])
+    def test_cycle_closed_form(self, n):
+        # 1500 nodes take more than one row block on the general path
+        g = DirectedGraph((i, (i + 1) % n) for i in range(n))
+        assert undirected_distance_stats(g) == (n // 2, n * (n * n // 4))
+
+    def test_triangle_plus_isolated_node_raises(self):
+        # three edges on four nodes: n - 1 edges, yet not a tree
+        g = DirectedGraph([(1, 2), (2, 3), (3, 1)], nodes=[4])
+        with pytest.raises(ValueError):
+            undirected_distance_stats(g)
+        with pytest.raises(ValueError):
+            undirected_distance_stats(g, nodes={1, 2, 3, 4})
