@@ -543,3 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -89,7 +89,7 @@ def extract_layer_features(layer: LayerGraph) -> LayerFeatures:
     sv = 0.0 if n == 1 else dist_sum / (n * (n - 1))
     return LayerFeatures(
         scc=len(sccs),
-        lscc=len(_largest_component(sccs)),
+        lscc=max(map(len, sccs)),
         wcc=len(wccs),
         lwcc=n,
         dwcc=max_dist,

@@ -15,7 +15,9 @@ distinct authors behind them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .graphops import DirectedGraph
@@ -132,14 +134,19 @@ def aggregate_layer(net: MultiLayerNetwork) -> LayerGraph:
 
 
 def truncate_by_lifetime(cascade: ArticleCascade, lifetime: int) -> ArticleCascade:
-    """Keep tweets within ``lifetime`` seconds of the article's earliest tweet."""
+    """Keep tweets within ``lifetime`` seconds of the article's earliest tweet.
+
+    The tweets must be in time order, as :meth:`ArticleCascade.build` leaves
+    them: the first tweet is taken as the earliest, and the kept tweets are
+    the prefix up to the cut, found by binary search.
+    """
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
     if not cascade.tweets:
         raise ValueError(f"cascade {cascade.article_id!r} has no tweets")
     cutoff = cascade.tweets[0].timestamp + lifetime
-    kept = tuple(t for t in cascade.tweets if t.timestamp <= cutoff)
-    return ArticleCascade(cascade.article_id, kept, cascade.label)
+    end = bisect_right(cascade.tweets, cutoff, key=attrgetter("timestamp"))
+    return ArticleCascade(cascade.article_id, cascade.tweets[:end], cascade.label)
 
 
 def network_to_lines(net: MultiLayerNetwork) -> list[str]:

@@ -1,8 +1,9 @@
 """Tiny-graph reference implementations used as test oracles.
 
 Everything here trades speed for obviousness: boolean matrix closures,
-Floyd-Warshall, and exhaustive subset enumeration. Only suitable for graphs
-of at most ~10 nodes.
+Floyd-Warshall, exhaustive subset enumeration and naive repeated peeling.
+The subset enumeration suits graphs of at most ~10 nodes; the cubic
+closures and the peeling reach a few dozen.
 """
 
 from __future__ import annotations
@@ -169,6 +170,33 @@ def main_kcore(nodes, edges):
             )
             best = max(best, min_deg)
     return best
+
+
+def main_kcore_peeling(nodes, edges):
+    """Main core by naive peeling: for k = 1, 2, ... drop nodes of total
+    degree below k until none is, and stop when nothing is left.
+
+    Polynomial, so it reaches past the subset enumeration of
+    :func:`main_kcore`; a reciprocal pair counts twice in total degree.
+    """
+    simple = {(u, v) for u, v in edges if u != v}
+    nbrs = {n: [] for n in nodes}
+    for u, v in simple:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    alive = set(nodes)
+    k = 0
+    while True:
+        core = set(alive)
+        while True:
+            low = {u for u in core if sum(1 for v in nbrs[u] if v in core) < k + 1}
+            if not low:
+                break
+            core -= low
+        if not core:
+            return k
+        alive = core
+        k += 1
 
 
 def density(nodes, edges):

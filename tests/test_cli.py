@@ -2,7 +2,10 @@
 jobs count, and the one-line error contract."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +328,29 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("diffnet ")
+
+
+def _run_module(*args):
+    """``python -m diffnet ARGS`` from the source tree, without installing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "diffnet", *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_module_version():
+    proc = _run_module("--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("diffnet ")
+
+
+def test_module_synth_writes_corpus(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "corpus"
+    proc = _run_module("synth", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "tweets.jsonl").is_file()
+    assert (out / "labels.csv").is_file()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import bruteforce as bf
+from diffnet import graphops
 from diffnet.graphops import (
     DirectedGraph,
     average_clustering,
@@ -40,6 +41,23 @@ class TestBasics:
         assert g.undirected_adj()[1] == {2}
         g.add_edge(3, 1)
         assert g.undirected_adj()[1] == {2, 3}
+
+
+    def test_cached_structure_follows_new_edges(self):
+        # the cycle makes SCC and k-core build their direction sets; the new
+        # edges join nodes that already exist
+        g = DirectedGraph([(1, 2), (2, 3), (3, 1)], nodes=[4])
+        assert len(weakly_connected_components(g)) == 2
+        assert len(strongly_connected_components(g)) == 2
+        assert main_kcore_number(g) == 2
+        assert g.successors(3) == {1}
+        g.add_edge(3, 4)
+        g.add_edge(4, 3)
+        assert g.successors(3) == {1, 4}
+        assert g.total_degree(4) == 2
+        assert _comp_key(weakly_connected_components(g)) == [(1, 2, 3, 4)]
+        assert _comp_key(strongly_connected_components(g)) == [(1, 2, 3, 4)]
+        assert main_kcore_number(g) == 2
 
 
 class TestComponents:
@@ -285,9 +303,28 @@ class TestDistanceKernelOracle:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 60, 61, 1500])
     def test_cycle_closed_form(self, n):
-        # 1500 nodes take more than one row block on the general path
         g = DirectedGraph((i, (i + 1) % n) for i in range(n))
         assert undirected_distance_stats(g) == (n // 2, n * (n * n // 4))
+        if n == 1500:
+            # the general path takes its sources in more than one block here
+            assert graphops._BLOCK_BITS // n < n
+
+    def test_many_source_blocks(self, monkeypatch):
+        # blocks of one to a few sources, so every block boundary is crossed
+        rng = random.Random(33)
+        for bits in (1, 40, 200):
+            monkeypatch.setattr(graphops, "_BLOCK_BITS", bits)
+            for n in range(3, 41, 4):
+                nodes = list(range(n))
+                edges = _random_cyclic_edges(rng, nodes)
+                self._check(DirectedGraph(edges, nodes=nodes), nodes, edges)
+
+    def test_set_sized_like_a_component_but_spanning_two_raises(self):
+        # either member's component has three nodes, as the set does
+        g = DirectedGraph([(1, 2), (2, 3), (7, 8), (8, 9), (9, 7)])
+        for nodes in ({1, 2, 7}, {1, 8, 9}, {3, 9, 2}):
+            with pytest.raises(ValueError):
+                undirected_distance_stats(g, nodes=nodes)
 
     def test_triangle_plus_isolated_node_raises(self):
         # three edges on four nodes: n - 1 edges, yet not a tree
@@ -296,3 +333,119 @@ class TestDistanceKernelOracle:
             undirected_distance_stats(g)
         with pytest.raises(ValueError):
             undirected_distance_stats(g, nodes={1, 2, 3, 4})
+
+
+def _random_forest_edges(rng, nodes, reciprocal):
+    """Random trees over ``nodes`` with random orientations, plus the reverse
+    of ``reciprocal`` of their edges (or of all of them, if fewer)."""
+    edges = []
+    for i in range(1, len(nodes)):
+        if rng.random() < 0.8:  # otherwise node i starts a new tree
+            u, v = nodes[rng.randrange(i)], nodes[i]
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges += [(v, u) for u, v in rng.sample(edges, min(reciprocal, len(edges)))]
+    return edges
+
+
+def _check_against_oracles(g, nodes, edges):
+    assert _comp_key(strongly_connected_components(g)) == _comp_key(bf.scc_sets(nodes, edges))
+    assert _comp_key(weakly_connected_components(g)) == _comp_key(bf.wcc_sets(nodes, edges))
+    assert average_clustering(g) == pytest.approx(bf.avg_clustering(nodes, edges))
+    kcore = main_kcore_number(g)
+    assert kcore == bf.main_kcore_peeling(nodes, edges)
+    if len(nodes) <= 7:
+        assert kcore == bf.main_kcore(nodes, edges)
+    return kcore
+
+
+class TestForestShortcuts:
+    """Forest projections, where CC, SCC and k-core skip their general paths."""
+
+    @pytest.mark.parametrize("reciprocal", [0, 1, 1000])
+    def test_random_forests(self, reciprocal):
+        rng = random.Random(40 + reciprocal)
+        for n in range(1, 61):
+            nodes = list(range(n))
+            edges = _random_forest_edges(rng, nodes, reciprocal)
+            # a forest: n - #WCC undirected edges
+            assert len({frozenset(e) for e in edges}) == n - len(bf.wcc_sets(nodes, edges))
+            g = DirectedGraph(edges, nodes=nodes)
+            kcore = _check_against_oracles(g, nodes, edges)
+            assert average_clustering(g) == 0.0
+            if not edges:
+                assert kcore == 0
+            elif reciprocal:
+                assert kcore == 2
+            else:
+                assert kcore == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 40])
+    def test_chord_closes_a_cycle(self, n):
+        # a directed path, then one chord back to its start: one cycle
+        edges = [(i, i + 1) for i in range(n - 1)]
+        nodes = list(range(n))
+        g = DirectedGraph(edges)
+        assert len(strongly_connected_components(g)) == n
+        assert main_kcore_number(g) == 1
+        assert average_clustering(g) == 0.0
+        g.add_edge(n - 1, 0)
+        edges.append((n - 1, 0))
+        _check_against_oracles(g, nodes, edges)
+        assert len(strongly_connected_components(g)) == 1
+        assert main_kcore_number(g) == 2
+        assert (average_clustering(g) > 0) == (n == 3)
+
+    def test_random_forest_plus_one_chord(self):
+        rng = random.Random(41)
+        for n in range(3, 61):
+            nodes = list(range(n))
+            edges = _random_tree_edges(rng, nodes)
+            u, v = rng.sample(nodes, 2)
+            while frozenset((u, v)) in {frozenset(e) for e in edges}:
+                u, v = rng.sample(nodes, 2)
+            edges.append((u, v))
+            _check_against_oracles(DirectedGraph(edges, nodes=nodes), nodes, edges)
+
+
+class TestBucketKCore:
+    """Batagelj-Zaversnik peeling against closed forms and naive peeling."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 30])
+    def test_complete_digraph(self, n):
+        g = DirectedGraph((u, v) for u in range(n) for v in range(n) if u != v)
+        assert main_kcore_number(g) == 2 * (n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 13, 30])
+    def test_one_way_tournament(self, n):
+        rng = random.Random(n)
+        g = DirectedGraph(
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n) for v in range(u + 1, n)
+        )
+        assert main_kcore_number(g) == n - 1
+
+    def test_cycle_with_pendant_chains(self):
+        # a directed 6-cycle with chains of length 1..4 hanging off it,
+        # one of them made of reciprocal pairs
+        edges = [(i, (i + 1) % 6) for i in range(6)]
+        nodes = list(range(6))
+        nxt = 6
+        for anchor, length in ((0, 1), (2, 3), (3, 4)):
+            prev = anchor
+            for _ in range(length):
+                edges.append((prev, nxt))
+                nodes.append(nxt)
+                prev, nxt = nxt, nxt + 1
+        edges += [(5, 100), (100, 5), (100, 101), (101, 100)]
+        nodes += [100, 101]
+        g = DirectedGraph(edges)
+        assert main_kcore_number(g) == 2 == bf.main_kcore_peeling(nodes, edges)
+
+    def test_random_graphs_against_peeling(self):
+        rng = random.Random(42)
+        for n in range(1, 61):
+            nodes = list(range(n))
+            p = rng.uniform(0.02, 0.5)
+            edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < p]
+            g = DirectedGraph(edges, nodes=nodes)
+            assert main_kcore_number(g) == bf.main_kcore_peeling(nodes, edges)

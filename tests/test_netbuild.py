@@ -199,6 +199,21 @@ class TestTruncate:
             assert previous <= ids
             previous = ids
 
+    def test_matches_linear_scan(self):
+        # runs of equal timestamps, and cutoffs that land on a run
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            stamps = [rng.choice((100, 101, 105, 110, 130, 200)) + rng.randint(0, 2)
+                      for _ in range(n)]
+            c = _cascade([_tweet(i, f"u{i % 7}", ts=ts) for i, ts in enumerate(stamps)])
+            first = c.tweets[0].timestamp
+            # every gap from the first tweet puts the cutoff on a timestamp
+            gaps = {t.timestamp - first for t in c.tweets} - {0}
+            for lifetime in gaps | {1, 3, 7, 50, 150}:
+                scan = tuple(t for t in c.tweets if t.timestamp <= first + lifetime)
+                assert truncate_by_lifetime(c, lifetime).tweets == scan
+
     def test_rejects_bad_input(self):
         c = _cascade([_tweet(1, "u1")])
         with pytest.raises(ValueError):
