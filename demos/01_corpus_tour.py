@@ -54,7 +54,7 @@ header = f"  {'layer':>9} {'nodes':>6} {'edges':>6} {'LWCC':>6} " \
          f"{'LSCC':>6} {'KC':>4} {'SV':>8}"
 print(header)
 for kind in ("RT", "R", "Q", "M"):
-    layer = net.layer(kind)
+    layer = net.layers[kind]
     f = extract_layer_features(layer)
     print(f"  {kind:>9} {len(layer.nodes()):>6} {len(layer.edges):>6} "
           f"{f.lwcc:>6} {f.lscc:>6} {f.kc:>4} {f.sv:>8.3f}")

@@ -34,7 +34,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,7 +47,7 @@ from .experiments import (
     single_layer_baseline,
     temporal_sweep,
 )
-from .features import featurize_article, read_features_file, write_features_file
+from .features import featurize, read_features_file, write_features_file
 from .ingest import (
     CorpusFormatError,
     apply_censoring,
@@ -92,7 +91,10 @@ def parse_duration(text: str) -> int:
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
 
 
-def _default_jobs() -> int:
+def _jobs(args) -> int:
+    """`--jobs` if given, else DIFFNET_JOBS, else 1."""
+    if args.jobs is not None:
+        return args.jobs
     raw = os.environ.get("DIFFNET_JOBS", "1").strip()
     try:
         jobs = int(raw)
@@ -188,6 +190,7 @@ def _cv_config(args) -> dict:
 # ------------------------------------------------------------ subcommands
 
 def cmd_synth(args) -> int:
+    jobs = _jobs(args)
     inputs = []
     if args.config is not None:
         config_path = _require_file(args.config)
@@ -205,7 +208,7 @@ def cmd_synth(args) -> int:
         out / "manifest.json", "synth", config.to_json_dict(), inputs,
         config.seed, ["config.json", "labels.csv", "tweets.jsonl"],
     )
-    records, labels = generate_corpus(config, jobs=args.jobs)
+    records, labels = generate_corpus(config, jobs=jobs)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -260,17 +263,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    jobs = _jobs(args)
     cascades, inputs = _load_cascades(args.cascades)
     out = Path(args.out)
     write_manifest(
         Path(str(out) + ".manifest.json"), "featurize",
         {"cascades": args.cascades}, inputs, None, [out.name],
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(featurize_article, cascades, chunksize=16))
-    else:
-        rows = [featurize_article(c) for c in cascades]
+    rows = featurize(cascades, jobs)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_features_file(out, rows)
     print(f"featurize: {len(rows)} articles -> {out}")
@@ -384,6 +384,7 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_temporal(args) -> int:
+    jobs = _jobs(args)
     cascades, inputs = _load_cascades(args.cascades)
     raw = [part.strip() for part in args.lifetimes.split(",")]
     if not any(raw):
@@ -392,7 +393,7 @@ def cmd_temporal(args) -> int:
     results = temporal_sweep(
         cascades, lifetimes, folds=args.folds,
         test_fraction=args.test_fraction, seed=args.seed, C=args.C,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     out = Path(args.out)
     config = {
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("synth", help="generate a labeled synthetic corpus")
     sub.add_argument("--config", default=None, help="generator config JSON")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=_default_jobs())
+    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_synth)
 
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("featurize", help="compute the 38-feature table")
     sub.add_argument("--cascades", required=True)
-    sub.add_argument("--jobs", type=int, default=_default_jobs())
+    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_featurize)
 
@@ -516,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lifetimes",
                      default=",".join(str(s) for s in LIFETIME_LADDER))
     _add_cv_flags(sub)
-    sub.add_argument("--jobs", type=int, default=_default_jobs())
+    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_temporal)
 

@@ -5,21 +5,21 @@ single-layer baseline.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import kolmogorov
 
-from .features import FEATURE_NAMES, assemble_vector, extract_layer_features
+from .features import FEATURE_NAMES, ArticleFeatures, assemble_vector, featurize
 from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
     LabeledSample,
     evaluate_split,
     fold_seed_sequences,
+    make_samples,
     stratified_shuffle_cv,
     stratified_test_indices,
 )
@@ -44,39 +44,6 @@ LIFETIME_LADDER = (
 SINGLE_LAYER_FEATURE_NAMES = tuple(
     f"ALL_{name.split('_', 1)[1]}" for name in FEATURE_NAMES[:9]
 ) + ("T", "U")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Echo of everything that determines an experiment cell's output."""
-
-    dataset: str = ""
-    size_class: str = "all"
-    bias_train_filter: str = "all"
-    layers: tuple[str, ...] = LAYER_KINDS
-    lifetime: Optional[int] = None
-    folds: int = 10
-    test_fraction: float = 0.2
-    seed: int = 0
-    C: float = 1.0
-    excluded_sources: tuple[str, ...] = ()
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "size_class": self.size_class,
-            "bias_train_filter": self.bias_train_filter,
-            "layers": list(self.layers),
-            "lifetime": self.lifetime,
-            "folds": self.folds,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "C": self.C,
-            "excluded_sources": list(self.excluded_sources),
-        }
-        out.update(self.extra)
-        return out
 
 
 def partition_by_size(samples: Sequence[LabeledSample]) -> dict[str, list[LabeledSample]]:
@@ -255,30 +222,13 @@ def rank_features_ks(
     return rows
 
 
-def _featurize_one(cascade: ArticleCascade) -> LabeledSample:
-    net = build_network(cascade)
-    return LabeledSample(
-        article_id=cascade.article_id,
-        vector=assemble_vector(net),
-        label=cascade.label.class_label,
-        bias=cascade.label.bias,
-        n_users=aggregate_user_count(net),
-        source=cascade.label.source,
-    )
-
-
 def featurize_cascades(
     cascades: Sequence[ArticleCascade], jobs: int = 1
 ) -> list[LabeledSample]:
-    """38-feature samples straight from cascades (no intermediate file).
-
-    Articles are independent, so any jobs count returns the same list in
-    input order.
+    """38-feature samples straight from cascades (no intermediate file),
+    in input order at any jobs count.
     """
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_featurize_one, cascades, chunksize=16))
-    return [_featurize_one(cascade) for cascade in cascades]
+    return make_samples(featurize(cascades, jobs))
 
 
 def temporal_sweep(
@@ -328,25 +278,22 @@ def temporal_sweep(
 
 
 def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[LabeledSample]:
-    """11-feature samples from the all-interactions aggregate graph."""
-    out = []
+    """11-feature samples: the article featurizer over a one-layer network
+    whose only layer is the all-interactions aggregate graph.
+    """
+    rows = []
     for cascade in cascades:
         net = build_network(cascade)
-        merged = aggregate_layer(net)
-        values = list(extract_layer_features(merged).as_tuple())
-        values.append(float(net.pure_tweet_count))
-        values.append(float(net.pure_tweet_users))
-        out.append(
-            LabeledSample(
+        merged = dataclasses.replace(net, layers={"ALL": aggregate_layer(net)})
+        rows.append(
+            ArticleFeatures(
                 article_id=cascade.article_id,
-                vector=np.asarray(values, dtype=np.float64),
-                label=cascade.label.class_label,
-                bias=cascade.label.bias,
-                n_users=aggregate_user_count(net),
-                source=cascade.label.source,
+                label=cascade.label,
+                n_users=aggregate_user_count(merged),
+                vector=assemble_vector(merged),
             )
         )
-    return out
+    return make_samples(rows)
 
 
 def single_layer_baseline(

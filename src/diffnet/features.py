@@ -1,8 +1,10 @@
 """Fixed-length feature encoding of a multi-layer network.
 
-Nine structural metrics per layer, layers in Q/RT/M/R order, then the
-pure-tweet count T and pure-author count U: 9*4 + 2 = 38 entries. An empty
-layer contributes nine zeros.
+Nine structural metrics per layer, layers in the network's order, then the
+pure-tweet count T and pure-author count U. :func:`build_network` gives the
+four layers in Q/RT/M/R order, 9*4 + 2 = 38 entries; the merged-graph
+baseline is the same encoding over a one-layer network, 9 + 2 = 11. An
+empty layer contributes nine zeros.
 
 Features file: CSV with header ``article_id,label,source,bias,n_users``
 followed by the 38 feature columns; floats are written with full
@@ -12,8 +14,10 @@ round-trip precision.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,10 +105,10 @@ def extract_layer_features(layer: LayerGraph) -> LayerFeatures:
 
 
 def assemble_vector(net: MultiLayerNetwork) -> np.ndarray:
-    """38-entry vector: Q, RT, M, R layer features then T and U."""
+    """Nine entries per layer in network order, then T and U."""
     values: list[float] = []
-    for kind in LAYER_KINDS:
-        values.extend(extract_layer_features(net.layers[kind]).as_tuple())
+    for layer in net.layers.values():
+        values.extend(extract_layer_features(layer).as_tuple())
     values.append(float(net.pure_tweet_count))
     values.append(float(net.pure_tweet_users))
     return np.asarray(values, dtype=np.float64)
@@ -112,7 +116,7 @@ def assemble_vector(net: MultiLayerNetwork) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArticleFeatures:
-    """One featurized article: metadata plus the 38-entry vector."""
+    """One featurized article: metadata plus its feature vector."""
 
     article_id: str
     label: ArticleLabel
@@ -138,6 +142,22 @@ def featurize_article(cascade: ArticleCascade) -> ArticleFeatures:
         n_users=aggregate_user_count(net),
         vector=assemble_vector(net),
     )
+
+
+def featurize(
+    cascades: Sequence[ArticleCascade], jobs: int = 1
+) -> list[ArticleFeatures]:
+    """:func:`featurize_article` over every cascade, in input order.
+
+    Articles are independent, so any jobs count returns the same list. At
+    most one worker process per article and per CPU is started, and none
+    when that leaves a single worker.
+    """
+    workers = min(jobs, len(cascades), os.cpu_count() or 1)
+    if workers <= 1:
+        return [featurize_article(cascade) for cascade in cascades]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(featurize_article, cascades, chunksize=16))
 
 
 def _header() -> list[str]:

@@ -388,16 +388,13 @@ def evaluate_split(
     C: float = 1.0,
     class_weights: Union[None, str, dict] = None,
     feature_indices: Optional[Sequence[int]] = None,
-    standardizer: Optional[StandardizerParams] = None,
 ) -> FoldMetrics:
-    """Train on one split and score the held-out side.
-
-    Unless a prefit standardizer is passed, one is fit on the training
-    portion only.
+    """Train on one split and score the held-out side; the standardizer is
+    fit on the training portion only.
     """
     X_train, y_train = samples_to_xy(train, feature_indices)
     X_test, y_test = samples_to_xy(test, feature_indices)
-    params = standardizer if standardizer is not None else fit_standardizer(X_train)
+    params = fit_standardizer(X_train)
     model = train_logistic(
         transform(params, X_train), y_train, C=C, class_weights=class_weights
     )
@@ -452,23 +449,15 @@ def stratified_shuffle_cv(
     C: float = 1.0,
     class_weights: Union[None, str, dict] = None,
     feature_indices: Optional[Sequence[int]] = None,
-    global_standardize: bool = False,
 ) -> EvaluationReport:
-    """Repeated stratified random splits, one FoldMetrics per fold.
-
-    The standardizer is fit on each fold's training portion; set
-    global_standardize to fit it once on the full sample set instead
-    (leaks test statistics; off by default).
+    """Repeated stratified random splits, one FoldMetrics per fold; the
+    standardizer is fit on each fold's training portion.
     """
     if folds < 1:
         raise ValueError("folds must be >= 1")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     labels = [s.label for s in samples]
-    shared = None
-    if global_standardize:
-        X_all, _ = samples_to_xy(samples, feature_indices)
-        shared = fit_standardizer(X_all)
     results = []
     for fold, ss in enumerate(fold_seed_sequences(seed, folds), start=1):
         rng = np.random.default_rng(ss)
@@ -483,7 +472,6 @@ def stratified_shuffle_cv(
                 C=C,
                 class_weights=class_weights,
                 feature_indices=feature_indices,
-                standardizer=shared,
             )
         )
     return EvaluationReport(folds=tuple(results))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Optional
 
 from .graphops import DirectedGraph
 from .ingest import ArticleCascade
@@ -45,15 +44,6 @@ class LayerGraph:
             out.add(dst)
         return out
 
-    def node_count(self) -> int:
-        return len(self.nodes())
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
-
     def is_empty(self) -> bool:
         return not self.edges
 
@@ -63,16 +53,15 @@ class LayerGraph:
 
 @dataclass
 class MultiLayerNetwork:
+    """Layers keyed by kind, in the order the feature vector encodes them,
+    plus the pure tweets' count T, author count U and authors.
+    """
+
     article_id: str
     layers: dict[str, LayerGraph]
     pure_tweet_count: int
     pure_tweet_users: int
-    # authors behind the pure tweets; None after deserialization, where the
-    # trailer carries only the counts
-    pure_authors: Optional[frozenset[str]] = None
-
-    def layer(self, kind: str) -> LayerGraph:
-        return self.layers[kind]
+    pure_authors: frozenset[str]
 
 
 def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
@@ -113,14 +102,7 @@ def aggregate_user_count(net: MultiLayerNetwork) -> int:
     users: set[str] = set()
     for layer in net.layers.values():
         users |= layer.nodes()
-    if net.pure_authors is None:
-        if net.pure_tweet_users > 0:
-            raise ValueError(
-                "pure-tweet authors unknown; network was deserialized from "
-                "a count-only trailer"
-            )
-    else:
-        users |= net.pure_authors
+    users |= net.pure_authors
     return len(users)
 
 
@@ -147,61 +129,3 @@ def truncate_by_lifetime(cascade: ArticleCascade, lifetime: int) -> ArticleCasca
     cutoff = cascade.tweets[0].timestamp + lifetime
     end = bisect_right(cascade.tweets, cutoff, key=attrgetter("timestamp"))
     return ArticleCascade(cascade.article_id, cascade.tweets[:end], cascade.label)
-
-
-def network_to_lines(net: MultiLayerNetwork) -> list[str]:
-    """Serialize one network: `layer src dst weight` lines, layers in
-    Q/RT/M/R order with edges sorted, then a `T=<n> U=<n>` trailer.
-    """
-    lines = []
-    for kind in LAYER_KINDS:
-        for (src, dst) in sorted(net.layers[kind].edges):
-            lines.append(f"{kind} {src} {dst} {net.layers[kind].edges[(src, dst)]}")
-    lines.append(f"T={net.pure_tweet_count} U={net.pure_tweet_users}")
-    return lines
-
-
-def network_from_lines(article_id: str, lines: Iterable[str]) -> MultiLayerNetwork:
-    layers = {kind: LayerGraph(kind) for kind in LAYER_KINDS}
-    pure_count = pure_users = None
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if pure_count is not None:
-            raise ValueError("content after trailer")
-        if line.startswith("T="):
-            try:
-                t_part, u_part = line.split()
-                pure_count = int(t_part[2:])
-                pure_users = int(u_part[2:])
-            except ValueError:
-                raise ValueError(f"bad trailer: {line!r}") from None
-            if (
-                not u_part.startswith("U=")
-                or pure_users < 0
-                or pure_users > pure_count
-            ):
-                raise ValueError(f"bad trailer: {line!r}")
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad edge line: {line!r}")
-        kind, src, dst, weight_s = parts
-        if kind not in layers:
-            raise ValueError(f"unknown layer {kind!r}")
-        weight = int(weight_s)
-        if weight < 1 or src == dst:
-            raise ValueError(f"bad edge line: {line!r}")
-        if (src, dst) in layers[kind].edges:
-            raise ValueError(f"duplicate edge: {line!r}")
-        layers[kind].edges[(src, dst)] = weight
-    if pure_count is None:
-        raise ValueError("missing trailer")
-    return MultiLayerNetwork(
-        article_id=article_id,
-        layers=layers,
-        pure_tweet_count=pure_count,
-        pure_tweet_users=pure_users,
-        pure_authors=None,
-    )

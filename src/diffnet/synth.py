@@ -26,6 +26,7 @@ spawned from the master seed, so output is identical at any worker count.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -290,7 +291,8 @@ def generate_corpus(
     """All tweet records plus one label row per article.
 
     Same config (including seed) gives an identical corpus at any jobs
-    count; articles are independent streams merged in a fixed order.
+    count; articles are independent streams merged in a fixed order. At
+    most one worker process per article and per CPU is started.
     """
     config.validate()
     specs = _article_specs(config)
@@ -311,8 +313,9 @@ def generate_corpus(
         (article_id, class_label, config, seeds[i], BASE_TIME + 97 * i)
         for i, (article_id, class_label) in enumerate(specs)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_worker, tasks, chunksize=16))
     else:
         chunks = [_worker(task) for task in tasks]

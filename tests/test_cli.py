@@ -222,6 +222,42 @@ def test_jobs_env_default(workspace, tmp_path, monkeypatch):
     assert out.read_bytes() == (workspace / "features.csv").read_bytes()
 
 
+def test_bad_jobs_env_only_breaks_commands_with_jobs(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("DIFFNET_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("diffnet ")
+    assert main([
+        "evaluate", "--features", str(workspace / "features.csv"),
+        "--out", str(tmp_path / "eval"),
+    ]) == 0
+    assert main([
+        "evaluate", "--features", str(tmp_path / "nope.csv"),
+        "--out", str(tmp_path / "nope"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("E_INPUT_MISSING:")
+    cascades = str(workspace / "cascades")
+    for argv in (
+        ["featurize", "--cascades", cascades, "--out", str(tmp_path / "f" / "x.csv")],
+        ["temporal", "--cascades", cascades, "--out", str(tmp_path / "t")],
+        ["synth", "--out", str(tmp_path / "s")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "E_USAGE: DIFFNET_JOBS must be an integer"
+        )
+    # nothing was written, not even a manifest
+    assert not any((tmp_path / d).exists() for d in ("f", "t", "s"))
+    # an explicit --jobs is used without reading the environment
+    out = tmp_path / "features.csv"
+    assert main(["featurize", "--cascades", cascades, "--jobs", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (workspace / "features.csv").read_bytes()
+
+
 def test_evaluate_rerun_byte_identical(workspace, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -7,7 +7,6 @@ import pytest
 from diffnet.experiments import (
     LIFETIME_LADDER,
     SINGLE_LAYER_FEATURE_NAMES,
-    ExperimentConfig,
     bias_restricted_eval,
     chi2_ranking,
     chi2_scores,
@@ -22,10 +21,17 @@ from diffnet.experiments import (
     single_layer_samples,
     temporal_sweep,
 )
-from diffnet.features import FEATURE_NAMES
+import diffnet.features as features
+from diffnet.features import FEATURE_NAMES, extract_layer_features, featurize
 from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
-from diffnet.model import LabeledSample, stratified_shuffle_cv
-from diffnet.netbuild import truncate_by_lifetime
+from diffnet.model import LabeledSample, make_samples, stratified_shuffle_cv
+from diffnet.netbuild import (
+    aggregate_layer,
+    aggregate_user_count,
+    build_network,
+    truncate_by_lifetime,
+)
+from fake_pool import record_pools
 from reference_stats import chi2_class_sum_statistic, kolmogorov_sf_series, ks_statistic
 
 
@@ -330,17 +336,15 @@ class TestTemporalSweep:
         assert results[-1][1].to_text() == untruncated.to_text()
 
     def test_each_distinct_prefix_featurized_once(self, monkeypatch):
-        import diffnet.experiments as experiments
-
         cascades = _mini_corpus(random.Random(13), n_per_class=6)
         calls = []
-        original = experiments.assemble_vector
+        original = features.assemble_vector
 
         def counting(net):
             calls.append(net)
             return original(net)
 
-        monkeypatch.setattr(experiments, "assemble_vector", counting)
+        monkeypatch.setattr(features, "assemble_vector", counting)
         temporal_sweep(cascades, folds=3, seed=5)
         distinct = {
             (i, len(truncate_by_lifetime(c, lifetime).tweets))
@@ -407,13 +411,59 @@ class TestSingleLayer:
             TweetRecord("t4", "u2", 1003, "a1"),
         ]
         cascade = ArticleCascade.build("a1", tweets, ArticleLabel("a1", "D"))
-        from diffnet.netbuild import aggregate_layer, build_network
-
         net = build_network(cascade)
         merged = aggregate_layer(net)
         sample = single_layer_samples([cascade])[0]
         pure_only = net.pure_authors - merged.nodes()
-        assert merged.node_count() == sample.n_users - len(pure_only)
+        assert len(merged.nodes()) == sample.n_users - len(pure_only)
+
+    @staticmethod
+    def _reference(cascade):
+        # the merged layer's nine metrics, then T and U, and the users of
+        # the four-layer network
+        net = build_network(cascade)
+        values = extract_layer_features(aggregate_layer(net)).as_tuple() + (
+            float(net.pure_tweet_count),
+            float(net.pure_tweet_users),
+        )
+        return np.asarray(values, dtype=np.float64), aggregate_user_count(net)
+
+    def _assert_matches_reference(self, cascades):
+        samples = single_layer_samples(cascades)
+        assert [s.article_id for s in samples] == [c.article_id for c in cascades]
+        for cascade, sample in zip(cascades, samples):
+            vector, n_users = self._reference(cascade)
+            assert np.array_equal(sample.vector, vector)
+            assert sample.n_users == n_users
+            assert sample.label == cascade.label.class_label
+            assert sample.bias == cascade.label.bias
+            assert sample.source == cascade.label.source
+
+    def test_matches_merged_layer_reference_on_mini_corpus(self):
+        self._assert_matches_reference(_mini_corpus(random.Random(18), n_per_class=6))
+
+    def test_matches_merged_layer_reference_across_a_cycle(self):
+        # u1 -M-> u2 -R-> u3 -M-> u1 closes a cycle only in the merged graph;
+        # u1 also replies to u2, so that merged edge carries weight 2
+        tweets = [
+            TweetRecord("t1", "u1", 1000, "a1", mentions=("u2",)),
+            TweetRecord("t2", "u2", 1001, "a1", reply_to="u3"),
+            TweetRecord("t3", "u3", 1002, "a1", mentions=("u1",)),
+            TweetRecord("t4", "u1", 1003, "a1", reply_to="u2"),
+            TweetRecord("t5", "u4", 1004, "a1", retweet_of="u1"),
+            TweetRecord("t6", "u5", 1005, "a1", quote_of="u4"),
+            TweetRecord("t7", "u2", 1006, "a1"),
+            TweetRecord("t8", "u9", 1007, "a1"),
+        ]
+        cascade = ArticleCascade.build(
+            "a1", tweets, ArticleLabel("a1", "M", "x.org", "left")
+        )
+        net = build_network(cascade)
+        for kind in ("M", "R"):
+            assert extract_layer_features(net.layers[kind]).lscc == 1
+        assert extract_layer_features(aggregate_layer(net)).lscc == 3
+        self._assert_matches_reference([cascade])
+        assert single_layer_samples([cascade])[0].n_users == 6
 
     def test_baseline_report_runs(self):
         rng = random.Random(15)
@@ -445,10 +495,41 @@ class TestCorpusQualitative:
         assert sample.source == "s.org"
         assert sample.n_users == 6  # root plus 5 spreaders
 
-    def test_experiment_config_echo(self):
-        cfg = ExperimentConfig(dataset="x.csv", seed=4, excluded_sources=("b.com",))
-        d = cfg.to_json_dict()
-        assert d["dataset"] == "x.csv"
-        assert d["seed"] == 4
-        assert d["excluded_sources"] == ["b.com"]
-        assert d["layers"] == ["Q", "RT", "M", "R"]
+
+class TestFeaturize:
+    def test_jobs_give_the_same_features(self):
+        cascades = _mini_corpus(random.Random(19), n_per_class=4)
+        assert featurize(cascades, 2) == featurize(cascades, 1)
+
+    def test_featurize_cascades_is_make_samples_of_featurize(self):
+        cascades = _mini_corpus(random.Random(20), n_per_class=4)
+        got = featurize_cascades(cascades)
+        want = make_samples(featurize(cascades))
+        assert len(got) == len(want) == len(cascades)
+        for a, b in zip(got, want):
+            assert (a.article_id, a.label, a.bias, a.n_users, a.source) == (
+                b.article_id, b.label, b.bias, b.n_users, b.source,
+            )
+            assert np.array_equal(a.vector, b.vector)
+
+    @pytest.mark.parametrize(
+        "jobs, n_cascades, cpus, workers",
+        [
+            (100_000, 6, 64, 6),
+            (100_000, 24, 2, 2),
+            (3, 24, 64, 3),
+            (100_000, 1, 64, None),
+            (4, 0, 64, None),
+            (4, 24, 1, None),
+            (4, 24, None, None),
+            (0, 24, 64, None),
+        ],
+    )
+    def test_workers_capped_by_articles_and_cpus(
+        self, monkeypatch, jobs, n_cascades, cpus, workers
+    ):
+        cascades = _mini_corpus(random.Random(21), n_per_class=12)[:n_cascades]
+        serial = featurize(cascades)
+        asked = record_pools(monkeypatch, features, cpus)
+        assert featurize(cascades, jobs) == serial
+        assert asked == ([] if workers is None else [workers])

@@ -94,7 +94,7 @@ class TestLayerFeatures:
             if layer.is_empty():
                 continue
             feats = extract_layer_features(layer)
-            total = layer.node_count()
+            total = len(layer.nodes())
             assert feats.lscc <= feats.lwcc <= total
             assert feats.scc >= feats.wcc
             assert 0.0 <= feats.cc <= 1.0

@@ -296,12 +296,6 @@ class TestCV:
         noise = stratified_shuffle_cv(samples, folds=5, seed=2, feature_indices=[1])
         assert informative.mean("AUROC") > noise.mean("AUROC")
 
-    def test_global_standardize_flag_changes_nothing_structural(self):
-        rng = np.random.default_rng(15)
-        samples = _blob_samples(rng, n_per_class=20)
-        report = stratified_shuffle_cv(samples, folds=3, seed=3, global_standardize=True)
-        assert len(report.folds) == 3
-
     def test_report_rendering(self):
         rng = np.random.default_rng(16)
         samples = _blob_samples(rng, n_per_class=15)

@@ -24,6 +24,7 @@ from diffnet.synth import (
     default_config,
     generate_corpus,
 )
+from fake_pool import record_pools
 
 
 def small_profile(**overrides):
@@ -132,6 +133,20 @@ def test_jobs_do_not_change_output():
     parallel, labels_2 = generate_corpus(small_config(), jobs=2)
     assert serial == parallel
     assert labels_1 == labels_2
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(100_000, 64, 8), (100_000, 2, 2), (3, 64, 3), (4, 1, None),
+     (4, None, None), (1, 64, None), (0, 64, None)],
+)
+def test_workers_capped_by_articles_and_cpus(monkeypatch, jobs, cpus, workers):
+    import diffnet.synth as synth
+
+    serial = generate_corpus(small_config())
+    asked = record_pools(monkeypatch, synth, cpus)
+    assert generate_corpus(small_config(), jobs=jobs) == serial
+    assert asked == ([] if workers is None else [workers])
 
 
 # ---------------------------------------------------------- corpus shape
