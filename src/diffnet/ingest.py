@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Optional
 
 CLASS_DISINFORMATION = "D"
@@ -35,7 +36,7 @@ class CorpusFormatError(ValueError):
     """Raised when an input file is structurally unusable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     tweet_id: str
     author_id: str
@@ -84,7 +85,7 @@ class ArticleCascade:
 
     @staticmethod
     def build(article_id: str, tweets: Iterable[TweetRecord], label: ArticleLabel):
-        ordered = sorted(tweets, key=lambda t: (t.timestamp, t.tweet_id))
+        ordered = sorted(tweets, key=attrgetter("timestamp", "tweet_id"))
         for t in ordered:
             if t.article_id != article_id:
                 raise ValueError(
@@ -100,21 +101,8 @@ class ParseResult:
     duplicates: int = 0
 
 
-def _normalize_mentions(raw, reply_to: Optional[str]) -> tuple[str, ...]:
-    # dedup preserving order; the reply target never doubles as a mention
-    seen = set()
-    out = []
-    for m in raw:
-        if not isinstance(m, str) or not m:
-            raise ValueError("mentions must be nonempty strings")
-        if m == reply_to or m in seen:
-            continue
-        seen.add(m)
-        out.append(m)
-    return tuple(out)
-
-
-def _record_from_obj(obj) -> TweetRecord:
+def _record_from_obj(obj, ids: dict) -> TweetRecord:
+    """Validate one decoded line; equal ids come back as the one str in ``ids``."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     try:
@@ -124,55 +112,66 @@ def _record_from_obj(obj) -> TweetRecord:
         article_id = obj["article_id"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]}") from None
-    for name, value in (
-        ("tweet_id", tweet_id),
-        ("author_id", author_id),
-        ("article_id", article_id),
-    ):
-        if not isinstance(value, str) or not value:
-            raise ValueError(f"{name} must be a nonempty string")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, int) or timestamp <= 0:
+    if not (isinstance(tweet_id, str) and isinstance(author_id, str)
+            and isinstance(article_id, str) and tweet_id and author_id and article_id):
+        raise ValueError("tweet_id, author_id and article_id must be nonempty strings")
+    if type(timestamp) is not int or timestamp <= 0:
         raise ValueError("timestamp must be a positive integer")
-    optional = {}
-    for key in ("retweet_of", "quote_of", "reply_to"):
-        value = obj.get(key)
-        if value is not None and (not isinstance(value, str) or not value):
-            raise ValueError(f"{key} must be a nonempty string when present")
-        optional[key] = value
-    mentions_raw = obj.get("mentions", [])
-    if not isinstance(mentions_raw, list):
+    retweet_of = obj.get("retweet_of")
+    quote_of = obj.get("quote_of")
+    reply_to = obj.get("reply_to")
+    for target in (retweet_of, quote_of, reply_to):
+        if target is not None and not (isinstance(target, str) and target):
+            raise ValueError("interaction targets must be nonempty strings when present")
+    intern = ids.setdefault
+    mentions = obj.get("mentions", [])
+    if not isinstance(mentions, list):
         raise ValueError("mentions must be a list")
-    mentions = _normalize_mentions(mentions_raw, optional["reply_to"])
+    if mentions:
+        # dedup preserving order; the reply target never doubles as a mention
+        seen = {reply_to}
+        kept = []
+        for m in mentions:
+            if not (isinstance(m, str) and m):
+                raise ValueError("mentions must be nonempty strings")
+            if m not in seen:
+                seen.add(m)
+                kept.append(intern(m, m))
+        mentions = kept
     return TweetRecord(
-        tweet_id=tweet_id,
-        author_id=author_id,
-        timestamp=timestamp,
-        article_id=article_id,
-        retweet_of=optional["retweet_of"],
-        quote_of=optional["quote_of"],
-        reply_to=optional["reply_to"],
-        mentions=mentions,
+        tweet_id,
+        intern(author_id, author_id),
+        timestamp,
+        intern(article_id, article_id),
+        retweet_of and intern(retweet_of, retweet_of),
+        quote_of and intern(quote_of, quote_of),
+        reply_to and intern(reply_to, reply_to),
+        tuple(mentions),
     )
 
 
 def parse_records(lines: Iterable[str]) -> ParseResult:
     """Parse line-delimited tweet records.
 
-    Malformed lines (bad JSON, missing or invalid fields) are counted and
-    skipped. Duplicate tweet_ids keep the first occurrence. Blank lines are
-    ignored entirely. Raises CorpusFormatError when more than half of the
+    Malformed lines (bad JSON, nesting too deep to decode, text that was
+    not valid UTF-8, missing or invalid fields) are counted and skipped.
+    Duplicate tweet_ids keep the first occurrence. Blank lines are ignored
+    entirely. Raises CorpusFormatError when more than half of the
     non-blank lines are malformed.
     """
     result = ParseResult()
     seen_ids: set[str] = set()
+    ids: dict[str, str] = {}
     considered = 0
     for line in lines:
         if not line.strip():
             continue
         considered += 1
         try:
-            record = _record_from_obj(json.loads(line))
-        except (ValueError, TypeError):
+            if not line.isascii():
+                line.encode("utf-8")  # a lone surrogate here was an invalid byte
+            record = _record_from_obj(json.loads(line), ids)
+        except (ValueError, TypeError, RecursionError):
             result.malformed += 1
             continue
         if record.tweet_id in seen_ids:
@@ -206,7 +205,8 @@ def record_to_json(record: TweetRecord) -> str:
 
 def load_tweets_file(path) -> ParseResult:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # an invalid byte decodes to a lone surrogate, so only its line is malformed
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_records(fh)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read tweets file: {exc}") from exc

@@ -313,6 +313,23 @@ def test_bad_window_duration(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("E_USAGE:")
 
 
+def test_ingest_counts_undecodable_lines_as_malformed(workspace, tmp_path, capsys):
+    tweets = tmp_path / "tweets.jsonl"
+    clean = (workspace / "corpus" / "tweets.jsonl").read_bytes()
+    tweets.write_bytes(b'{"tweet_id": "\xff"}\n' + clean + b"[" * 200_000 + b"\n")
+    code = main([
+        "ingest", "--tweets", str(tweets),
+        "--labels", str(workspace / "corpus" / "labels.csv"),
+        "--window", "14d", "--min-tweets", "10", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert "skipped 2 malformed" in capsys.readouterr().out
+    for name in ("tweets.jsonl", "labels.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (
+            workspace / "cascades" / name
+        ).read_bytes()
+
+
 def test_bad_generator_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nonsense": true}')

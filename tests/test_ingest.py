@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import pickle
 import random
+import tracemalloc
+from operator import attrgetter
 
 import pytest
 
+import reference_ingest as ref
 from diffnet.ingest import (
     ArticleCascade,
     ArticleLabel,
@@ -10,10 +15,12 @@ from diffnet.ingest import (
     apply_censoring,
     filter_min_tweets,
     group_cascades,
+    load_tweets_file,
     parse_labels,
     parse_records,
     record_to_json,
 )
+from diffnet.synth import default_config, generate_corpus
 
 
 def _line(i=1, **overrides):
@@ -96,6 +103,202 @@ class TestParseRecords:
         first = _records(lines)
         second = _records([record_to_json(r) for r in first])
         assert first == second
+
+
+record_fields = attrgetter(*ref.FIELDS)
+
+
+def _assert_matches_reference(lines):
+    """parse_records agrees with the reference validator on records and counts."""
+    expected, malformed, duplicates = ref.parse_lines(lines)
+    # below the majority-malformed rule, so the records are compared too
+    assert 2 * malformed <= sum(1 for line in lines if line.strip())
+    result = parse_records(lines)
+    assert [record_fields(r) for r in result.records] == expected
+    assert (result.malformed, result.duplicates) == (malformed, duplicates)
+
+
+_BASE = {"tweet_id": "t0", "author_id": "u0", "timestamp": 1000, "article_id": "a1"}
+
+# one line each; every case is parsed between two well-formed lines
+VALIDATOR_CASES = [
+    json.dumps(dict(_BASE, **extra))
+    for extra in (
+        {},
+        {"mentions": None},
+        {"mentions": []},
+        {"mentions": ""},
+        {"mentions": {}},
+        {"mentions": 0},
+        {"mentions": ["u2", "u3", "u2"]},
+        {"mentions": ["u9", "u2"], "reply_to": "u9"},
+        {"mentions": ["u9"], "reply_to": "u9"},
+        {"mentions": ["u2", ""]},
+        {"mentions": ["u2", None]},
+        {"mentions": [1]},
+        {"mentions": [["u2"]]},
+        {"mentions": ["u0"]},
+        {"timestamp": True},
+        {"timestamp": False},
+        {"timestamp": 1.0},
+        {"timestamp": 1.5},
+        {"timestamp": 0},
+        {"timestamp": -5},
+        {"timestamp": "100"},
+        {"timestamp": None},
+        {"timestamp": 10**30},
+        {"retweet_of": None, "quote_of": None, "reply_to": None},
+        {"retweet_of": "u1", "quote_of": "u2", "reply_to": "u3"},
+        {"retweet_of": ""},
+        {"quote_of": 7},
+        {"reply_to": ["u1"]},
+        {"reply_to": False},
+        {"tweet_id": ""},
+        {"author_id": ""},
+        {"article_id": ""},
+        {"tweet_id": 5},
+        {"author_id": None},
+        {"article_id": ["a1"]},
+        {"text": "hello", "lang": "en", "retweet_count": 3},
+    )
+] + [
+    json.dumps({k: v for k, v in _BASE.items() if k != missing})
+    for missing in _BASE
+] + [
+    "[1, 2]", "42", '"a string"', "null", "true", "{", "not json",
+    '{"tweet_id": "t0", "tweet_id": "t5", "author_id": "u0", '
+    '"timestamp": 9, "article_id": "a1"}',
+    '{"tweet_id": "t\udcff", "author_id": "u0", "timestamp": 9, "article_id": "a1"}',
+    '{"tweet_id": "t\\udcff", "author_id": "u0", "timestamp": 9, "article_id": "a1"}',
+    "[" * 200_000,
+    '{"a": ' * 100_000,
+]
+
+
+class TestValidatorMatchesReference:
+    @pytest.mark.parametrize("case", VALIDATOR_CASES, ids=range(len(VALIDATOR_CASES)))
+    def test_table(self, case):
+        _assert_matches_reference([_line(1), case, _line(2)])
+
+    def test_whole_table_with_duplicates(self):
+        _assert_matches_reference(VALIDATOR_CASES + [_line(i) for i in range(60)])
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(11)
+        users = ["u1", "u2", "u3", "u4", "u5"]
+        odd = ["", None, 0, 1, -1, 2.5, True, False, [], {}, ["u1"], "u1"]
+
+        def valid(key):
+            if key == "tweet_id":
+                return f"t{rng.randint(1, 1500)}"
+            if key == "timestamp":
+                return rng.randint(1, 10**6)
+            if key == "mentions":
+                return [rng.choice(users if rng.random() < 0.95 else odd)
+                        for _ in range(rng.randint(0, 4))]
+            return rng.choice(users)
+
+        lines = []
+        for _ in range(3000):
+            roll = rng.random()
+            if roll < 0.03:
+                lines.append(json.dumps(rng.choice(odd)))
+                continue
+            obj = {
+                key: valid(key) if rng.random() < 0.95 else rng.choice(odd)
+                for key in ref.FIELDS + ("text",)
+                if rng.random() < (0.98 if key in _BASE else 0.4)
+            }
+            line = json.dumps(obj)
+            if roll < 0.06:
+                line = line[: rng.randint(0, len(line))]
+            lines.append(line)
+        _assert_matches_reference(lines)
+
+
+class TestUndecodableLines:
+    def test_invalid_utf8_and_deep_nesting_are_malformed(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        # raw UTF-8 outside ASCII is fine; only undecodable bytes are malformed
+        good = [
+            json.dumps(dict(_BASE, tweet_id=f"t{i}", author_id="üser"), ensure_ascii=False)
+            for i in range(1, 4)
+        ]
+        path.write_bytes(
+            b"\n".join(
+                [good[0].encode(), b'{"tweet_id": "t9\xff"}', good[1].encode(),
+                 b"[" * 200_000, good[2].encode(), b"\xef\xbb"]
+            )
+        )
+        result = load_tweets_file(path)
+        assert result.malformed == 3
+        assert result.records == parse_records(good).records
+
+    def test_majority_rule_still_applies(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(b"\n".join([_line(1).encode(), b"\xff", b"[" * 200_000]))
+        with pytest.raises(CorpusFormatError):
+            load_tweets_file(path)
+
+
+class TestRecordContract:
+    def _record(self, **overrides):
+        return _records([_line(1, retweet_of="u7", mentions=["u8", "u9"], **overrides)])[0]
+
+    def test_frozen(self):
+        record = self._record()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.author_id = "u2"
+        assert not hasattr(record, "__dict__")
+
+    def test_eq_and_hash_follow_the_fields(self):
+        a, b = self._record(), self._record()
+        assert a == b and hash(a) == hash(b) == hash(record_fields(a))
+        assert a != self._record(timestamp=5)
+
+    def test_pickle_round_trip(self):
+        record = self._record()
+        cascade = ArticleCascade.build("a1", [record], ArticleLabel("a1", "D"))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+            assert pickle.loads(pickle.dumps(cascade, protocol)) == cascade
+
+    def test_replace(self):
+        record = self._record()
+        changed = dataclasses.replace(record, reply_to="u3", mentions=("u4",))
+        assert record_fields(changed) == (
+            "t1", "u1", 1001, "a1", "u7", None, "u3", ("u4",)
+        )
+        assert record_fields(record)[6:] == (None, ("u8", "u9"))
+
+    def test_ids_are_shared_strings(self):
+        lines = [
+            _line(1, author_id="u5", mentions=["u7"]),
+            _line(2, author_id="u5", retweet_of="u7"),
+        ]
+        first, second = _records(lines)
+        assert first.author_id is second.author_id
+        assert first.article_id is second.article_id
+        assert first.mentions[0] is second.retweet_of
+
+    def test_retained_bytes_per_tweet(self):
+        # Python 3.10-3.13 retain 221-234 B a tweet here; without slots
+        # 261-329 B, and without slots or shared ids 392-481 B
+        config = default_config(seed=3)
+        config = dataclasses.replace(
+            config,
+            disinformation=dataclasses.replace(config.disinformation, n_articles=20),
+            mainstream=dataclasses.replace(config.mainstream, n_articles=20),
+        )
+        lines = [record_to_json(r) for r in generate_corpus(config)[0]]
+        tracemalloc.start()
+        try:
+            result = parse_records(lines)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == len(lines) > 5000
+        assert retained / len(lines) < 255
 
 
 class TestLabels:
