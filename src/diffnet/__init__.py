@@ -76,7 +76,6 @@ from .model import (
     FoldMetrics,
     LabeledSample,
     LogisticModel,
-    MetricsResult,
     evaluate_split,
     make_samples,
     metrics,
@@ -127,7 +126,6 @@ __all__ = [
     "LayerGraph",
     "LogisticModel",
     "METRIC_NAMES",
-    "MetricsResult",
     "MultiLayerNetwork",
     "N_FEATURES",
     "SINGLE_LAYER_FEATURE_NAMES",

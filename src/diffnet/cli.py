@@ -4,14 +4,18 @@
     diffnet ingest   --tweets F --labels F --out DIR [--start TS]
                      [--window 14d] [--min-tweets 50]
     diffnet featurize --cascades DIR --out FILE [--jobs N]
-    diffnet evaluate --features F --out DIR [--folds 10]
-                     [--test-fraction 0.2] [--size-class X] [--seed N]
-    diffnet ablate   --features F --layer {Q,RT,M,R} --out DIR
-    diffnet baseline-single-layer --cascades DIR --out DIR
+    diffnet evaluate --features F --out DIR [--size-class X] [CV]
+    diffnet ablate   --features F --layer {Q,RT,M,R} --out DIR [CV]
+    diffnet baseline-single-layer --cascades DIR --out DIR [CV]
     diffnet bias-eval --features F --train-bias {left,right}
-                     [--exclude-source S]... --out DIR
-    diffnet rank-features --features F --method {chi2,ks} [--top K] --out DIR
-    diffnet temporal --cascades DIR [--lifetimes 1h,...,7d] --out DIR [--jobs N]
+                     [--exclude-source S]... [--train-fraction 0.8]
+                     [--folds 10] [--C 1.0] [--seed 0] --out DIR
+    diffnet rank-features --features F --method {chi2,ks} [--top K]
+                     [--alpha 0.05] --out DIR [CV]
+    diffnet temporal --cascades DIR [--lifetimes 1h,...,7d] --out DIR
+                     [--jobs N] [CV]
+
+where CV is [--folds 10] [--test-fraction 0.2] [--C 1.0] [--seed 0].
 
 A cascades directory is what `ingest` (or `synth`) writes: `tweets.jsonl`
 plus `labels.csv`. Every run first writes a `manifest.json` recording the
@@ -21,7 +25,9 @@ seed are byte-identical at any `--jobs` setting (the default jobs count
 comes from the DIFFNET_JOBS environment variable).
 
 Failures print a single `E_<CODE>: message` line on stderr and exit
-nonzero.
+nonzero. A `--folds` below 1, a `--test-fraction` outside (0, 1) or a
+`--C` that is not finite and positive is `E_INVARIANT` with exit 1,
+raised before any report or ranking is written.
 """
 
 from __future__ import annotations

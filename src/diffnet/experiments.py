@@ -18,10 +18,10 @@ from .model import (
     EvaluationReport,
     LabeledSample,
     evaluate_split,
-    fold_seed_sequences,
+    fold_test_indices,
     make_samples,
+    samples_to_xy,
     stratified_shuffle_cv,
-    stratified_test_indices,
 )
 from .netbuild import (
     LAYER_KINDS,
@@ -101,23 +101,21 @@ def bias_restricted_eval(
         raise ValueError("train_bias must be 'left' or 'right'")
     excluded = set(excluded_sources)
     pool = [s for s in samples if s.source not in excluded]
-    biased_pos = [i for i, s in enumerate(pool) if s.bias == train_bias]
-    if not biased_pos:
+    biased = np.flatnonzero([s.bias == train_bias for s in pool])
+    if not biased.size:
         raise ValueError(f"no samples with bias {train_bias!r}")
-    labels = [pool[i].label for i in biased_pos]
+    labels = [pool[i].label for i in biased]
     if len(set(labels)) < 2:
         raise ValueError(f"bias {train_bias!r} subset contains one class")
+    X, y = samples_to_xy(pool)
     results = []
-    for fold, ss in enumerate(fold_seed_sequences(seed, folds), start=1):
-        rng = np.random.default_rng(ss)
-        held = stratified_test_indices(labels, 1.0 - train_fraction, rng)
-        train_pos = {biased_pos[i] for i in range(len(biased_pos))} - {
-            biased_pos[i] for i in held
-        }
-        train = [pool[i] for i in sorted(train_pos)]
-        test = [s for i, s in enumerate(pool) if i not in train_pos]
+    for held in fold_test_indices(labels, folds, 1.0 - train_fraction, seed):
+        train = np.zeros(len(y), dtype=bool)
+        train[biased] = True
+        train[biased[held]] = False
         results.append(
-            evaluate_split(fold, train, test, C=C, class_weights="balanced")
+            evaluate_split(X[train], y[train], X[~train], y[~train], C=C,
+                           class_weights="balanced")
         )
     return EvaluationReport(folds=tuple(results))
 
@@ -165,18 +163,15 @@ def chi2_ranking(
     Each fold min-max scales its training portion and scores features
     there; the held-out part plays no role in the statistic.
     """
-    X = np.stack([s.vector for s in samples]).astype(np.float64)
+    X, y = samples_to_xy(samples)
     if X.shape[1] != len(feature_names):
         raise ValueError("feature_names does not match vector width")
-    y_pos = np.array([s.label == "D" for s in samples])
-    labels = [s.label for s in samples]
+    positive = y > 0
     accum = np.zeros(X.shape[1])
-    for ss in fold_seed_sequences(seed, folds):
-        rng = np.random.default_rng(ss)
-        test_idx = set(stratified_test_indices(labels, test_fraction, rng).tolist())
-        train_mask = np.array([i not in test_idx for i in range(len(samples))])
-        Z = minmax_scale_columns(X[train_mask])
-        accum += chi2_scores(Z, y_pos[train_mask])
+    for idx in fold_test_indices([s.label for s in samples], folds, test_fraction, seed):
+        train = np.ones(len(y), dtype=bool)
+        train[idx] = False
+        accum += chi2_scores(minmax_scale_columns(X[train]), positive[train])
     means = accum / folds
     order = sorted(range(len(means)), key=lambda i: (-means[i], i))
     return [(feature_names[i], float(means[i])) for i in order]
@@ -208,10 +203,10 @@ def rank_features_ks(
     Returns (name, D_statistic, p_value, rejected_at_alpha) sorted by
     decreasing D.
     """
-    X = np.stack([s.vector for s in samples]).astype(np.float64)
+    X, y = samples_to_xy(samples)
     if X.shape[1] != len(feature_names):
         raise ValueError("feature_names does not match vector width")
-    pos = np.array([s.label == "D" for s in samples])
+    pos = y > 0
     if pos.all() or (~pos).all():
         raise ValueError("need both classes")
     rows = []

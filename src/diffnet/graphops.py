@@ -44,7 +44,8 @@ class DirectedGraph:
 
     Duplicate edges collapse and self-loops are silently dropped, matching
     the set-based metric definitions used downstream. Node ids map to
-    integer labels in order of first appearance.
+    integer labels in order of first appearance. The graph is fixed once
+    built, so whatever a kernel derives from it is cached.
     """
 
     __slots__ = ("_index", "_ids", "_arcs", "_und", "_und_edges", "_succ", "_pred", "_wcc")
@@ -62,35 +63,15 @@ class DirectedGraph:
             for u, v in edges
             if u != v
         ]
-        self._index = index
-        self._ids = list(index)
-        self._arcs: set[tuple[int, int]] = set()
-        self._und: list[set[int]] = [set() for _ in self._ids]
-        self._link(arcs)
-
-    def _label(self, n: Hashable) -> int:
-        i = self._index.get(n)
-        if i is None:
-            i = self._index[n] = len(self._ids)
-            self._ids.append(n)
-            self._und.append(set())
-            self._succ = self._pred = self._wcc = None
-        return i
-
-    def _link(self, arcs: list[tuple[int, int]]) -> None:
-        und = self._und
+        und: list[set[int]] = [set() for _ in index]
         for i, j in arcs:
             und[i].add(j)
             und[j].add(i)
-        self._arcs.update(arcs)
+        self._index = index
+        self._ids = list(index)
+        self._arcs = set(arcs)
+        self._und = und
         self._und_edges = self._succ = self._pred = self._wcc = None
-
-    def add_node(self, n: Hashable) -> None:
-        self._label(n)
-
-    def add_edge(self, u: Hashable, v: Hashable) -> None:
-        if u != v:
-            self._link([(self._label(u), self._label(v))])
 
     @property
     def nodes(self):
@@ -101,18 +82,6 @@ class DirectedGraph:
 
     def number_of_edges(self) -> int:
         return len(self._arcs)
-
-    def successors(self, n: Hashable) -> set:
-        return set(map(self._ids.__getitem__, self._directed()[0][self._index[n]]))
-
-    def predecessors(self, n: Hashable) -> set:
-        return set(map(self._ids.__getitem__, self._directed()[1][self._index[n]]))
-
-    def total_degree(self, n: Hashable) -> int:
-        """In-degree plus out-degree on the simple directed graph."""
-        i = self._index[n]
-        succ, pred = self._directed()
-        return len(succ[i]) + len(pred[i])
 
     def undirected_adj(self) -> dict:
         """Adjacency of the undirected simple projection, keyed by id."""

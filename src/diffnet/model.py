@@ -1,6 +1,11 @@
 """Classification stack: standardization, L2 logistic regression, metrics,
 stratified shuffle-split cross-validation.
 
+Every cross-validated number (the CV reports, the bias-restricted runs and
+the chi-square ranking) draws its folds from :func:`fold_test_indices`, the
+one place that checks the fold count and test fraction, spawns the fold
+seeds and draws the stratified test rows.
+
 Labels are the strings ``D`` (treated as the positive class throughout) and
 ``M``. The trainer minimizes
 
@@ -14,11 +19,10 @@ declared at gradient max-norm <= 1e-6, capped at 1000 iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .features import ArticleFeatures
 from .ingest import CLASS_DISINFORMATION, CLASS_MAINSTREAM
@@ -110,25 +114,19 @@ def transform(params: StandardizerParams, X: np.ndarray) -> np.ndarray:
 
 
 def resolve_sample_weights(
-    y: np.ndarray, class_weights: Union[None, str, dict] = None
+    y: np.ndarray, class_weights: Optional[str] = None
 ) -> np.ndarray:
-    """Per-sample omega: 1, balanced N/(2*N_class), or an explicit map."""
+    """Per-sample omega: 1, or balanced N/(2*N_class)."""
     if class_weights is None:
         return np.ones_like(y)
+    if class_weights != "balanced":
+        raise ValueError(f"unsupported class_weights: {class_weights!r}")
     n = len(y)
     n_pos = int(np.sum(y > 0))
     n_neg = n - n_pos
-    if class_weights == "balanced":
-        if n_pos == 0 or n_neg == 0:
-            raise ValueError("balanced weights need both classes")
-        w_pos = n / (2.0 * n_pos)
-        w_neg = n / (2.0 * n_neg)
-    elif isinstance(class_weights, dict):
-        w_pos = float(class_weights[POSITIVE_CLASS])
-        w_neg = float(class_weights[CLASS_MAINSTREAM])
-    else:
-        raise ValueError(f"unsupported class_weights: {class_weights!r}")
-    return np.where(y > 0, w_pos, w_neg)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("balanced weights need both classes")
+    return np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
 
 
 @dataclass
@@ -182,9 +180,12 @@ def train_logistic(
     X: np.ndarray,
     y: np.ndarray,
     C: float = 1.0,
-    class_weights: Union[None, str, dict] = None,
+    class_weights: Optional[str] = None,
 ) -> LogisticModel:
-    """Fit the L2 logistic model; raises on single-class input."""
+    """Fit the L2 logistic model; raises on single-class input and unless C
+    is finite and positive."""
+    if not 0.0 < C < np.inf:
+        raise ValueError(f"C must be finite and > 0, got {C!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -263,17 +264,30 @@ def rank_auroc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = int((~positive).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes in the truth")
-    ranks = rankdata(scores)
+    # midranks: a run of tied scores shares the mean of the ranks it spans
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     pos_rank_sum = float(ranks[positive].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+METRIC_KEYS = ("AUROC", "macro_precision", "macro_recall", "macro_f1")
+
+
 @dataclass(frozen=True)
-class MetricsResult:
+class FoldMetrics:
     auroc: float
     macro_precision: float
     macro_recall: float
     macro_f1: float
+
+    def by_key(self, key: str) -> float:
+        return {
+            "AUROC": self.auroc,
+            "macro_precision": self.macro_precision,
+            "macro_recall": self.macro_recall,
+            "macro_f1": self.macro_f1,
+        }[key]
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -284,7 +298,7 @@ def metrics(
     true_labels: Sequence[str],
     predicted_labels: Sequence[str],
     scores: Sequence[float],
-) -> MetricsResult:
+) -> FoldMetrics:
     """AUROC plus macro precision/recall/F1 over the two classes.
 
     Per-class ratios with zero denominators are 0. Single-class truth is an
@@ -305,32 +319,12 @@ def metrics(
         precisions.append(p)
         recalls.append(r)
         f1s.append(_safe_div(2.0 * p * r, p + r))
-    return MetricsResult(
+    return FoldMetrics(
         auroc=auroc,
         macro_precision=sum(precisions) / 2.0,
         macro_recall=sum(recalls) / 2.0,
         macro_f1=sum(f1s) / 2.0,
     )
-
-
-METRIC_KEYS = ("AUROC", "macro_precision", "macro_recall", "macro_f1")
-
-
-@dataclass(frozen=True)
-class FoldMetrics:
-    fold: int
-    auroc: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-
-    def by_key(self, key: str) -> float:
-        return {
-            "AUROC": self.auroc,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-        }[key]
 
 
 @dataclass(frozen=True)
@@ -348,9 +342,9 @@ class EvaluationReport:
 
     def to_text(self) -> str:
         lines = ["fold  AUROC     macroP    macroR    macroF1"]
-        for f in self.folds:
+        for fold, f in enumerate(self.folds, start=1):
             lines.append(
-                f"{f.fold:<5d} {f.auroc:.6f}  {f.macro_precision:.6f}  "
+                f"{fold:<5d} {f.auroc:.6f}  {f.macro_precision:.6f}  "
                 f"{f.macro_recall:.6f}  {f.macro_f1:.6f}"
             )
         lines.append("")
@@ -363,7 +357,7 @@ class EvaluationReport:
     def to_metric_rows(self) -> list[list[str]]:
         """Machine-readable table, one row per metric, full precision."""
         header = ["metric", "mean", "std"] + [
-            f"fold_{f.fold}" for f in self.folds
+            f"fold_{fold}" for fold in range(1, len(self.folds) + 1)
         ]
         rows = [header]
         for key in METRIC_KEYS:
@@ -382,18 +376,16 @@ class EvaluationReport:
 
 
 def evaluate_split(
-    fold: int,
-    train: Sequence[LabeledSample],
-    test: Sequence[LabeledSample],
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+    X_test: np.ndarray,
+    y_test: np.ndarray,
     C: float = 1.0,
-    class_weights: Union[None, str, dict] = None,
-    feature_indices: Optional[Sequence[int]] = None,
+    class_weights: Optional[str] = None,
 ) -> FoldMetrics:
     """Train on one split and score the held-out side; the standardizer is
     fit on the training portion only.
     """
-    X_train, y_train = samples_to_xy(train, feature_indices)
-    X_test, y_test = samples_to_xy(test, feature_indices)
     params = fit_standardizer(X_train)
     model = train_logistic(
         transform(params, X_train), y_train, C=C, class_weights=class_weights
@@ -403,14 +395,7 @@ def evaluate_split(
     pred = [
         CLASS_DISINFORMATION if s >= 0.5 else CLASS_MAINSTREAM for s in scores
     ]
-    m = metrics(true, pred, scores)
-    return FoldMetrics(
-        fold=fold,
-        auroc=m.auroc,
-        macro_precision=m.macro_precision,
-        macro_recall=m.macro_recall,
-        macro_f1=m.macro_f1,
-    )
+    return metrics(true, pred, scores)
 
 
 def _round_half_up(x: float) -> int:
@@ -437,8 +422,20 @@ def stratified_test_indices(
     return np.sort(np.concatenate(picked))
 
 
-def fold_seed_sequences(seed: int, folds: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(folds)
+def fold_test_indices(
+    labels: Sequence[str], folds: int, test_fraction: float, seed: int
+) -> list[np.ndarray]:
+    """The fold policy: one stratified test subset of ``labels`` per fold,
+    each drawn with its own child of ``SeedSequence(seed)``.
+    """
+    if folds < 1:
+        raise ValueError(f"folds must be >= 1, got {folds!r}")
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test fraction must be in (0, 1), got {test_fraction!r}")
+    return [
+        stratified_test_indices(labels, test_fraction, np.random.default_rng(ss))
+        for ss in np.random.SeedSequence(seed).spawn(folds)
+    ]
 
 
 def stratified_shuffle_cv(
@@ -447,31 +444,15 @@ def stratified_shuffle_cv(
     test_fraction: float = 0.2,
     seed: int = 0,
     C: float = 1.0,
-    class_weights: Union[None, str, dict] = None,
     feature_indices: Optional[Sequence[int]] = None,
 ) -> EvaluationReport:
     """Repeated stratified random splits, one FoldMetrics per fold; the
     standardizer is fit on each fold's training portion.
     """
-    if folds < 1:
-        raise ValueError("folds must be >= 1")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    labels = [s.label for s in samples]
+    X, y = samples_to_xy(samples, feature_indices)
     results = []
-    for fold, ss in enumerate(fold_seed_sequences(seed, folds), start=1):
-        rng = np.random.default_rng(ss)
-        test_idx = set(stratified_test_indices(labels, test_fraction, rng).tolist())
-        train = [s for i, s in enumerate(samples) if i not in test_idx]
-        test = [s for i, s in enumerate(samples) if i in test_idx]
-        results.append(
-            evaluate_split(
-                fold,
-                train,
-                test,
-                C=C,
-                class_weights=class_weights,
-                feature_indices=feature_indices,
-            )
-        )
+    for idx in fold_test_indices([s.label for s in samples], folds, test_fraction, seed):
+        test = np.zeros(len(y), dtype=bool)
+        test[idx] = True
+        results.append(evaluate_split(X[~test], y[~test], X[test], y[test], C=C))
     return EvaluationReport(folds=tuple(results))

@@ -363,6 +363,36 @@ def test_bias_eval_needs_both_classes(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("E_INVARIANT:")
 
 
+_CV_COMMANDS = {
+    "evaluate": ["evaluate", "--features", "{ws}/features.csv"],
+    "ablate": ["ablate", "--features", "{ws}/features.csv", "--layer", "RT"],
+    "bias-eval": ["bias-eval", "--features", "{ws}/features.csv", "--train-bias", "left"],
+    "rank-features": ["rank-features", "--features", "{ws}/features.csv", "--method", "chi2"],
+    "temporal": ["temporal", "--cascades", "{ws}/cascades", "--lifetimes", "1d"],
+    "baseline-single-layer": ["baseline-single-layer", "--cascades", "{ws}/cascades"],
+}
+_BAD_CV_VALUES = (
+    [(cmd, ["--folds", v]) for cmd in _CV_COMMANDS for v in ("0", "-1")]
+    + [(cmd, ["--test-fraction", "1.5"]) for cmd in _CV_COMMANDS if cmd != "bias-eval"]
+    + [(cmd, ["--C", v]) for cmd in _CV_COMMANDS if cmd != "rank-features"
+       for v in ("0", "-1", "nan", "inf")]
+)
+
+
+@pytest.mark.parametrize(
+    "command,bad", _BAD_CV_VALUES, ids=[f"{c} {' '.join(b)}" for c, b in _BAD_CV_VALUES]
+)
+def test_bad_cv_values_end_in_one_invariant_line(workspace, tmp_path, capsys, command, bad):
+    args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
+    out = tmp_path / "out"
+    assert main(args + bad + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_INVARIANT:"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "report.txt").exists()
+    assert not (out / "ranking.csv").exists()
+
+
 def test_manifest_written_before_failing_result(workspace, tmp_path, capsys):
     # out path collides with a directory: the features write fails, the
     # manifest is already on disk

@@ -21,10 +21,16 @@ from diffnet.experiments import (
     single_layer_samples,
     temporal_sweep,
 )
+import diffnet.experiments as experiments
 import diffnet.features as features
 from diffnet.features import FEATURE_NAMES, extract_layer_features, featurize
 from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
-from diffnet.model import LabeledSample, make_samples, stratified_shuffle_cv
+from diffnet.model import (
+    LabeledSample,
+    fold_test_indices,
+    make_samples,
+    stratified_shuffle_cv,
+)
 from diffnet.netbuild import (
     aggregate_layer,
     aggregate_user_count,
@@ -197,6 +203,64 @@ class TestBiasRestricted:
     def test_bad_bias_value(self):
         with pytest.raises(ValueError):
             bias_restricted_eval([], "center")
+
+
+class TestFoldPolicy:
+    """bias-eval and the chi-square ranking split through fold_test_indices."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(9)
+        return [
+            _sample(i, "D" if i % 3 else "M", rng.uniform(0, 1, 38),
+                    bias="left" if i % 2 else "right")
+            for i in range(30)
+        ]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda s: chi2_ranking(s, folds=0),
+            lambda s: bias_restricted_eval(s, "left", folds=0),
+            lambda s: bias_restricted_eval(s, "left", train_fraction=1.0),
+            lambda s: bias_restricted_eval(s, "left", train_fraction=-0.5),
+        ],
+    )
+    def test_bad_fold_settings_rejected(self, run):
+        with pytest.raises(ValueError, match="folds must be|test fraction must be"):
+            run(self._samples())
+
+    def test_bias_eval_trains_on_biased_rows_outside_each_fold(self, monkeypatch):
+        samples = self._samples()
+        seen = []
+
+        def record(X_train, y_train, X_test, y_test, C, class_weights):
+            seen.append((X_train[:, 0].tolist(), X_test[:, 0].tolist(), class_weights))
+            return real(X_train, y_train, X_test, y_test, C=C, class_weights=class_weights)
+
+        real = experiments.evaluate_split
+        monkeypatch.setattr(experiments, "evaluate_split", record)
+        bias_restricted_eval(samples, "left", folds=3, train_fraction=0.75, seed=4)
+        left = [i for i, s in enumerate(samples) if s.bias == "left"]
+        folds = fold_test_indices([samples[i].label for i in left], 3, 1.0 - 0.75, 4)
+        assert len(seen) == 3
+        for held, (train, test, weights) in zip(folds, seen):
+            trained = sorted(set(left) - {left[i] for i in held})
+            assert train == [samples[i].vector[0] for i in trained]
+            assert test == [s.vector[0] for i, s in enumerate(samples) if i not in trained]
+            assert weights == "balanced"
+
+    def test_chi2_scores_each_fold_on_its_training_rows(self):
+        samples = self._samples()
+        X = np.stack([s.vector for s in samples])
+        positive = np.array([s.label == "D" for s in samples])
+        accum = np.zeros(X.shape[1])
+        for idx in fold_test_indices([s.label for s in samples], 4, 0.3, 5):
+            train = np.ones(len(samples), dtype=bool)
+            train[idx] = False
+            accum += chi2_scores(minmax_scale_columns(X[train]), positive[train])
+        expected = dict(zip(FEATURE_NAMES, (accum / 4).tolist()))
+        assert dict(chi2_ranking(samples, folds=4, test_fraction=0.3, seed=5)) == expected
 
 
 class TestChi2:

@@ -1,11 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from diffnet.model import (
     EvaluationReport,
     FoldMetrics,
     LabeledSample,
     fit_standardizer,
+    fold_test_indices,
     logistic_gradient,
     logistic_objective,
     metrics,
@@ -92,10 +98,11 @@ class TestWeights:
         assert w[y > 0].sum() == pytest.approx(w[y < 0].sum())
         assert w.sum() == pytest.approx(len(y))
 
-    def test_explicit_map(self):
-        y = np.array([1.0, -1.0])
-        w = resolve_sample_weights(y, {"D": 2.0, "M": 0.5})
-        assert w.tolist() == [2.0, 0.5]
+    def test_unsupported_form_rejected(self):
+        # "balanced" is the only weighting; a per-class map is not accepted
+        for form in ("Balanced", {"D": 2.0, "M": 0.5}):
+            with pytest.raises(ValueError, match="unsupported class_weights"):
+                resolve_sample_weights(np.array([1.0, -1.0]), form)
 
 
 class TestTraining:
@@ -147,6 +154,12 @@ class TestTraining:
         X = np.ones((4, 2))
         with pytest.raises(ValueError):
             train_logistic(X, np.ones(4))
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_C_rejected(self, C):
+        X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
+        with pytest.raises(ValueError, match="C must be finite and > 0"):
+            train_logistic(X, np.array([1.0, -1.0, 1.0, -1.0]), C=C)
 
     def test_converges_within_budget_on_easy_data(self):
         rng = np.random.default_rng(3)
@@ -227,6 +240,22 @@ class TestMetrics:
             rank_auroc(1.0 - scores, ~positive), abs=1e-12
         )
 
+    def test_midranks_match_scipy_rankdata_exactly(self):
+        rng = np.random.default_rng(31)
+        for trial in range(2000):
+            n = int(rng.integers(2, 60))
+            if trial % 2:
+                scores = rng.integers(0, int(rng.integers(1, 8)), n) / 7.0  # tie-heavy
+            else:
+                scores = rng.random(n)
+            positive = rng.random(n) < 0.5
+            positive[0], positive[1] = True, False
+            n_pos, n_neg = int(positive.sum()), int((~positive).sum())
+            expected = (
+                float(rankdata(scores)[positive].sum()) - n_pos * (n_pos + 1) / 2.0
+            ) / (n_pos * n_neg)
+            assert rank_auroc(scores, positive) == expected
+
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(99)
         positive = np.array([True] * 100 + [False] * 100)
@@ -303,7 +332,8 @@ class TestCV:
         text = report.to_text()
         assert text.count("\n") >= 10
         rows = report.to_metric_rows()
-        assert rows[0][:3] == ["metric", "mean", "std"]
+        assert rows[0] == ["metric", "mean", "std", "fold_1", "fold_2", "fold_3", "fold_4"]
+        assert [line.split()[0] for line in text.splitlines()[1:5]] == ["1", "2", "3", "4"]
         assert len(rows) == 5
         assert len(rows[1]) == 3 + 4
         # full-precision values survive a float round-trip
@@ -316,6 +346,40 @@ class TestCV:
         report = stratified_shuffle_cv(samples, folds=6, seed=4)
         for key in ("AUROC", "macro_precision", "macro_recall", "macro_f1"):
             assert np.all((report.values(key) >= 0.0) & (report.values(key) <= 1.0))
+
+
+class TestFoldPolicy:
+    LABELS = ["D"] * 12 + ["M"] * 9
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_fold_count_below_one_rejected(self, folds):
+        with pytest.raises(ValueError, match="folds must be >= 1"):
+            fold_test_indices(self.LABELS, folds, 0.2, 0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="test fraction must be in"):
+            fold_test_indices(self.LABELS, 3, fraction, 0)
+
+    def test_one_spawned_seed_per_fold(self):
+        got = fold_test_indices(self.LABELS, 4, 0.3, 11)
+        assert len(got) == 4
+        for idx, ss in zip(got, np.random.SeedSequence(11).spawn(4)):
+            expected = stratified_test_indices(self.LABELS, 0.3, np.random.default_rng(ss))
+            assert idx.tolist() == expected.tolist()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import diffnet; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSamplesToXY:
@@ -333,8 +397,8 @@ class TestSamplesToXY:
 def test_evaluation_report_mean_std_population():
     report = EvaluationReport(
         folds=tuple(
-            FoldMetrics(fold=i, auroc=v, macro_precision=v, macro_recall=v, macro_f1=v)
-            for i, v in enumerate([0.5, 0.7], start=1)
+            FoldMetrics(auroc=v, macro_precision=v, macro_recall=v, macro_f1=v)
+            for v in [0.5, 0.7]
         )
     )
     assert report.mean("AUROC") == pytest.approx(0.6)
