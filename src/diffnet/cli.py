@@ -24,10 +24,12 @@ output names, then produces the outputs; reruns with the same inputs and
 seed are byte-identical at any `--jobs` setting (the default jobs count
 comes from the DIFFNET_JOBS environment variable).
 
-Failures print a single `E_<CODE>: message` line on stderr and exit
-nonzero. A `--folds` below 1, a `--test-fraction` outside (0, 1) or a
-`--C` that is not finite and positive is `E_INVARIANT` with exit 1,
-raised before any report or ranking is written.
+Failures print a single `E_<CODE>: message` line on stderr. The exit
+status follows the code alone: `E_USAGE` exits 2, and every other code
+(`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`) exits 1. A `--folds` below
+1, a `--test-fraction` outside (0, 1) or a `--C` that is not finite and
+positive is `E_INVARIANT`, raised before any network is built and before
+any report or ranking is written.
 """
 
 from __future__ import annotations
@@ -536,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"{exc.code}: {exc.message}", file=sys.stderr)
-        return 2
+        return 2 if exc.code == "E_USAGE" else 1
     except CorpusFormatError as exc:
         print(f"E_FORMAT: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,8 @@ from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
     LabeledSample,
+    check_C,
+    check_folds,
     evaluate_split,
     fold_test_indices,
     make_samples,
@@ -245,7 +247,10 @@ def temporal_sweep(
     (the earliest tweet always survives) and every cell reuses the same
     master seed, so the longest lifetime on a fully covered corpus
     reproduces the untruncated report. Any jobs count gives the same series.
+    Bad CV settings raise ValueError before anything is featurized.
     """
+    check_folds(folds, test_fraction)
+    check_C(C)
     prefixes: list[ArticleCascade] = []
     slot: dict[tuple[int, int], int] = {}
     rows = []
@@ -298,7 +303,11 @@ def single_layer_baseline(
     seed: int = 0,
     C: float = 1.0,
 ) -> EvaluationReport:
-    """The comparison row: same CV protocol on the 11 aggregate features."""
+    """The comparison row: same CV protocol on the 11 aggregate features.
+    Bad CV settings raise ValueError before any network is built.
+    """
+    check_folds(folds, test_fraction)
+    check_C(C)
     return stratified_shuffle_cv(
         single_layer_samples(cascades),
         folds=folds,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -36,7 +36,7 @@ class CorpusFormatError(ValueError):
     """Raised when an input file is structurally unusable."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TweetRecord:
     tweet_id: str
     author_id: str
@@ -47,6 +47,28 @@ class TweetRecord:
     reply_to: Optional[str] = None
     mentions: tuple[str, ...] = ()
 
+    def __init__(
+        self,
+        tweet_id: str,
+        author_id: str,
+        timestamp: int,
+        article_id: str,
+        retweet_of: Optional[str] = None,
+        quote_of: Optional[str] = None,
+        reply_to: Optional[str] = None,
+        mentions: tuple[str, ...] = (),
+    ):
+        # the generated frozen __init__ sets each field by name through
+        # object.__setattr__; the slot descriptors take half the time
+        _set_tweet_id(self, tweet_id)
+        _set_author_id(self, author_id)
+        _set_timestamp(self, timestamp)
+        _set_article_id(self, article_id)
+        _set_retweet_of(self, retweet_of)
+        _set_quote_of(self, quote_of)
+        _set_reply_to(self, reply_to)
+        _set_mentions(self, mentions)
+
     def interaction_free(self) -> bool:
         """True for a pure tweet: no retweet, quote, reply or mention."""
         return (
@@ -55,6 +77,12 @@ class TweetRecord:
             and self.reply_to is None
             and not self.mentions
         )
+
+
+(
+    _set_tweet_id, _set_author_id, _set_timestamp, _set_article_id,
+    _set_retweet_of, _set_quote_of, _set_reply_to, _set_mentions,
+) = (getattr(TweetRecord, f.name).__set__ for f in fields(TweetRecord))
 
 
 @dataclass(frozen=True)
@@ -150,9 +178,17 @@ def _record_from_obj(obj, ids: dict) -> TweetRecord:
     )
 
 
+# json.loads is this scanner between a JSON-whitespace skip and a check
+# that only JSON whitespace follows the value; parse_records does both inline
+_scan_once = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
 def parse_records(lines: Iterable[str]) -> ParseResult:
     """Parse line-delimited tweet records.
 
+    Each line is decoded exactly as ``json.loads`` decodes it: JSON
+    whitespace may surround one value and nothing else may follow it.
     Malformed lines (bad JSON, nesting too deep to decode, text that was
     not valid UTF-8, missing or invalid fields) are counted and skipped.
     Duplicate tweet_ids keep the first occurrence. Blank lines are ignored
@@ -164,14 +200,18 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
     ids: dict[str, str] = {}
     considered = 0
     for line in lines:
-        if not line.strip():
+        if not line or line.isspace():
             continue
         considered += 1
         try:
             if not line.isascii():
                 line.encode("utf-8")  # a lone surrogate here was an invalid byte
-            record = _record_from_obj(json.loads(line), ids)
-        except (ValueError, TypeError, RecursionError):
+            obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            if line[end:].strip(_JSON_SPACE):
+                raise ValueError("extra data after the JSON value")
+            record = _record_from_obj(obj, ids)
+        except (ValueError, TypeError, RecursionError, StopIteration):
+            # the scanner raises StopIteration where no value starts
             result.malformed += 1
             continue
         if record.tweet_id in seen_ids:
@@ -186,21 +226,27 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
     return result
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def record_to_json(record: TweetRecord) -> str:
-    """One-line JSON form; optional fields are omitted when unset."""
-    obj = {
-        "tweet_id": record.tweet_id,
-        "author_id": record.author_id,
-        "timestamp": record.timestamp,
-        "article_id": record.article_id,
-    }
-    for key in ("retweet_of", "quote_of", "reply_to"):
-        value = getattr(record, key)
-        if value is not None:
-            obj[key] = value
+    """One-line JSON form: keys sorted, no spaces, every id ASCII with
+    ``\\u`` escapes; optional fields are omitted when unset. The bytes are
+    those of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
+    """
+    line = (
+        f'{{"article_id":{_quote(record.article_id)}'
+        f',"author_id":{_quote(record.author_id)}'
+    )
     if record.mentions:
-        obj["mentions"] = list(record.mentions)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        line += f',"mentions":[{",".join(map(_quote, record.mentions))}]'
+    if record.quote_of is not None:
+        line += f',"quote_of":{_quote(record.quote_of)}'
+    if record.reply_to is not None:
+        line += f',"reply_to":{_quote(record.reply_to)}'
+    if record.retweet_of is not None:
+        line += f',"retweet_of":{_quote(record.retweet_of)}'
+    return f'{line},"timestamp":{record.timestamp},"tweet_id":{_quote(record.tweet_id)}}}'
 
 
 def load_tweets_file(path) -> ParseResult:

@@ -3,8 +3,10 @@ stratified shuffle-split cross-validation.
 
 Every cross-validated number (the CV reports, the bias-restricted runs and
 the chi-square ranking) draws its folds from :func:`fold_test_indices`, the
-one place that checks the fold count and test fraction, spawns the fold
-seeds and draws the stratified test rows.
+one place that spawns the fold seeds and draws the stratified test rows.
+The fold count and test fraction are checked by :func:`check_folds` and C
+by :func:`check_C`; the fold policy and the trainer call them, and so do
+callers that must reject bad settings before costly work.
 
 Labels are the strings ``D`` (treated as the positive class throughout) and
 ``M``. The trainer minimizes
@@ -176,6 +178,12 @@ def _hessian(
     return H
 
 
+def check_C(C: float) -> None:
+    """Raise ValueError unless the inverse penalty C is finite and positive."""
+    if not 0.0 < C < np.inf:
+        raise ValueError(f"C must be finite and > 0, got {C!r}")
+
+
 def train_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -184,8 +192,7 @@ def train_logistic(
 ) -> LogisticModel:
     """Fit the L2 logistic model; raises on single-class input and unless C
     is finite and positive."""
-    if not 0.0 < C < np.inf:
-        raise ValueError(f"C must be finite and > 0, got {C!r}")
+    check_C(C)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -422,16 +429,22 @@ def stratified_test_indices(
     return np.sort(np.concatenate(picked))
 
 
+def check_folds(folds: int, test_fraction: float) -> None:
+    """Raise ValueError unless there is at least one fold and the test
+    fraction lies in (0, 1)."""
+    if folds < 1:
+        raise ValueError(f"folds must be >= 1, got {folds!r}")
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test fraction must be in (0, 1), got {test_fraction!r}")
+
+
 def fold_test_indices(
     labels: Sequence[str], folds: int, test_fraction: float, seed: int
 ) -> list[np.ndarray]:
     """The fold policy: one stratified test subset of ``labels`` per fold,
     each drawn with its own child of ``SeedSequence(seed)``.
     """
-    if folds < 1:
-        raise ValueError(f"folds must be >= 1, got {folds!r}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test fraction must be in (0, 1), got {test_fraction!r}")
+    check_folds(folds, test_fraction)
     return [
         stratified_test_indices(labels, test_fraction, np.random.default_rng(ss))
         for ss in np.random.SeedSequence(seed).spawn(folds)

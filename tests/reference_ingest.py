@@ -1,9 +1,12 @@
-"""Reference tweet-line validator used as a test oracle.
+"""Reference tweet-line codec used as a test oracle.
 
-The straightforward validator that ``diffnet.ingest._record_from_obj``
-replaced: one check per field, an ``optional`` dict for the interaction
-targets and a separate mention normaliser. It builds plain field tuples,
-so it shares no code with the record type under test.
+Lines are decoded with ``json.loads`` and written with ``json.dumps``, the
+calls ``diffnet.ingest`` replaced with the decoder's scanner and direct
+formatting. The validator is the straightforward one that
+``diffnet.ingest._record_from_obj`` replaced: one check per field, an
+``optional`` dict for the interaction targets and a separate mention
+normaliser. It builds plain field tuples, so it shares no code with the
+record type under test.
 """
 
 from __future__ import annotations
@@ -84,3 +87,21 @@ def parse_lines(lines):
         seen.add(fields[0])
         records.append(fields)
     return records, malformed, duplicates
+
+
+def record_to_json(record) -> str:
+    """One-line JSON form of any object with the ``FIELDS`` attributes;
+    optional fields are omitted when unset."""
+    obj = {
+        "tweet_id": record.tweet_id,
+        "author_id": record.author_id,
+        "timestamp": record.timestamp,
+        "article_id": record.article_id,
+    }
+    for key in ("retweet_of", "quote_of", "reply_to"):
+        value = getattr(record, key)
+        if value is not None:
+            obj[key] = value
+    if record.mentions:
+        obj["mentions"] = list(record.mentions)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import diffnet.experiments as experiments
+import diffnet.features as features
 from diffnet.cli import CliError, main, parse_duration
 
 CONFIG = {
@@ -112,7 +114,7 @@ def test_evaluate_size_class_filter_can_empty(workspace, tmp_path, capsys):
         "evaluate", "--features", str(workspace / "features.csv"),
         "--size-class", "1000+", "--out", str(tmp_path / "x"),
     ])
-    assert code == 2
+    assert code == 1
     assert capsys.readouterr().err.startswith("E_INVARIANT")
 
 
@@ -237,7 +239,7 @@ def test_bad_jobs_env_only_breaks_commands_with_jobs(
     assert main([
         "evaluate", "--features", str(tmp_path / "nope.csv"),
         "--out", str(tmp_path / "nope"),
-    ]) == 2
+    ]) == 1
     assert capsys.readouterr().err.startswith("E_INPUT_MISSING:")
     cascades = str(workspace / "cascades")
     for argv in (
@@ -284,7 +286,7 @@ def test_temporal_jobs_byte_identical(workspace, tmp_path):
 def test_missing_input_file(tmp_path, capsys):
     code = main(["evaluate", "--features", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "x")])
-    assert code == 2
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("E_INPUT_MISSING:")
     assert err.count("\n") == 1
@@ -334,7 +336,7 @@ def test_bad_generator_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nonsense": true}')
     code = main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")])
-    assert code == 2
+    assert code == 1
     assert capsys.readouterr().err.startswith("E_FORMAT:")
 
 
@@ -343,7 +345,7 @@ def test_malformed_features_file(tmp_path, capsys):
     broken.write_text("not,a,features,header\n1,2,3,4\n")
     code = main(["evaluate", "--features", str(broken),
                  "--out", str(tmp_path / "x")])
-    assert code == 2
+    assert code == 1
     assert capsys.readouterr().err.startswith("E_FORMAT:")
 
 
@@ -391,6 +393,29 @@ def test_bad_cv_values_end_in_one_invariant_line(workspace, tmp_path, capsys, co
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "report.txt").exists()
     assert not (out / "ranking.csv").exists()
+
+
+_EARLY_CV_CHECKS = [
+    (cmd, bad) for cmd in ("temporal", "baseline-single-layer")
+    for bad in (["--folds", "0"], ["--test-fraction", "1.5"], ["--C", "0"])
+]
+
+
+@pytest.mark.parametrize(
+    "command,bad", _EARLY_CV_CHECKS, ids=[f"{c} {' '.join(b)}" for c, b in _EARLY_CV_CHECKS]
+)
+def test_bad_cv_values_rejected_before_featurizing(
+    workspace, tmp_path, capsys, monkeypatch, command, bad
+):
+    def featurized(*args):
+        raise AssertionError("featurized before the CV settings were checked")
+
+    monkeypatch.setattr(features, "featurize_article", featurized)
+    monkeypatch.setattr(experiments, "build_network", featurized)
+    args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
+    assert main(args + bad + ["--jobs", "1"] * (command == "temporal")
+                + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("E_INVARIANT:")
 
 
 def test_manifest_written_before_failing_result(workspace, tmp_path, capsys):

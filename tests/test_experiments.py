@@ -230,6 +230,27 @@ class TestFoldPolicy:
         with pytest.raises(ValueError, match="folds must be|test fraction must be"):
             run(self._samples())
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda c: temporal_sweep(c, folds=0),
+            lambda c: temporal_sweep(c, test_fraction=1.5),
+            lambda c: temporal_sweep(c, C=0.0),
+            lambda c: temporal_sweep(c, C=math.nan, jobs=2),
+            lambda c: single_layer_baseline(c, folds=-1),
+            lambda c: single_layer_baseline(c, test_fraction=0.0),
+            lambda c: single_layer_baseline(c, C=math.inf),
+        ],
+    )
+    def test_bad_settings_rejected_before_featurizing(self, monkeypatch, run):
+        def featurized(*args):
+            raise AssertionError("featurized before the CV settings were checked")
+
+        monkeypatch.setattr(features, "featurize_article", featurized)
+        monkeypatch.setattr(experiments, "build_network", featurized)
+        with pytest.raises(ValueError, match="folds must be|test fraction must be|C must be"):
+            run(_mini_corpus(random.Random(3), n_per_class=3))
+
     def test_bias_eval_trains_on_biased_rows_outside_each_fold(self, monkeypatch):
         samples = self._samples()
         seen = []

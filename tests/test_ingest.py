@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import pickle
 import random
@@ -12,6 +13,7 @@ from diffnet.ingest import (
     ArticleCascade,
     ArticleLabel,
     CorpusFormatError,
+    TweetRecord,
     apply_censoring,
     filter_min_tweets,
     group_cascades,
@@ -19,6 +21,7 @@ from diffnet.ingest import (
     parse_labels,
     parse_records,
     record_to_json,
+    write_tweets_file,
 )
 from diffnet.synth import default_config, generate_corpus
 
@@ -174,14 +177,35 @@ VALIDATOR_CASES = [
     '{"a": ' * 100_000,
 ]
 
+# lines that json.loads and the scanner path must treat alike: JSON
+# whitespace (space, tab, CR, LF) around the value only, and no value at all
+_GOOD = json.dumps(_BASE)
+DECODE_CASES = [
+    " " + _GOOD, "\t" + _GOOD, "\r" + _GOOD, " \t\r\n " + _GOOD,
+    _GOOD + "\r\n", _GOOD + "\n", _GOOD + " \t\r ",
+    _GOOD + "\x0c", _GOOD + "\u00a0", _GOOD + "\u2028", _GOOD + "\x0b",
+    "\x0c" + _GOOD, "\u00a0" + _GOOD, "\u2028" + _GOOD,
+    "\ufeff" + _GOOD, " \ufeff" + _GOOD,
+    _GOOD + _GOOD, _GOOD + " x", _GOOD + " {}", "{}{}", "{} x",
+    "NaN", "-Infinity", "1", '"s"', "[]",
+    "n", "nul", "null x", "nx", "t", "tru", "true1", "tx", "x", "xyz",
+    "\x0c", "\u2028", " \u00a0 ",
+]
+
 
 class TestValidatorMatchesReference:
     @pytest.mark.parametrize("case", VALIDATOR_CASES, ids=range(len(VALIDATOR_CASES)))
     def test_table(self, case):
         _assert_matches_reference([_line(1), case, _line(2)])
 
+    @pytest.mark.parametrize("case", DECODE_CASES, ids=map(repr, DECODE_CASES))
+    def test_decode_table(self, case):
+        _assert_matches_reference([_line(1), case, _line(2)])
+
     def test_whole_table_with_duplicates(self):
-        _assert_matches_reference(VALIDATOR_CASES + [_line(i) for i in range(60)])
+        _assert_matches_reference(
+            VALIDATOR_CASES + DECODE_CASES + [_line(i) for i in range(60)]
+        )
 
     def test_seeded_fuzz(self):
         rng = random.Random(11)
@@ -216,6 +240,61 @@ class TestValidatorMatchesReference:
         _assert_matches_reference(lines)
 
 
+# characters the writer must escape, or pass through, exactly as json.dumps
+_ID_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "a", "Z", "é",
+             "\u2028", "\ufeff", "\U0001f600", "\ud800", "\udcff"]
+
+
+def _odd_id(rng):
+    # a high surrogate then a low one is written as a pair of escapes that
+    # decodes to one astral character, so no parse gives such an id back
+    while True:
+        s = "".join(rng.choice(_ID_CHARS) for _ in range(rng.randint(1, 6)))
+        if "\ud800\udcff" not in s:
+            return s
+
+
+class TestWriterMatchesReference:
+    def _records(self, n=2_000):
+        """Records as a parse gives them back, every mix of optional fields."""
+        rng = random.Random(23)
+        records = []
+        for i in range(n):
+            mix = i % 16
+            reply_to = _odd_id(rng) if mix & 4 else None
+            mentions, wanted = [], rng.randint(1, 4) if mix & 8 else 0
+            while len(mentions) < wanted:
+                m = _odd_id(rng)
+                if m != reply_to and m not in mentions:
+                    mentions.append(m)
+            records.append(TweetRecord(
+                f"{_odd_id(rng)}#{i}",  # '#' is not in _ID_CHARS, so ids are unique
+                _odd_id(rng),
+                rng.choice([1, rng.randint(2, 10**10), 10**30]),
+                _odd_id(rng),
+                retweet_of=_odd_id(rng) if mix & 1 else None,
+                quote_of=_odd_id(rng) if mix & 2 else None,
+                reply_to=reply_to,
+                mentions=tuple(mentions),
+            ))
+        return records
+
+    def test_fuzz_byte_equal_and_round_trip(self):
+        records = self._records()
+        lines = [record_to_json(r) for r in records]
+        assert lines == [ref.record_to_json(r) for r in records]
+        assert all(line.isascii() and "\n" not in line for line in lines)
+        assert parse_records(lines).records == records
+
+    def test_file_round_trip(self, tmp_path):
+        records = self._records(300)
+        path = tmp_path / "tweets.jsonl"
+        write_tweets_file(path, records)
+        expected = "".join(ref.record_to_json(r) + "\n" for r in records)
+        assert path.read_bytes() == expected.encode("ascii")
+        assert load_tweets_file(path).records == records
+
+
 class TestUndecodableLines:
     def test_invalid_utf8_and_deep_nesting_are_malformed(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
@@ -244,6 +323,43 @@ class TestUndecodableLines:
 class TestRecordContract:
     def _record(self, **overrides):
         return _records([_line(1, retweet_of="u7", mentions=["u8", "u9"], **overrides)])[0]
+
+    def test_constructor_signature(self):
+        empty = inspect.Parameter.empty
+        params = inspect.signature(TweetRecord).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
+            for name, default in zip(
+                ref.FIELDS, [empty] * 4 + [None, None, None, ()]
+            )
+        ]
+        assert [f.name for f in dataclasses.fields(TweetRecord)] == list(ref.FIELDS)
+        assert TweetRecord.__match_args__ == ref.FIELDS
+
+    def test_positional_and_keyword_construction(self):
+        full = ("t1", "u1", 5, "a1", "u2", "u3", "u4", ("u5", "u6"))
+        assert record_fields(TweetRecord(*full)) == full
+        assert record_fields(TweetRecord(**dict(zip(ref.FIELDS, full)))) == full
+        assert record_fields(TweetRecord(*full[:3], article_id="a1", mentions=("u5",))) == (
+            "t1", "u1", 5, "a1", None, None, None, ("u5",)
+        )
+        assert record_fields(TweetRecord("t1", "u1", 5, "a1")) == (
+            "t1", "u1", 5, "a1", None, None, None, ()
+        )
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            (("t1", "u1", 5), {}),
+            ((), {"tweet_id": "t1", "author_id": "u1", "timestamp": 5}),
+            (("t1", "u1", 5, "a1", None, None, None, (), "extra"), {}),
+            (("t1", "u1", 5, "a1"), {"text": "hello"}),
+            (("t1", "u1", 5, "a1"), {"tweet_id": "t2"}),
+        ],
+    )
+    def test_missing_or_extra_arguments(self, args, kwargs):
+        with pytest.raises(TypeError):
+            TweetRecord(*args, **kwargs)
 
     def test_frozen(self):
         record = self._record()
