@@ -13,11 +13,11 @@ Run with:  python demos/02_classification.py
 
 from diffnet.experiments import (
     chi2_ranking,
-    featurize_cascades,
     layer_ablation,
     rank_features_ks,
     single_layer_baseline,
 )
+from diffnet.features import featurize
 from diffnet.ingest import filter_min_tweets, group_cascades
 from diffnet.model import stratified_shuffle_cv
 from diffnet.synth import default_config, generate_corpus
@@ -28,9 +28,9 @@ cascades, _ = group_cascades(records, label_map)
 kept = filter_min_tweets(cascades, 50)
 print(f"{len(kept)} of {len(cascades)} articles have >= 50 tweets")
 
-samples = featurize_cascades(kept)
+rows = featurize(kept)
 
-multi = stratified_shuffle_cv(samples, folds=10, test_fraction=0.2, seed=0)
+multi = stratified_shuffle_cv(rows, folds=10, test_fraction=0.2, seed=0)
 single = single_layer_baseline(kept, folds=10, test_fraction=0.2, seed=0)
 print("\nmulti-layer (38 features):", multi.summary_line())
 print("merged-graph baseline:     ", single.summary_line())
@@ -39,13 +39,13 @@ print(f"layer split buys {gap:+.4f} AUROC")
 
 print("\nper-layer ablation (each layer's nine features alone):")
 for layer in ("RT", "R", "Q", "M"):
-    report = layer_ablation(samples, layer, seed=0)
+    report = layer_ablation(rows, layer, seed=0)
     print(f"  {layer:>2}-only  {report.summary_line()}")
 
 print("\ntop 10 features by cross-validated chi-squared score:")
-for rank, (name, score) in enumerate(chi2_ranking(samples)[:10], start=1):
+for rank, (name, score) in enumerate(chi2_ranking(rows)[:10], start=1):
     print(f"  {rank:>2}. {name:<8} {score:.2f}")
 
-rejected = [name for name, d, p, rej in rank_features_ks(samples, 0.05) if rej]
+rejected = [name for name, d, p, rej in rank_features_ks(rows, 0.05) if rej]
 print(f"\nKS test rejects equal class distributions for "
       f"{len(rejected)} of 38 features at alpha=0.05")

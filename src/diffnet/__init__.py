@@ -74,10 +74,8 @@ from .features import (
 from .model import (
     EvaluationReport,
     FoldMetrics,
-    LabeledSample,
     LogisticModel,
     evaluate_split,
-    make_samples,
     metrics,
     predict_proba,
     rank_auroc,
@@ -90,10 +88,8 @@ from .experiments import (
     SINGLE_LAYER_FEATURE_NAMES,
     bias_restricted_eval,
     chi2_ranking,
-    featurize_cascades,
     ks_two_sample,
     layer_ablation,
-    partition_by_size,
     rank_features_ks,
     single_layer_baseline,
     single_layer_samples,
@@ -122,7 +118,6 @@ __all__ = [
     "GeneratorConfig",
     "LAYER_KINDS",
     "LIFETIME_LADDER",
-    "LabeledSample",
     "LayerGraph",
     "LogisticModel",
     "METRIC_NAMES",
@@ -145,7 +140,6 @@ __all__ = [
     "extract_layer_features",
     "featurize",
     "featurize_article",
-    "featurize_cascades",
     "filter_min_tweets",
     "generate_corpus",
     "group_cascades",
@@ -154,11 +148,9 @@ __all__ = [
     "load_labels_file",
     "load_tweets_file",
     "main_kcore_number",
-    "make_samples",
     "metrics",
     "parse_labels",
     "parse_records",
-    "partition_by_size",
     "predict_proba",
     "rank_auroc",
     "rank_features_ks",

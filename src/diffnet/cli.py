@@ -66,7 +66,7 @@ from .ingest import (
     write_labels_file,
     write_tweets_file,
 )
-from .model import SIZE_CLASSES, make_samples, stratified_shuffle_cv
+from .model import SIZE_CLASSES, size_class_of, stratified_shuffle_cv
 from .netbuild import LAYER_KINDS
 from .synth import GeneratorConfig, default_config, generate_corpus, load_config
 
@@ -173,7 +173,7 @@ def _load_samples(features: str):
         raise CliError("E_FORMAT", f"{features}: {exc}") from exc
     if not rows:
         raise CliError("E_INVARIANT", f"features file is empty: {features}")
-    return make_samples(rows), path
+    return rows, path
 
 
 def _write_report(out_dir: Path, command, config, inputs, seed, report) -> None:
@@ -288,7 +288,7 @@ def cmd_featurize(args) -> int:
 def cmd_evaluate(args) -> int:
     samples, path = _load_samples(args.features)
     if args.size_class != "all":
-        samples = [s for s in samples if s.size_class == args.size_class]
+        samples = [s for s in samples if size_class_of(s.n_users) == args.size_class]
         if not samples:
             raise CliError(
                 "E_INVARIANT", f"no articles in size class {args.size_class}"

@@ -1,6 +1,7 @@
-"""Experiment drivers: size partitions, bias-restricted training, layer
-ablation, chi-square / KS feature analyses, temporal sweep, and the
-single-layer baseline.
+"""Experiments: bias-restricted training, layer ablation, chi-square / KS
+feature analyses, temporal sweep, and the single-layer baseline. Each
+reads :class:`~diffnet.features.ArticleFeatures` rows, as
+:func:`~diffnet.features.featurize` returns them.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from .features import FEATURE_NAMES, ArticleFeatures, assemble_vector, featurize
 from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
-    LabeledSample,
     check_C,
     check_folds,
     evaluate_split,
     fold_test_indices,
-    make_samples,
     samples_to_xy,
     stratified_shuffle_cv,
 )
@@ -48,14 +47,6 @@ SINGLE_LAYER_FEATURE_NAMES = tuple(
 ) + ("T", "U")
 
 
-def partition_by_size(samples: Sequence[LabeledSample]) -> dict[str, list[LabeledSample]]:
-    """Bin samples by aggregate user count; the full set is the bins' union."""
-    out: dict[str, list[LabeledSample]] = {}
-    for s in samples:
-        out.setdefault(s.size_class, []).append(s)
-    return out
-
-
 def layer_feature_indices(layer: str) -> list[int]:
     """Positions of one layer's nine metrics inside the 38-entry vector."""
     if layer not in LAYER_KINDS:
@@ -65,7 +56,7 @@ def layer_feature_indices(layer: str) -> list[int]:
 
 
 def layer_ablation(
-    samples: Sequence[LabeledSample],
+    samples: Sequence[ArticleFeatures],
     layer: str,
     folds: int = 10,
     test_fraction: float = 0.2,
@@ -84,7 +75,7 @@ def layer_ablation(
 
 
 def bias_restricted_eval(
-    samples: Sequence[LabeledSample],
+    samples: Sequence[ArticleFeatures],
     train_bias: str,
     folds: int = 10,
     train_fraction: float = 0.8,
@@ -102,11 +93,11 @@ def bias_restricted_eval(
     if train_bias not in ("left", "right"):
         raise ValueError("train_bias must be 'left' or 'right'")
     excluded = set(excluded_sources)
-    pool = [s for s in samples if s.source not in excluded]
-    biased = np.flatnonzero([s.bias == train_bias for s in pool])
+    pool = [s for s in samples if s.label.source not in excluded]
+    biased = np.flatnonzero([s.label.bias == train_bias for s in pool])
     if not biased.size:
         raise ValueError(f"no samples with bias {train_bias!r}")
-    labels = [pool[i].label for i in biased]
+    labels = [pool[i].label.class_label for i in biased]
     if len(set(labels)) < 2:
         raise ValueError(f"bias {train_bias!r} subset contains one class")
     X, y = samples_to_xy(pool)
@@ -154,7 +145,7 @@ def chi2_scores(X: np.ndarray, positive: np.ndarray) -> np.ndarray:
 
 
 def chi2_ranking(
-    samples: Sequence[LabeledSample],
+    samples: Sequence[ArticleFeatures],
     folds: int = 10,
     test_fraction: float = 0.2,
     seed: int = 0,
@@ -170,7 +161,8 @@ def chi2_ranking(
         raise ValueError("feature_names does not match vector width")
     positive = y > 0
     accum = np.zeros(X.shape[1])
-    for idx in fold_test_indices([s.label for s in samples], folds, test_fraction, seed):
+    labels = [s.label.class_label for s in samples]
+    for idx in fold_test_indices(labels, folds, test_fraction, seed):
         train = np.ones(len(y), dtype=bool)
         train[idx] = False
         accum += chi2_scores(minmax_scale_columns(X[train]), positive[train])
@@ -196,7 +188,7 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 
 
 def rank_features_ks(
-    samples: Sequence[LabeledSample],
+    samples: Sequence[ArticleFeatures],
     alpha: float = 0.05,
     feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> list[tuple[str, float, float, bool]]:
@@ -219,13 +211,8 @@ def rank_features_ks(
     return rows
 
 
-def featurize_cascades(
-    cascades: Sequence[ArticleCascade], jobs: int = 1
-) -> list[LabeledSample]:
-    """38-feature samples straight from cascades (no intermediate file),
-    in input order at any jobs count.
-    """
-    return make_samples(featurize(cascades, jobs))
+# the name perfbench/worker.py calls and perfbench/tracing.py wraps
+featurize_cascades = featurize
 
 
 def temporal_sweep(
@@ -264,7 +251,7 @@ def temporal_sweep(
                 prefixes.append(cut)
             row.append(slot[key])
         rows.append(row)
-    samples = featurize_cascades(prefixes, jobs)
+    samples = featurize(prefixes, jobs)
     return [
         (
             lifetime,
@@ -277,8 +264,8 @@ def temporal_sweep(
     ]
 
 
-def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[LabeledSample]:
-    """11-feature samples: the article featurizer over a one-layer network
+def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[ArticleFeatures]:
+    """11-feature rows: the article featurizer over a one-layer network
     whose only layer is the all-interactions aggregate graph.
     """
     rows = []
@@ -293,7 +280,7 @@ def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[LabeledSamp
                 vector=assemble_vector(merged),
             )
         )
-    return make_samples(rows)
+    return rows
 
 
 def single_layer_baseline(

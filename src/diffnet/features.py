@@ -110,13 +110,14 @@ def assemble_vector(net: MultiLayerNetwork) -> np.ndarray:
     for layer in net.layers.values():
         values.extend(extract_layer_features(layer).as_tuple())
     values.append(float(net.pure_tweet_count))
-    values.append(float(net.pure_tweet_users))
+    values.append(float(len(net.pure_authors)))
     return np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class ArticleFeatures:
-    """One featurized article: metadata plus its feature vector."""
+    """One featurized article: id, label record, user count and feature
+    vector; the one row that every experiment and report reads."""
 
     article_id: str
     label: ArticleLabel

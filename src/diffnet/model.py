@@ -21,13 +21,13 @@ declared at gradient max-norm <= 1e-6, capped at 1000 iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .features import ArticleFeatures
-from .ingest import CLASS_DISINFORMATION, CLASS_MAINSTREAM
+from .ingest import CLASS_DISINFORMATION, CLASS_MAINSTREAM, ArticleLabel
 
 POSITIVE_CLASS = CLASS_DISINFORMATION
 
@@ -51,36 +51,19 @@ def size_class_of(n_users: int) -> str:
     return SIZE_CLASS_LARGE
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    article_id: str
-    vector: np.ndarray
-    label: str
-    bias: str
-    n_users: int
-    source: str = ""
-
-    @property
-    def size_class(self) -> str:
-        return size_class_of(self.n_users)
-
-
-def make_samples(rows: Iterable[ArticleFeatures]) -> list[LabeledSample]:
-    return [
-        LabeledSample(
-            article_id=r.article_id,
-            vector=r.vector,
-            label=r.label.class_label,
-            bias=r.label.bias,
-            n_users=r.n_users,
-            source=r.label.source,
-        )
-        for r in rows
-    ]
+def LabeledSample(
+    article_id: str, vector: np.ndarray, label: str, bias: str, n_users: int,
+    source: str = "",
+) -> ArticleFeatures:
+    """The :class:`ArticleFeatures` row of one article, from flat fields;
+    raises CorpusFormatError for a label or bias outside the vocabulary."""
+    return ArticleFeatures(
+        article_id, ArticleLabel(article_id, label, source, bias), n_users, vector
+    )
 
 
 def samples_to_xy(
-    samples: Sequence[LabeledSample],
+    samples: Sequence[ArticleFeatures],
     feature_indices: Optional[Sequence[int]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack vectors into (X, y) with y in {-1,+1}; +1 is class D."""
@@ -90,7 +73,7 @@ def samples_to_xy(
     if feature_indices is not None:
         X = X[:, list(feature_indices)]
     y = np.array(
-        [1.0 if s.label == POSITIVE_CLASS else -1.0 for s in samples]
+        [1.0 if s.label.class_label == POSITIVE_CLASS else -1.0 for s in samples]
     )
     return X, y
 
@@ -452,7 +435,7 @@ def fold_test_indices(
 
 
 def stratified_shuffle_cv(
-    samples: Sequence[LabeledSample],
+    samples: Sequence[ArticleFeatures],
     folds: int = 10,
     test_fraction: float = 0.2,
     seed: int = 0,
@@ -463,8 +446,9 @@ def stratified_shuffle_cv(
     standardizer is fit on each fold's training portion.
     """
     X, y = samples_to_xy(samples, feature_indices)
+    labels = [s.label.class_label for s in samples]
     results = []
-    for idx in fold_test_indices([s.label for s in samples], folds, test_fraction, seed):
+    for idx in fold_test_indices(labels, folds, test_fraction, seed):
         test = np.zeros(len(y), dtype=bool)
         test[idx] = True
         results.append(evaluate_split(X[~test], y[~test], X[test], y[test], C=C))

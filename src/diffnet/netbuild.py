@@ -9,8 +9,8 @@ Four directed layers, one per interaction kind:
 
 Repeated interactions between the same ordered pair increment the edge
 weight. Self-interactions are dropped. Tweets with no interaction targets
-at all are "pure": the network stores their count T and the number U of
-distinct authors behind them.
+at all are "pure": the network stores their count T and their distinct
+authors, whose number is U.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ class LayerGraph:
 @dataclass
 class MultiLayerNetwork:
     """Layers keyed by kind, in the order the feature vector encodes them,
-    plus the pure tweets' count T, author count U and authors.
+    plus the pure tweets' count T and their authors, U of them.
     """
 
     article_id: str
     layers: dict[str, LayerGraph]
     pure_tweet_count: int
-    pure_tweet_users: int
     pure_authors: frozenset[str]
 
 
@@ -92,7 +91,6 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
         article_id=cascade.article_id,
         layers=layers,
         pure_tweet_count=pure_count,
-        pure_tweet_users=len(pure_authors),
         pure_authors=frozenset(pure_authors),
     )
 

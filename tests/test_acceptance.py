@@ -18,12 +18,16 @@ import reference_stats as ref
 from diffnet.cli import main as cli_main
 from diffnet.experiments import (
     chi2_ranking,
-    featurize_cascades,
     rank_features_ks,
     single_layer_baseline,
     temporal_sweep,
 )
-from diffnet.features import FEATURE_NAMES, extract_layer_features, featurize_article
+from diffnet.features import (
+    FEATURE_NAMES,
+    extract_layer_features,
+    featurize,
+    featurize_article,
+)
 from diffnet.graphops import (
     DirectedGraph,
     average_clustering,
@@ -72,7 +76,7 @@ def pipeline():
     label_map = {lab.article_id: lab for lab in labels}
     cascades, _ = group_cascades(records, label_map)
     kept = filter_min_tweets(cascades, 50)
-    samples = featurize_cascades(kept)
+    samples = featurize(kept)
     multi = stratified_shuffle_cv(samples, folds=10, test_fraction=0.2, seed=0)
     single = single_layer_baseline(kept, folds=10, test_fraction=0.2, seed=0)
     elapsed = time.perf_counter() - t0

@@ -15,7 +15,6 @@ from diffnet.experiments import (
     layer_ablation,
     layer_feature_indices,
     minmax_scale_columns,
-    partition_by_size,
     rank_features_ks,
     single_layer_baseline,
     single_layer_samples,
@@ -23,14 +22,16 @@ from diffnet.experiments import (
 )
 import diffnet.experiments as experiments
 import diffnet.features as features
-from diffnet.features import FEATURE_NAMES, extract_layer_features, featurize
-from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
-from diffnet.model import (
-    LabeledSample,
-    fold_test_indices,
-    make_samples,
-    stratified_shuffle_cv,
+from diffnet.features import (
+    FEATURE_NAMES,
+    ArticleFeatures,
+    extract_layer_features,
+    featurize,
+    read_features_file,
+    write_features_file,
 )
+from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
+from diffnet.model import fold_test_indices, stratified_shuffle_cv
 from diffnet.netbuild import (
     aggregate_layer,
     aggregate_user_count,
@@ -42,13 +43,12 @@ from reference_stats import chi2_class_sum_statistic, kolmogorov_sf_series, ks_s
 
 
 def _sample(i, label, vector, bias="", n_users=10, source=""):
-    return LabeledSample(
-        article_id=f"a{i:04d}",
-        vector=np.asarray(vector, dtype=np.float64),
-        label=label,
-        bias=bias,
-        n_users=n_users,
-        source=source,
+    article_id = f"a{i:04d}"
+    return ArticleFeatures(
+        article_id,
+        ArticleLabel(article_id, label, source, bias),
+        n_users,
+        np.asarray(vector, dtype=np.float64),
     )
 
 
@@ -83,27 +83,6 @@ def _mini_corpus(rng, n_per_class=12):
             _tree_cascade(f"m{i:03d}", "M", rng, rng.randint(4, 10), 0.1)
         )
     return cascades
-
-
-class TestPartition:
-    def test_bin_boundaries(self):
-        samples = [
-            _sample(0, "D", [0.0], n_users=50),
-            _sample(1, "D", [0.0], n_users=100),
-            _sample(2, "M", [0.0], n_users=1000),
-        ]
-        bins = partition_by_size(samples)
-        assert [s.article_id for s in bins["0-100"]] == ["a0000"]
-        assert [s.article_id for s in bins["100-1000"]] == ["a0001"]
-        assert [s.article_id for s in bins["1000+"]] == ["a0002"]
-
-    def test_bins_cover_everything(self):
-        rng = random.Random(0)
-        samples = [
-            _sample(i, "D", [0.0], n_users=rng.randint(0, 5000)) for i in range(60)
-        ]
-        bins = partition_by_size(samples)
-        assert sum(len(v) for v in bins.values()) == 60
 
 
 class TestLayerIndices:
@@ -262,8 +241,9 @@ class TestFoldPolicy:
         real = experiments.evaluate_split
         monkeypatch.setattr(experiments, "evaluate_split", record)
         bias_restricted_eval(samples, "left", folds=3, train_fraction=0.75, seed=4)
-        left = [i for i, s in enumerate(samples) if s.bias == "left"]
-        folds = fold_test_indices([samples[i].label for i in left], 3, 1.0 - 0.75, 4)
+        left = [i for i, s in enumerate(samples) if s.label.bias == "left"]
+        labels = [samples[i].label.class_label for i in left]
+        folds = fold_test_indices(labels, 3, 1.0 - 0.75, 4)
         assert len(seen) == 3
         for held, (train, test, weights) in zip(folds, seen):
             trained = sorted(set(left) - {left[i] for i in held})
@@ -274,9 +254,10 @@ class TestFoldPolicy:
     def test_chi2_scores_each_fold_on_its_training_rows(self):
         samples = self._samples()
         X = np.stack([s.vector for s in samples])
-        positive = np.array([s.label == "D" for s in samples])
+        labels = [s.label.class_label for s in samples]
+        positive = np.array([label == "D" for label in labels])
         accum = np.zeros(X.shape[1])
-        for idx in fold_test_indices([s.label for s in samples], 4, 0.3, 5):
+        for idx in fold_test_indices(labels, 4, 0.3, 5):
             train = np.ones(len(samples), dtype=bool)
             train[idx] = False
             accum += chi2_scores(minmax_scale_columns(X[train]), positive[train])
@@ -415,7 +396,7 @@ class TestTemporalSweep:
         results = temporal_sweep(cascades, folds=3, seed=5)
         assert [lt for lt, _ in results] == list(LIFETIME_LADDER)
         assert len(results) == 7
-        samples = featurize_cascades(cascades)
+        samples = featurize(cascades)
         untruncated = stratified_shuffle_cv(samples, folds=3, seed=5)
         # max span in the mini corpus is far below 7 days
         assert results[-1][1].to_text() == untruncated.to_text()
@@ -482,7 +463,7 @@ class TestSingleLayer:
     def test_rt_only_article_matches_rt_block(self):
         rng = random.Random(14)
         cascade = _tree_cascade("d001", "D", rng, 15, 0.5)
-        multi = featurize_cascades([cascade])[0]
+        multi = featurize([cascade])[0]
         single = single_layer_samples([cascade])[0]
         assert np.array_equal(single.vector[0:9], multi.vector[9:18])
         assert np.array_equal(single.vector[9:], multi.vector[36:])
@@ -509,7 +490,7 @@ class TestSingleLayer:
         net = build_network(cascade)
         values = extract_layer_features(aggregate_layer(net)).as_tuple() + (
             float(net.pure_tweet_count),
-            float(net.pure_tweet_users),
+            float(len(net.pure_authors)),
         )
         return np.asarray(values, dtype=np.float64), aggregate_user_count(net)
 
@@ -520,9 +501,7 @@ class TestSingleLayer:
             vector, n_users = self._reference(cascade)
             assert np.array_equal(sample.vector, vector)
             assert sample.n_users == n_users
-            assert sample.label == cascade.label.class_label
-            assert sample.bias == cascade.label.bias
-            assert sample.source == cascade.label.source
+            assert sample.label == cascade.label
 
     def test_matches_merged_layer_reference_on_mini_corpus(self):
         self._assert_matches_reference(_mini_corpus(random.Random(18), n_per_class=6))
@@ -561,23 +540,23 @@ class TestCorpusQualitative:
     def test_broader_deeper_trees_show_in_rt_features(self):
         rng = random.Random(16)
         cascades = _mini_corpus(rng, n_per_class=10)
-        samples = featurize_cascades(cascades)
+        samples = featurize(cascades)
         rt_lwcc = FEATURE_NAMES.index("RT_LWCC")
         rt_dwcc = FEATURE_NAMES.index("RT_DWCC")
-        d_mean = np.mean([s.vector[rt_lwcc] for s in samples if s.label == "D"])
-        m_mean = np.mean([s.vector[rt_lwcc] for s in samples if s.label == "M"])
+        d = [s.vector for s in samples if s.label.class_label == "D"]
+        m = [s.vector for s in samples if s.label.class_label == "M"]
+        d_mean = np.mean([v[rt_lwcc] for v in d])
+        m_mean = np.mean([v[rt_lwcc] for v in m])
         assert d_mean > m_mean
-        d_depth = np.mean([s.vector[rt_dwcc] for s in samples if s.label == "D"])
-        m_depth = np.mean([s.vector[rt_dwcc] for s in samples if s.label == "M"])
+        d_depth = np.mean([v[rt_dwcc] for v in d])
+        m_depth = np.mean([v[rt_dwcc] for v in m])
         assert d_depth > m_depth
 
     def test_featurize_cascades_propagates_metadata(self):
         rng = random.Random(17)
         cascade = _tree_cascade("d001", "D", rng, 5, 0.5, bias="right", source="s.org")
         sample = featurize_cascades([cascade])[0]
-        assert sample.label == "D"
-        assert sample.bias == "right"
-        assert sample.source == "s.org"
+        assert sample.label == ArticleLabel("d001", "D", "s.org", "right")
         assert sample.n_users == 6  # root plus 5 spreaders
 
 
@@ -586,16 +565,31 @@ class TestFeaturize:
         cascades = _mini_corpus(random.Random(19), n_per_class=4)
         assert featurize(cascades, 2) == featurize(cascades, 1)
 
-    def test_featurize_cascades_is_make_samples_of_featurize(self):
-        cascades = _mini_corpus(random.Random(20), n_per_class=4)
-        got = featurize_cascades(cascades)
-        want = make_samples(featurize(cascades))
-        assert len(got) == len(want) == len(cascades)
-        for a, b in zip(got, want):
-            assert (a.article_id, a.label, a.bias, a.n_users, a.source) == (
-                b.article_id, b.label, b.bias, b.n_users, b.source,
-            )
-            assert np.array_equal(a.vector, b.vector)
+    def test_featurize_cascades_is_featurize(self):
+        assert featurize_cascades is featurize
+
+    def test_features_file_rows_feed_every_experiment_alike(self, tmp_path):
+        # the CLI reads its rows back from the features file; the library
+        # passes featurize's rows on: both must be the same record
+        rng = random.Random(20)
+        cascades = [
+            _tree_cascade(f"{c.lower()}{i:03d}", c, rng, rng.randint(4, 30),
+                          0.8 if c == "D" else 0.1, bias=("left", "right", "")[i % 3],
+                          source=f"s{i % 2}.org")
+            for i in range(9) for c in "DM"
+        ]
+        rows = sorted(featurize(cascades), key=lambda r: r.article_id)
+        path = tmp_path / "features.csv"
+        write_features_file(path, rows)
+        read = read_features_file(path)
+        assert read == rows
+        cv = dict(folds=3, test_fraction=0.3, seed=2)
+        assert (stratified_shuffle_cv(read, **cv).to_metric_rows()
+                == stratified_shuffle_cv(rows, **cv).to_metric_rows())
+        bias = dict(folds=3, seed=2, excluded_sources=("s1.org",))
+        assert (bias_restricted_eval(read, "left", **bias).to_metric_rows()
+                == bias_restricted_eval(rows, "left", **bias).to_metric_rows())
+        assert chi2_ranking(read, **cv) == chi2_ranking(rows, **cv)
 
     @pytest.mark.parametrize(
         "jobs, n_cascades, cpus, workers",

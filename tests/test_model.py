@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from diffnet.features import ArticleFeatures
+from diffnet.ingest import ArticleLabel, CorpusFormatError
 from diffnet.model import (
     EvaluationReport,
     FoldMetrics,
@@ -29,12 +31,12 @@ from reference_stats import central_difference_gradient, trapezoid_auroc
 
 
 def _sample(i, label, vector, bias="", n_users=10):
-    return LabeledSample(
-        article_id=f"a{i:04d}",
-        vector=np.asarray(vector, dtype=np.float64),
-        label=label,
-        bias=bias,
-        n_users=n_users,
+    article_id = f"a{i:04d}"
+    return ArticleFeatures(
+        article_id,
+        ArticleLabel(article_id, label, "", bias),
+        n_users,
+        np.asarray(vector, dtype=np.float64),
     )
 
 
@@ -45,6 +47,21 @@ def _blob_samples(rng, n_per_class=30, dim=4, gap=2.0):
     for i in range(n_per_class):
         samples.append(_sample(n_per_class + i, "M", rng.normal(-gap, 1.0, dim)))
     return samples
+
+
+class TestLabeledSample:
+    def test_is_the_article_features_row(self):
+        vector = np.array([1.0, 2.5])
+        got = LabeledSample(article_id="a1", vector=vector, label="D",
+                            bias="left", n_users=7, source="x.org")
+        assert type(got) is ArticleFeatures
+        assert got == ArticleFeatures("a1", ArticleLabel("a1", "D", "x.org", "left"),
+                                      7, vector.copy())
+
+    @pytest.mark.parametrize("label,bias", [("X", "left"), ("d", ""), ("D", "center")])
+    def test_bad_label_or_bias_rejected(self, label, bias):
+        with pytest.raises(CorpusFormatError):
+            LabeledSample("a1", np.zeros(1), label, bias, 3)
 
 
 class TestSizeClass:

@@ -33,7 +33,7 @@ class TestBuildNetwork:
         net = build_network(_cascade([_tweet(1, "u1")]))
         assert all(net.layers[k].is_empty() for k in LAYER_KINDS)
         assert net.pure_tweet_count == 1
-        assert net.pure_tweet_users == 1
+        assert net.pure_authors == {"u1"}
 
     def test_retweet_direction_and_weight(self):
         # u2 retweets u1 twice: one RT edge u1 -> u2 with weight 2
@@ -73,7 +73,7 @@ class TestBuildNetwork:
             _cascade([_tweet(1, "u1"), _tweet(2, "u1"), _tweet(3, "u2")])
         )
         assert net.pure_tweet_count == 3
-        assert net.pure_tweet_users == 2
+        assert net.pure_authors == {"u1", "u2"}
 
     def test_empty_cascade_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from diffnet.features import FEATURE_NAMES
+from diffnet.features import FEATURE_NAMES, featurize
 from diffnet.ingest import (
     BIAS_LEFT,
     BIAS_RIGHT,
@@ -17,7 +17,6 @@ from diffnet.ingest import (
     record_to_json,
 )
 from diffnet.netbuild import build_network
-from diffnet.experiments import featurize_cascades
 from diffnet.synth import (
     ClassProfile,
     GeneratorConfig,
@@ -234,7 +233,7 @@ def test_all_rates_zero_single_tweet_article():
         assert len(cascade.tweets) == 1
         net = build_network(cascade)
         assert net.pure_tweet_count == 1
-        assert net.pure_tweet_users == 1
+        assert len(net.pure_authors) == 1
         assert all(layer.is_empty() for layer in net.layers.values())
 
 
@@ -259,7 +258,7 @@ def test_zero_depth_bias_yields_stars():
     i_dwcc = FEATURE_NAMES.index("RT_DWCC")
     i_sv = FEATURE_NAMES.index("RT_SV")
     i_lwcc = FEATURE_NAMES.index("RT_LWCC")
-    for sample in featurize_cascades(cascades):
+    for sample in featurize(cascades):
         assert sample.vector[i_lwcc] == 12.0
         assert sample.vector[i_dwcc] == 2.0
         assert 1.0 < sample.vector[i_sv] < 2.0
@@ -280,9 +279,9 @@ def test_default_profiles_separate_retweet_structure():
     records, labels = generate_corpus(config)
     label_map = {lab.article_id: lab for lab in labels}
     cascades, _ = group_cascades(records, label_map)
-    samples = featurize_cascades(cascades)
+    samples = featurize(cascades)
     X = np.stack([s.vector for s in samples])
-    is_d = np.array([s.label == "D" for s in samples])
+    is_d = np.array([s.label.class_label == "D" for s in samples])
     for name in ("RT_LWCC", "RT_DWCC"):
         i = FEATURE_NAMES.index(name)
         assert X[is_d, i].mean() > X[~is_d, i].mean()
