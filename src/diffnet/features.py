@@ -71,11 +71,6 @@ class LayerFeatures:
 _EMPTY = LayerFeatures(0, 0, 0, 0, 0, 0.0, 0, 0.0, 0.0)
 
 
-def _largest_component(components):
-    # ties broken by smallest minimum node id, for determinism
-    return min(components, key=lambda c: (-len(c), min(c)))
-
-
 def extract_layer_features(layer: LayerGraph) -> LayerFeatures:
     """The nine global metrics of one layer; all zeros when the layer is empty.
 
@@ -85,16 +80,15 @@ def extract_layer_features(layer: LayerGraph) -> LayerFeatures:
     if layer.is_empty():
         return _EMPTY
     g = layer.to_directed_graph()
-    sccs = graphops.strongly_connected_components(g)
-    wccs = graphops.weakly_connected_components(g)
-    lwcc_nodes = _largest_component(wccs)
+    n_scc, sccs = graphops.scc_groups(g)
+    n_wcc, lwcc_nodes = graphops.largest_wcc(g)
     max_dist, dist_sum = graphops.undirected_distance_stats(g, lwcc_nodes)
     n = len(lwcc_nodes)
     sv = 0.0 if n == 1 else dist_sum / (n * (n - 1))
     return LayerFeatures(
-        scc=len(sccs),
-        lscc=max(map(len, sccs)),
-        wcc=len(wccs),
+        scc=n_scc,
+        lscc=max(map(len, sccs), default=1),
+        wcc=n_wcc,
         lwcc=n,
         dwcc=max_dist,
         cc=graphops.average_clustering(g),

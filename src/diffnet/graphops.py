@@ -5,28 +5,31 @@ dropped, and metrics that call for an undirected view use the simple
 undirected projection. Distances (diameter, structural virality) are
 exact.
 
-A :class:`DirectedGraph` relabels its node ids to 0..n-1 once, as it is
-built, and every kernel runs on that integer adjacency; ids reappear only
-in returned sets. It keeps the set of directed arcs and the undirected
-adjacency; successor and predecessor sets are built only when a kernel
-follows directions. With its weakly connected components cached, each
+A :class:`DirectedGraph` relabels its node ids to 0..n-1 once, in order
+of first appearance, and every kernel runs on those integers; ids
+reappear only in returned sets and lists. It keeps the set of directed
+arcs and the undirected adjacency as deduplicated lists, counting
+|E_und| as it builds them; successor and predecessor sets are built only
+when a kernel follows directions. One cached breadth-first search labels
+the weakly connected components and records each node's parent, so each
 kernel can test cheaply whether the undirected projection is a forest
 (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| - |E_und|):
 
 * in a forest the clustering coefficient is 0, and the main k-core is 1,
   or 2 once there is a reciprocal pair (0 without edges);
-* in a forest without reciprocal pairs (|E_dir| = |E_und|) every strongly
-  connected component is a single node.
+* in a forest every directed cycle is a reciprocal pair, so the strongly
+  connected components are those of the pairs: n - #pairs of them, grouped
+  along the search parents.
 
 Otherwise SCCs come from an iterative Tarjan and the k-core from the
-bucket peeling of Batagelj and Zaversnik (2003), both linear. Distances
-run on the node set relabelled in breadth-first order: a tree (n - 1
-edges) takes an O(n) path, subtree sizes for the pair sum and two
-breadth-first searches for the diameter. Any other graph runs a
-bit-parallel breadth-first search with one Python-int bitset of sources
-per node, O(diameter * m) big-int operations per block of sources. The
-sources go in blocks of ``_BLOCK_BITS // n``, so the bitsets hold
-O(n * block) bits, a few times ``_BLOCK_BITS``, at once.
+bucket peeling of Batagelj and Zaversnik (2003), both linear. A
+component that is a tree takes an O(n) distance path on its search:
+subtree sizes from the parents for the pair sum, one more search for the
+diameter. Any other component is relabelled 0..n-1 for a bit-parallel
+breadth-first search with one Python-int bitset of sources per node,
+O(diameter * m) big-int operations per block of sources. The sources go
+in blocks of ``_BLOCK_BITS // n``, so the bitsets hold O(n * block) bits,
+a few times ``_BLOCK_BITS``, at once.
 """
 
 from __future__ import annotations
@@ -58,20 +61,23 @@ class DirectedGraph:
         index: dict = {}
         for v in nodes:
             index.setdefault(v, len(index))
-        arcs = [
+        arcs = {
             (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
             for u, v in edges
             if u != v
-        ]
-        und: list[set[int]] = [set() for _ in index]
-        for i, j in arcs:
-            und[i].add(j)
-            und[j].add(i)
+        }
+        # one entry per undirected edge; a reciprocal pair enters from i < j
+        und_pairs = [(i, j) for i, j in arcs if i < j or (j, i) not in arcs]
+        und: list[list[int]] = [[] for _ in index]
+        for i, j in und_pairs:
+            und[i].append(j)
+            und[j].append(i)
         self._index = index
         self._ids = list(index)
-        self._arcs = set(arcs)
+        self._arcs = arcs
         self._und = und
-        self._und_edges = self._succ = self._pred = self._wcc = None
+        self._und_edges = len(und_pairs)
+        self._succ = self._pred = self._wcc = None
 
     @property
     def nodes(self):
@@ -99,12 +105,13 @@ class DirectedGraph:
                 self._pred[j].add(i)
         return self._succ, self._pred
 
-    def _components(self) -> tuple[list[int], list[list[int]]]:
-        """Component label of each node, and each component's nodes in
-        breadth-first order from its first node (cached)."""
+    def _components(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """Per node its component label and search parent (-1 at a root),
+        and per component its nodes in breadth-first order (cached)."""
         if self._wcc is None:
             und = self._und
             label = [-1] * len(und)
+            parent = [-1] * len(und)
             comps: list[list[int]] = []
             for root in range(len(und)):
                 if label[root] >= 0:
@@ -116,43 +123,52 @@ class DirectedGraph:
                     for w in und[u]:
                         if label[w] < 0:
                             label[w] = c
+                            parent[w] = u
                             order.append(w)
                 comps.append(order)
-            self._wcc = (label, comps)
+            self._wcc = (label, comps, parent)
         return self._wcc
-
-    def _undirected_edges(self) -> int:
-        """|E_und|, the edge count of the undirected projection (cached)."""
-        if self._und_edges is None:
-            self._und_edges = sum(map(len, self._und)) // 2
-        return self._und_edges
 
     def _reciprocal_pairs(self) -> int:
         """|E_dir| - |E_und|: each reciprocal pair is two arcs on one edge."""
-        return len(self._arcs) - self._undirected_edges()
+        return len(self._arcs) - self._und_edges
 
     def _is_forest(self) -> bool:
         """Whether the undirected projection has no cycle."""
-        return self._undirected_edges() == len(self._ids) - len(self._components()[1])
+        return self._und_edges == len(self._ids) - len(self._components()[1])
 
 
-def strongly_connected_components(g: DirectedGraph) -> list[set]:
-    """Partition nodes into maximal strongly connected components.
+def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:
+    """Number of strongly connected components, and the integer labels of
+    each one with two nodes or more.
 
-    Iterative Tarjan; linear in nodes + edges. Cascade chains can be long,
-    so no recursion.
+    Every directed cycle of a forest is a reciprocal pair, so there the
+    components are those of the reciprocal pairs, n - #pairs of them (no
+    pairs: all singletons). Each pair is an edge of the search forest, so
+    one walk down the search order puts every pair's child in the group of
+    its parent. Any other graph runs an iterative Tarjan, linear in nodes +
+    edges; cascade chains can be long, so no recursion.
     """
-    ids = g._ids
-    if g._is_forest() and not g._reciprocal_pairs():
-        # a directed cycle would be a cycle of the forest or a reciprocal pair
-        return [{v} for v in ids]
+    n = len(g._ids)
+    if g._is_forest():
+        top: dict[int, int] = {}  # the first node of its group, per paired child
+        if g._reciprocal_pairs():
+            arcs = g._arcs
+            _, comps, parent = g._components()
+            for v in chain.from_iterable(comps):
+                p = parent[v]
+                if (v, p) in arcs and (p, v) in arcs:
+                    top[v] = top.get(p, p)
+        groups: dict[int, list[int]] = {}
+        for v, first in top.items():
+            groups.setdefault(first, [first]).append(v)
+        return n - len(top), list(groups.values())
     succ, _ = g._directed()
-    n = len(ids)
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    components: list[set] = []
+    components: list[list[int]] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
@@ -181,21 +197,42 @@ def strongly_connected_components(g: DirectedGraph) -> list[set]:
                     if lowlink[v] < lowlink[parent]:
                         lowlink[parent] = lowlink[v]
                 if lowlink[v] == index[v]:
-                    comp = set()
+                    comp = []
                     while True:
                         w = stack.pop()
                         on_stack[w] = False
-                        comp.add(ids[w])
+                        comp.append(w)
                         if w == v:
                             break
                     components.append(comp)
-    return components
+    return len(components), [c for c in components if len(c) > 1]
+
+
+def strongly_connected_components(g: DirectedGraph) -> list[set]:
+    """Partition nodes into maximal strongly connected components."""
+    ids = g._ids
+    _, groups = scc_groups(g)
+    grouped = set(chain.from_iterable(groups))
+    singles = [{v} for i, v in enumerate(ids) if i not in grouped]
+    return [set(map(ids.__getitem__, c)) for c in groups] + singles
 
 
 def weakly_connected_components(g: DirectedGraph) -> list[set]:
     """Partition nodes into connected components of the undirected projection."""
     ids = g._ids
     return [set(map(ids.__getitem__, comp)) for comp in g._components()[1]]
+
+
+def largest_wcc(g: DirectedGraph) -> tuple[int, list]:
+    """Number of weakly connected components, and the node ids of the
+    largest; a tie goes to the component with the smallest node id."""
+    ids = g._ids
+    comps = g._components()[1]
+    size = max(map(len, comps))
+    tied = [c for c in comps if len(c) == size]
+    if len(tied) > 1:
+        tied.sort(key=lambda c: min(map(ids.__getitem__, c)))
+    return len(comps), list(map(ids.__getitem__, tied[0]))
 
 
 def _eccentricity(adj: list[list[int]], src: int) -> int:
@@ -214,25 +251,6 @@ def _eccentricity(adj: list[list[int]], src: int) -> int:
                     nxt.append(w)
         frontier = nxt
     return ecc
-
-
-def _tree_distance_stats(adj: list[list[int]]) -> tuple[int, int]:
-    """Diameter and ordered-pair distance sum of a tree, in O(n).
-
-    Nodes are labelled in breadth-first order from 0, so each node's parent
-    is its smallest neighbour. Each edge lies on the paths of s * (n - s)
-    unordered pairs, s being the size of the subtree below it (the Wiener
-    index). The last node in breadth-first order is one end of a longest
-    path, so a second search from it finds the diameter.
-    """
-    n = len(adj)
-    size = [1] * n
-    total = 0
-    for u in range(n - 1, 0, -1):  # children before their parents
-        s = size[u]
-        total += s * (n - s)
-        size[min(adj[u])] += s
-    return _eccentricity(adj, n - 1), 2 * total
 
 
 def _general_distance_stats(adj: list[list[int]]) -> tuple[int, int]:
@@ -272,6 +290,29 @@ def _general_distance_stats(adj: list[list[int]]) -> tuple[int, int]:
     return max_dist, total
 
 
+def _component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
+    """Diameter and ordered-pair distance sum of weakly connected component c.
+
+    On a tree, reverse search order puts children before their parents, an
+    edge above a subtree of s nodes lies on s * (n - s) unordered pair paths
+    (the Wiener index), and the last node searched ends a longest path.
+    """
+    _, comps, parent = g._components()
+    order = comps[c]
+    und = g._und
+    n = len(order)
+    if g._is_forest() or sum(len(und[v]) for v in order) == 2 * (n - 1):
+        size = [1] * len(und)
+        total = 0
+        for u in order[:0:-1]:  # every node but the root
+            s = size[u]
+            total += s * (n - s)
+            size[parent[u]] += s
+        return _eccentricity(und, order[-1]), 2 * total
+    pos = dict(zip(order, range(n)))
+    return _general_distance_stats([list(map(pos.__getitem__, und[v])) for v in order])
+
+
 def undirected_distance_stats(
     g: DirectedGraph, nodes: Optional[Iterable[Hashable]] = None
 ) -> tuple[int, int]:
@@ -280,12 +321,12 @@ def undirected_distance_stats(
     Returns ``(max_distance, sum_of_ordered_pair_distances)``. The node set
     must induce a connected undirected subgraph (a single node counts as
     connected); otherwise ValueError. Shared by the diameter and structural
-    virality metrics so the component is swept once per caller. Trees (n - 1
-    edges) take an O(n) path; anything else the bit-parallel path.
+    virality metrics so the component is swept once per caller. A set that
+    is not a whole component is copied into its induced graph, which then
+    runs the same component path.
     """
-    und = g._und
     if nodes is None:
-        members = list(range(len(und)))
+        members = range(len(g._ids))
     else:
         index = g._index
         try:
@@ -295,28 +336,16 @@ def undirected_distance_stats(
     n = len(members)
     if n == 0:
         raise ValueError("empty node set")
-
-    label, comps = g._components()
+    label, comps, _ = g._components()
     c = label[members[0]]
     if len(comps[c]) == n and all(label[v] == c for v in members):
-        order, nbrs = comps[c], und
-    else:
-        keep = set(members)
-        nbrs = {v: und[v] & keep for v in members}
-        order = [members[0]]
-        seen = {members[0]}
-        for u in order:
-            for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        if len(order) < n:
-            raise ValueError("node set does not induce a connected subgraph")
-    pos = dict(zip(order, range(n)))
-    adj = [list(map(pos.__getitem__, nbrs[v])) for v in order]
-    if sum(map(len, adj)) == 2 * (n - 1):
-        return _tree_distance_stats(adj)
-    return _general_distance_stats(adj)
+        return _component_distance_stats(g, c)
+    keep = set(members)
+    und = g._und
+    sub = DirectedGraph(((v, w) for v in members for w in und[v] if w in keep), members)
+    if len(sub._components()[1]) > 1:
+        raise ValueError("node set does not induce a connected subgraph")
+    return _component_distance_stats(sub, 0)
 
 
 def diameter_undirected(
@@ -355,15 +384,16 @@ def average_clustering(g: DirectedGraph) -> float:
     n = g.number_of_nodes()
     if n == 0 or g._is_forest():
         return 0.0
-    und = g._und
+    # only nodes of degree 2 or more need a set; intersection() takes lists
+    nbr_sets = [set(nbrs) if len(nbrs) > 1 else nbrs for nbrs in g._und]
     total = 0.0
-    for nbrs in und:
+    for nbrs in nbr_sets:
         k = len(nbrs)
         if k < 2:
             continue
         # twice the number of edges among the neighbours; no self-loops, so
         # the node itself never shows up in an intersection
-        links2 = sum(len(und[v] & nbrs) for v in nbrs)
+        links2 = sum(len(nbrs.intersection(nbr_sets[v])) for v in nbrs)
         total += links2 / (k * (k - 1))
     return total / n
 

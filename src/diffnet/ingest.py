@@ -15,6 +15,7 @@ Input formats:
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -199,26 +200,33 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
     seen_ids: set[str] = set()
     ids: dict[str, str] = {}
     considered = 0
-    for line in lines:
-        if not line or line.isspace():
-            continue
-        considered += 1
-        try:
-            if not line.isascii():
-                line.encode("utf-8")  # a lone surrogate here was an invalid byte
-            obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-            if line[end:].strip(_JSON_SPACE):
-                raise ValueError("extra data after the JSON value")
-            record = _record_from_obj(obj, ids)
-        except (ValueError, TypeError, RecursionError, StopIteration):
-            # the scanner raises StopIteration where no value starts
-            result.malformed += 1
-            continue
-        if record.tweet_id in seen_ids:
-            result.duplicates += 1
-            continue
-        seen_ids.add(record.tweet_id)
-        result.records.append(record)
+    # the decoded dicts and the records hold no cycles: pause the cyclic GC
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for line in lines:
+            if not line or line.isspace():
+                continue
+            considered += 1
+            try:
+                if not line.isascii():
+                    line.encode("utf-8")  # a lone surrogate here was an invalid byte
+                obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+                if line[end:].strip(_JSON_SPACE):
+                    raise ValueError("extra data after the JSON value")
+                record = _record_from_obj(obj, ids)
+            except (ValueError, TypeError, RecursionError, StopIteration):
+                # the scanner raises StopIteration where no value starts
+                result.malformed += 1
+                continue
+            if record.tweet_id in seen_ids:
+                result.duplicates += 1
+                continue
+            seen_ids.add(record.tweet_id)
+            result.records.append(record)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if considered and 2 * result.malformed > considered:
         raise CorpusFormatError(
             f"{result.malformed} of {considered} lines malformed"

@@ -16,7 +16,9 @@ authors, whose number is U.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 from .graphops import DirectedGraph
@@ -32,17 +34,8 @@ class LayerGraph:
     layer_kind: str
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def add_interaction(self, src: str, dst: str) -> None:
-        if src == dst:
-            return
-        self.edges[(src, dst)] = self.edges.get((src, dst), 0) + 1
-
     def nodes(self) -> set[str]:
-        out = set()
-        for src, dst in self.edges:
-            out.add(src)
-            out.add(dst)
-        return out
+        return set(chain.from_iterable(self.edges))
 
     def is_empty(self) -> bool:
         return not self.edges
@@ -70,23 +63,29 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
     """
     if not cascade.tweets:
         raise ValueError(f"cascade {cascade.article_id!r} has no tweets")
-    layers = {kind: LayerGraph(kind) for kind in LAYER_KINDS}
+    pairs: tuple[list[tuple[str, str]], ...] = ([], [], [], [])
+    q, rt, m, r = pairs  # LAYER_KINDS order
     pure_authors: set[str] = set()
     pure_count = 0
     for t in cascade.tweets:
         a = t.author_id
-        if t.interaction_free():
+        src, quoted, dst, mentions = t.retweet_of, t.quote_of, t.reply_to, t.mentions
+        if src is None and quoted is None and dst is None and not mentions:
             pure_count += 1
             pure_authors.add(a)
             continue
-        if t.retweet_of is not None:
-            layers["RT"].add_interaction(t.retweet_of, a)
-        if t.quote_of is not None:
-            layers["Q"].add_interaction(t.quote_of, a)
-        if t.reply_to is not None:
-            layers["R"].add_interaction(a, t.reply_to)
-        for m in t.mentions:
-            layers["M"].add_interaction(a, m)
+        # self-interactions make a tweet impure but add no edge
+        if src is not None and src != a:
+            rt.append((src, a))
+        if quoted is not None and quoted != a:
+            q.append((quoted, a))
+        if dst is not None and dst != a:
+            r.append((a, dst))
+        for target in mentions:
+            if target != a:
+                m.append((a, target))
+    # a Counter keeps each edge where the tweets first make it
+    layers = {kind: LayerGraph(kind, Counter(p)) for kind, p in zip(LAYER_KINDS, pairs)}
     return MultiLayerNetwork(
         article_id=cascade.article_id,
         layers=layers,
@@ -97,10 +96,9 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
 
 def aggregate_user_count(net: MultiLayerNetwork) -> int:
     """Unique users across all layers and pure tweets."""
-    users: set[str] = set()
+    users = set(net.pure_authors)
     for layer in net.layers.values():
-        users |= layer.nodes()
-    users |= net.pure_authors
+        users.update(chain.from_iterable(layer.edges))
     return len(users)
 
 

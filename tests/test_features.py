@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bruteforce as bf
+
 from diffnet.features import (
     FEATURE_NAMES,
     N_FEATURES,
+    LayerFeatures,
     assemble_vector,
     extract_layer_features,
     featurize_article,
@@ -28,10 +32,7 @@ def _cascade(tweets, label=LABEL):
 
 
 def _layer(edges):
-    layer = LayerGraph("RT")
-    for src, dst in edges:
-        layer.add_interaction(src, dst)
-    return layer
+    return LayerGraph("RT", Counter((src, dst) for src, dst in edges if src != dst))
 
 
 class TestLayerFeatures:
@@ -103,6 +104,123 @@ class TestLayerFeatures:
                 assert feats.dwcc == 0
             if feats.lwcc >= 2:
                 assert feats.sv >= 1.0
+
+
+def _oracle_features(edges):
+    """The nine metrics from the brute-force definitions in ``bruteforce``."""
+    nodes = {v for edge in edges for v in edge}
+    sccs = bf.scc_sets(nodes, edges)
+    wccs = bf.wcc_sets(nodes, edges)
+    lwcc = min(wccs, key=lambda c: (-len(c), min(c)))
+    return LayerFeatures(
+        scc=len(sccs),
+        lscc=max(map(len, sccs)),
+        wcc=len(wccs),
+        lwcc=len(lwcc),
+        dwcc=bf.diameter(nodes, edges, lwcc),
+        cc=bf.avg_clustering(nodes, edges),
+        kc=bf.main_kcore_peeling(nodes, edges),
+        d=bf.density(nodes, edges),
+        sv=bf.avg_pair_distance(nodes, edges, lwcc),
+    )
+
+
+def _assert_matches_oracle(edges):
+    got = extract_layer_features(_layer(edges))
+    want = _oracle_features(edges)
+    assert replace(got, cc=0.0) == replace(want, cc=0.0)
+    assert got.cc == pytest.approx(want.cc)
+    return got
+
+
+def _names(rng, n):
+    """n distinct user ids in random order, so that their string order and
+    their order of first use mostly disagree."""
+    ids = [f"u{k}" for k in rng.sample(range(1000), n)]
+    rng.shuffle(ids)
+    return ids
+
+
+def _random_tree(rng, users):
+    """Randomly oriented edges of a random tree over ``users``: edge i - 1
+    joins users[i] to an earlier user, its parent."""
+    edges = []
+    for i in range(1, len(users)):
+        u, v = users[rng.randrange(i)], users[i]
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    return edges
+
+
+def _reciprocal_chain(users, edges, length):
+    """Reverse arcs for up to ``length`` tree edges on the path from the
+    last user towards the first, one reciprocal chain."""
+    pos = {u: i for i, u in enumerate(users)}
+    extra, node = [], users[-1]
+    while len(extra) < length and pos[node]:
+        u, v = edges[pos[node] - 1]
+        extra.append((v, u))
+        node = u if v == node else v
+    return extra
+
+
+class TestLayerFeaturesOracle:
+    """Every metric of the featurizer path against brute force, n <= 40."""
+
+    def test_random_trees(self):
+        rng = random.Random(71)
+        for n in range(2, 41):
+            edges = _random_tree(rng, _names(rng, n))
+            got = _assert_matches_oracle(edges)
+            assert (got.scc, got.wcc, got.lwcc) == (n, 1, n)
+
+    def test_forests_with_reciprocal_chains(self):
+        rng = random.Random(72)
+        spans = []
+        for n in range(3, 41):
+            users = _names(rng, n)
+            edges = []
+            for tree in (users[: n // 2 + 1], users[n // 2 + 1 :]):
+                tree_edges = _random_tree(rng, tree)
+                edges += tree_edges + _reciprocal_chain(tree, tree_edges, rng.randint(1, n))
+            rng.shuffle(edges)  # any user may come first, or a chain's middle last
+            got = _assert_matches_oracle(edges)
+            spans.append(got.lscc)
+        # chains of two or more reciprocal pairs join three or more users
+        assert sum(span >= 3 for span in spans) >= 10
+
+    def test_graphs_with_cycles(self):
+        rng = random.Random(73)
+        for n in range(3, 41):
+            users = _names(rng, n)
+            edges = _random_tree(rng, users)
+            edges += [tuple(rng.sample(users, 2)) for _ in range(rng.randint(1, n))]
+            rng.shuffle(edges)
+            _assert_matches_oracle(edges)
+
+    @pytest.mark.parametrize("star_first", [True, False])
+    def test_tied_largest_wccs_differ_in_diameter(self, star_first):
+        # a path and a star of five users each: the component holding the
+        # smallest user id is the largest WCC, wherever it appears
+        path = [("p3", "p1"), ("p1", "p4"), ("p4", "p0"), ("p0", "p2")]
+        star = [("s9", f"s{k}") for k in range(4)]
+        for low, high in (("a", "b"), ("b", "a")):
+            edges = [(low + u, low + v) for u, v in path]
+            edges += [(high + u, high + v) for u, v in star]
+            if star_first:
+                edges = edges[4:] + edges[:4]
+            got = _assert_matches_oracle(edges)
+            assert (got.wcc, got.lwcc) == (2, 5)
+            assert got.dwcc == (4 if low == "a" else 2)
+
+    def test_random_tied_components(self):
+        rng = random.Random(74)
+        for n in range(2, 21):
+            users = _names(rng, 2 * n)
+            edges = _random_tree(rng, users[:n]) + _random_tree(rng, users[n:])
+            if rng.random() < 0.5:
+                edges.append(tuple(rng.sample(users[n:], 2)))
+            got = _assert_matches_oracle(edges)
+            assert (got.wcc, got.lwcc) == (2, n)
 
 
 class TestVector:

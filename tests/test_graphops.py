@@ -37,6 +37,14 @@ class TestBasics:
         g = DirectedGraph([(1, 2)], nodes=[5])
         assert set(g.nodes) == {1, 2, 5}
 
+    def test_reciprocal_pair_is_one_undirected_edge(self):
+        # the adjacency lists hold each neighbour once, so a forest with
+        # reciprocal pairs is still seen as a forest by every shortcut
+        g = DirectedGraph([(1, 2), (2, 1), (2, 3), (3, 2), (4, 3)])
+        assert sorted(map(sorted, g._und)) == [[0, 2], [1], [1, 3], [2]]
+        assert g._is_forest()
+        assert g._reciprocal_pairs() == 2
+
     def test_undirected_adjacency_keyed_by_id(self):
         g = DirectedGraph([(1, 2), (3, 1)], nodes=[4])
         assert g.undirected_adj() == {1: {2, 3}, 2: {1}, 3: {1}, 4: set()}

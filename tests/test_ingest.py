@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import json
 import pickle
@@ -106,6 +107,44 @@ class TestParseRecords:
         first = _records(lines)
         second = _records([record_to_json(r) for r in first])
         assert first == second
+
+
+class TestParsePausesCollector:
+    """The cyclic GC is off while the lines are parsed and comes back in
+    the caller's state, whether the parse ends, fails or is interrupted."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_paused_inside_and_restored_after(self, gc_state):
+        seen = []
+
+        def lines():
+            for i in range(3):
+                seen.append(gc.isenabled())
+                yield _line(i)
+
+        assert len(parse_records(lines()).records) == 3
+        assert seen == [False] * 3
+        assert gc.isenabled() is gc_state
+
+    def test_restored_when_the_lines_raise(self, gc_state):
+        def lines():
+            yield _line(1)
+            raise OSError("read failed")
+
+        with pytest.raises(OSError):
+            parse_records(lines())
+        assert gc.isenabled() is gc_state
+
+    def test_restored_when_the_corpus_is_rejected(self, gc_state):
+        with pytest.raises(CorpusFormatError):
+            parse_records(["not json", "{", _line(1)])
+        assert gc.isenabled() is gc_state
 
 
 record_fields = attrgetter(*ref.FIELDS)

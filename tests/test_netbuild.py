@@ -119,6 +119,53 @@ class TestBuildNetwork:
         assert base.pure_tweet_count == other.pure_tweet_count
         assert base.pure_authors == other.pure_authors
 
+    def test_matches_one_interaction_at_a_time(self):
+        # the reference adds each interaction to a dict as the tweet makes
+        # it; the layers must hold the same items in the same order
+        rng = random.Random(78)
+        users = [f"u{k}" for k in range(12)]
+        tweets = []
+        for i in range(1, 400):
+            kw = {}
+            for field, p in (("retweet_of", 0.3), ("quote_of", 0.2), ("reply_to", 0.3)):
+                if rng.random() < p:
+                    kw[field] = rng.choice(users)
+            if rng.random() < 0.3:
+                kw["mentions"] = tuple(rng.sample(users, rng.randint(1, 3)))
+            tweets.append(_tweet(i, rng.choice(users), ts=rng.randint(1, 500), **kw))
+        cascade = _cascade(tweets)
+        want = {kind: {} for kind in LAYER_KINDS}
+        pure = []
+
+        def add(kind, src, dst):
+            if src != dst:
+                want[kind][(src, dst)] = want[kind].get((src, dst), 0) + 1
+
+        for t in cascade.tweets:
+            if t.interaction_free():
+                pure.append(t.author_id)
+                continue
+            if t.retweet_of is not None:
+                add("RT", t.retweet_of, t.author_id)
+            if t.quote_of is not None:
+                add("Q", t.quote_of, t.author_id)
+            if t.reply_to is not None:
+                add("R", t.author_id, t.reply_to)
+            for m in t.mentions:
+                add("M", t.author_id, m)
+        net = build_network(cascade)
+        assert list(net.layers) == list(LAYER_KINDS)
+        users = set(pure)
+        for kind in LAYER_KINDS:
+            ends = {v for edge in want[kind] for v in edge}
+            users |= ends
+            assert net.layers[kind].layer_kind == kind
+            assert list(net.layers[kind].edges.items()) == list(want[kind].items())
+            assert net.layers[kind].nodes() == ends
+        assert net.pure_tweet_count == len(pure)
+        assert net.pure_authors == frozenset(pure)
+        assert aggregate_user_count(net) == len(users)
+
     def test_weight_sums_match_interaction_counts(self):
         tweets = [
             _tweet(1, "u1", retweet_of="u2"),
