@@ -26,7 +26,8 @@ comes from the DIFFNET_JOBS environment variable).
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
-(`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`) exits 1. A `--folds` below
+(`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`, `E_LIMIT`) exits 1. A run
+that runs out of memory ends in `E_LIMIT`. A `--folds` below
 1, a `--test-fraction` outside (0, 1) or a `--C` that is not finite and
 positive is `E_INVARIANT`, raised before any network is built and before
 any report or ranking is written.
@@ -547,6 +548,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"E_INVARIANT: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("E_LIMIT: out of memory", file=sys.stderr)
         return 1
 
 

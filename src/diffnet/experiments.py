@@ -230,7 +230,8 @@ def temporal_sweep(
     Each cut keeps a prefix of its time-sorted cascade, and many cuts of an
     article keep the same prefix, so every distinct (article, prefix length)
     is featurized once, ``jobs`` processes sharing the work, and CV then
-    runs per lifetime on the shared vectors. The article set never shrinks
+    runs once per distinct row of shared vectors: lifetimes that keep the
+    same prefix of every article share one report. The article set never shrinks
     (the earliest tweet always survives) and every cell reuses the same
     master seed, so the longest lifetime on a fully covered corpus
     reproduces the untruncated report. Any jobs count gives the same series.
@@ -250,18 +251,18 @@ def temporal_sweep(
                 slot[key] = len(prefixes)
                 prefixes.append(cut)
             row.append(slot[key])
-        rows.append(row)
+        rows.append(tuple(row))
     samples = featurize(prefixes, jobs)
-    return [
-        (
-            lifetime,
-            stratified_shuffle_cv(
+    # lifetimes past every cascade's span keep the same prefixes, so equal
+    # rows share one (frozen) report
+    reports: dict[tuple[int, ...], EvaluationReport] = {}
+    for row in rows:
+        if row not in reports:
+            reports[row] = stratified_shuffle_cv(
                 [samples[i] for i in row],
                 folds=folds, test_fraction=test_fraction, seed=seed, C=C,
-            ),
-        )
-        for lifetime, row in zip(lifetimes, rows)
-    ]
+            )
+    return [(lifetime, reports[row]) for lifetime, row in zip(lifetimes, rows)]
 
 
 def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[ArticleFeatures]:

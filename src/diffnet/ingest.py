@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import re
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -152,10 +153,22 @@ def _record_from_obj(obj, ids: dict) -> TweetRecord:
     for target in (retweet_of, quote_of, reply_to):
         if target is not None and not (isinstance(target, str) and target):
             raise ValueError("interaction targets must be nonempty strings when present")
-    intern = ids.setdefault
     mentions = obj.get("mentions", [])
     if not isinstance(mentions, list):
         raise ValueError("mentions must be a list")
+    return _new_record(
+        tweet_id, author_id, timestamp, article_id,
+        retweet_of, quote_of, reply_to, mentions, ids,
+    )
+
+
+def _new_record(
+    tweet_id, author_id, timestamp, article_id,
+    retweet_of, quote_of, reply_to, mentions, ids: dict,
+) -> TweetRecord:
+    """The record of checked scalar fields and a ``mentions`` list whose
+    entries are checked here; equal ids come back as the one str in ``ids``."""
+    intern = ids.setdefault
     if mentions:
         # dedup preserving order; the reply target never doubles as a mention
         seen = {reply_to}
@@ -179,6 +192,19 @@ def _record_from_obj(obj, ids: dict) -> TweetRecord:
     )
 
 
+# The line record_to_json writes when every id is printable ASCII without
+# '"' or '\': such an id decodes to itself, and a timestamp of at most 18
+# digits stays far below int()'s digit limit. Any other line takes the scanner.
+_ID_TEXT = r'[ !#-\[\]-~]+'
+_ID = f'"({_ID_TEXT})"'
+_match_canonical = re.compile(
+    rf'{{"article_id":{_ID},"author_id":{_ID}'
+    rf'(?:,"mentions":\[("{_ID_TEXT}"(?:,"{_ID_TEXT}")*)\])?'
+    rf'(?:,"quote_of":{_ID})?(?:,"reply_to":{_ID})?(?:,"retweet_of":{_ID})?'
+    rf',"timestamp":([1-9][0-9]{{0,17}}),"tweet_id":{_ID}}}\n?\Z'
+).match
+
+
 # json.loads is this scanner between a JSON-whitespace skip and a check
 # that only JSON whitespace follows the value; parse_records does both inline
 _scan_once = json.JSONDecoder().scan_once
@@ -190,8 +216,11 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
 
     Each line is decoded exactly as ``json.loads`` decodes it: JSON
     whitespace may surround one value and nothing else may follow it.
-    Malformed lines (bad JSON, nesting too deep to decode, text that was
-    not valid UTF-8, missing or invalid fields) are counted and skipped.
+    A line in the form ``record_to_json`` writes, with every id printable
+    ASCII, is read by one anchored match instead of the JSON scanner and
+    gives the record the scanner would. Malformed lines (bad JSON, nesting
+    too deep to decode, text that was not valid UTF-8, missing or invalid
+    fields) are counted and skipped.
     Duplicate tweet_ids keep the first occurrence. Blank lines are ignored
     entirely. Raises CorpusFormatError when more than half of the
     non-blank lines are malformed.
@@ -208,13 +237,23 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
             if not line or line.isspace():
                 continue
             considered += 1
+            canonical = _match_canonical(line)
             try:
-                if not line.isascii():
-                    line.encode("utf-8")  # a lone surrogate here was an invalid byte
-                obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-                if line[end:].strip(_JSON_SPACE):
-                    raise ValueError("extra data after the JSON value")
-                record = _record_from_obj(obj, ids)
+                if canonical is not None:
+                    (article_id, author_id, mentions, quote_of, reply_to,
+                     retweet_of, timestamp, tweet_id) = canonical.groups()
+                    record = _new_record(
+                        tweet_id, author_id, int(timestamp), article_id,
+                        retweet_of, quote_of, reply_to,
+                        mentions[1:-1].split('","') if mentions else [], ids,
+                    )
+                else:
+                    if not line.isascii():
+                        line.encode("utf-8")  # a lone surrogate here was an invalid byte
+                    obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+                    if line[end:].strip(_JSON_SPACE):
+                        raise ValueError("extra data after the JSON value")
+                    record = _record_from_obj(obj, ids)
             except (ValueError, TypeError, RecursionError, StopIteration):
                 # the scanner raises StopIteration where no value starts
                 result.malformed += 1

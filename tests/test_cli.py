@@ -13,6 +13,8 @@ import diffnet.experiments as experiments
 import diffnet.features as features
 from diffnet.cli import CliError, main, parse_duration
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 CONFIG = {
     "disinformation": {
         "n_articles": 30, "cascade_mean": 2.5, "size_exponent": 2.1,
@@ -430,6 +432,58 @@ def test_manifest_written_before_failing_result(workspace, tmp_path, capsys):
     assert (tmp_path / "features.csv.manifest.json").is_file()
 
 
+def test_out_of_memory_ends_in_one_limit_line(workspace, tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(features, "featurize_article", exhausted)
+    code = main(["featurize", "--cascades", str(workspace / "cascades"),
+                 "--out", str(tmp_path / "features.csv"), "--jobs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_LIMIT:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Runs ``python -m diffnet`` under an address-space limit set after the
+# imports, at the child's own VmSize plus HEADROOM bytes, so the test does
+# not depend on how much numpy and scipy take to load.
+_LIMITED_CHILD = """
+import resource, runpy, sys
+import diffnet.cli
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (vm + HEADROOM, vm + HEADROOM))
+sys.argv = ["diffnet", *sys.argv[1:]]
+runpy.run_module("diffnet", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_featurize_under_a_memory_limit_ends_in_one_limit_line(tmp_path):
+    # 300,000 tweets take 64 to 128 MB once parsed, two to four times the headroom
+    cascades = tmp_path / "cascades"
+    cascades.mkdir()
+    with open(cascades / "tweets.jsonl", "w") as fh:
+        for i in range(300_000):
+            fh.write(f'{{"article_id":"a{i % 40:02d}","author_id":"u{i:09d}",'
+                     f'"timestamp":{1000 + i},"tweet_id":"t{i:09d}"}}\n')
+    with open(cascades / "labels.csv", "w") as fh:
+        fh.write("article_id,label,source,bias\n")
+        fh.writelines(f"a{a:02d},{'DM'[a % 2]},s.org,\n" for a in range(40))
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD.replace("HEADROOM", str(32 * 2**20)),
+         "featurize", "--cascades", str(cascades), "--out", str(tmp_path / "f.csv"),
+         "--jobs", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("E_LIMIT:"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_console_script_version():
     proc = subprocess.run(
         ["diffnet", "--version"], capture_output=True, text=True,
@@ -440,8 +494,7 @@ def test_console_script_version():
 
 def _run_module(*args):
     """``python -m diffnet ARGS`` from the source tree, without installing."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-m", "diffnet", *args],
         capture_output=True, text=True, env=env,

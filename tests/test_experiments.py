@@ -419,6 +419,23 @@ class TestTemporalSweep:
         }
         assert len(calls) == len(distinct) < len(LIFETIME_LADDER) * len(cascades)
 
+    def test_each_distinct_row_cross_validated_once(self, monkeypatch):
+        cascades = _mini_corpus(random.Random(13), n_per_class=6)
+        calls = []
+        original = experiments.stratified_shuffle_cv
+
+        def counting(samples, **kwargs):
+            calls.append(samples)
+            return original(samples, **kwargs)
+
+        monkeypatch.setattr(experiments, "stratified_shuffle_cv", counting)
+        temporal_sweep(cascades, folds=3, seed=5)
+        rows = {
+            tuple(len(truncate_by_lifetime(c, lifetime).tweets) for c in cascades)
+            for lifetime in LIFETIME_LADDER
+        }
+        assert len(calls) == len(rows) < len(LIFETIME_LADDER)
+
     def test_jobs_give_the_same_reports(self):
         cascades = _mini_corpus(random.Random(14), n_per_class=6)
         lifetimes = (600, 1800, 3600, 86400)

@@ -10,6 +10,7 @@ from operator import attrgetter
 import pytest
 
 import reference_ingest as ref
+import diffnet.ingest as ingest
 from diffnet.ingest import (
     ArticleCascade,
     ArticleLabel,
@@ -27,7 +28,12 @@ from diffnet.ingest import (
 from diffnet.synth import default_config, generate_corpus
 
 
-def _line(i=1, **overrides):
+def _canonical(obj):
+    """The bytes record_to_json writes for a record's fields."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _line(i=1, dumps=json.dumps, **overrides):
     obj = {
         "tweet_id": f"t{i}",
         "author_id": f"u{i}",
@@ -35,7 +41,7 @@ def _line(i=1, **overrides):
         "article_id": "a1",
     }
     obj.update(overrides)
-    return json.dumps(obj)
+    return dumps(obj)
 
 
 def _records(lines):
@@ -163,8 +169,8 @@ def _assert_matches_reference(lines):
 _BASE = {"tweet_id": "t0", "author_id": "u0", "timestamp": 1000, "article_id": "a1"}
 
 # one line each; every case is parsed between two well-formed lines
-VALIDATOR_CASES = [
-    json.dumps(dict(_BASE, **extra))
+_VALIDATOR_OBJECTS = [
+    dict(_BASE, **extra)
     for extra in (
         {},
         {"mentions": None},
@@ -203,10 +209,8 @@ VALIDATOR_CASES = [
         {"article_id": ["a1"]},
         {"text": "hello", "lang": "en", "retweet_count": 3},
     )
-] + [
-    json.dumps({k: v for k, v in _BASE.items() if k != missing})
-    for missing in _BASE
-] + [
+] + [{k: v for k, v in _BASE.items() if k != missing} for missing in _BASE]
+VALIDATOR_CASES = [json.dumps(obj) for obj in _VALIDATOR_OBJECTS] + [
     "[1, 2]", "42", '"a string"', "null", "true", "{", "not json",
     '{"tweet_id": "t0", "tweet_id": "t5", "author_id": "u0", '
     '"timestamp": 9, "article_id": "a1"}',
@@ -218,18 +222,56 @@ VALIDATOR_CASES = [
 
 # lines that json.loads and the scanner path must treat alike: JSON
 # whitespace (space, tab, CR, LF) around the value only, and no value at all
-_GOOD = json.dumps(_BASE)
-DECODE_CASES = [
-    " " + _GOOD, "\t" + _GOOD, "\r" + _GOOD, " \t\r\n " + _GOOD,
-    _GOOD + "\r\n", _GOOD + "\n", _GOOD + " \t\r ",
-    _GOOD + "\x0c", _GOOD + "\u00a0", _GOOD + "\u2028", _GOOD + "\x0b",
-    "\x0c" + _GOOD, "\u00a0" + _GOOD, "\u2028" + _GOOD,
-    "\ufeff" + _GOOD, " \ufeff" + _GOOD,
-    _GOOD + _GOOD, _GOOD + " x", _GOOD + " {}", "{}{}", "{} x",
-    "NaN", "-Infinity", "1", '"s"', "[]",
+def _decode_cases(good):
+    return [
+        " " + good, "\t" + good, "\r" + good, " \t\r\n " + good,
+        good + "\r\n", good + "\n", good + " \t\r ",
+        good + "\x0c", good + "\u00a0", good + "\u2028", good + "\x0b",
+        "\x0c" + good, "\u00a0" + good, "\u2028" + good,
+        "\ufeff" + good, " \ufeff" + good,
+        good + good, good + " x", good + " {}",
+    ]
+
+
+DECODE_CASES = _decode_cases(json.dumps(_BASE)) + [
+    "{}{}", "{} x", "NaN", "-Infinity", "1", '"s"', "[]",
     "n", "nul", "null x", "nx", "t", "tru", "true1", "tx", "x", "xyz",
     "\x0c", "\u2028", " \u00a0 ",
 ]
+
+
+def _fuzz_lines(dumps):
+    """3,000 seeded lines: mostly valid records, some odd values and cut lines."""
+    rng = random.Random(11)
+    users = ["u1", "u2", "u3", "u4", "u5"]
+    odd = ["", None, 0, 1, -1, 2.5, True, False, [], {}, ["u1"], "u1"]
+
+    def valid(key):
+        if key == "tweet_id":
+            return f"t{rng.randint(1, 1500)}"
+        if key == "timestamp":
+            return rng.randint(1, 10**6)
+        if key == "mentions":
+            return [rng.choice(users if rng.random() < 0.95 else odd)
+                    for _ in range(rng.randint(0, 4))]
+        return rng.choice(users)
+
+    lines = []
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.03:
+            lines.append(dumps(rng.choice(odd)))
+            continue
+        obj = {
+            key: valid(key) if rng.random() < 0.95 else rng.choice(odd)
+            for key in ref.FIELDS + ("text",)
+            if rng.random() < (0.98 if key in _BASE else 0.4)
+        }
+        line = dumps(obj)
+        if roll < 0.06:
+            line = line[: rng.randint(0, len(line))]
+        lines.append(line)
+    return lines
 
 
 class TestValidatorMatchesReference:
@@ -247,36 +289,119 @@ class TestValidatorMatchesReference:
         )
 
     def test_seeded_fuzz(self):
-        rng = random.Random(11)
-        users = ["u1", "u2", "u3", "u4", "u5"]
-        odd = ["", None, 0, 1, -1, 2.5, True, False, [], {}, ["u1"], "u1"]
+        _assert_matches_reference(_fuzz_lines(json.dumps))
 
-        def valid(key):
-            if key == "tweet_id":
-                return f"t{rng.randint(1, 1500)}"
-            if key == "timestamp":
-                return rng.randint(1, 10**6)
-            if key == "mentions":
-                return [rng.choice(users if rng.random() < 0.95 else odd)
-                        for _ in range(rng.randint(0, 4))]
-            return rng.choice(users)
 
-        lines = []
-        for _ in range(3000):
-            roll = rng.random()
-            if roll < 0.03:
-                lines.append(json.dumps(rng.choice(odd)))
-                continue
-            obj = {
-                key: valid(key) if rng.random() < 0.95 else rng.choice(odd)
-                for key in ref.FIELDS + ("text",)
-                if rng.random() < (0.98 if key in _BASE else 0.4)
-            }
-            line = json.dumps(obj)
-            if roll < 0.06:
-                line = line[: rng.randint(0, len(line))]
-            lines.append(line)
+_CANONICAL_GOOD = _canonical(_BASE)
+_WITH_TIMESTAMP = '{"article_id":"a1","author_id":"u0","timestamp":%s,"tweet_id":"t0"}'
+
+# (line, whether the anchored match reads it): lines in the canonical form
+# and lines one step away from it, which the JSON scanner reads
+CANONICAL_EDGE_CASES = [
+    (_WITH_TIMESTAMP % ("1" * 5000), False),
+    (_WITH_TIMESTAMP % ("9" * 18), True),
+    (_WITH_TIMESTAMP % ("1" + "0" * 18), False),
+    (_WITH_TIMESTAMP % "0", False),
+    (_WITH_TIMESTAMP % "01", False),
+    (_WITH_TIMESTAMP % "1.0", False),
+    (_canonical(dict(_BASE, mentions=[])), False),
+    (_canonical(dict(_BASE, reply_to="u9", mentions=["u9", "u2"])), True),
+    (_canonical(dict(_BASE, reply_to="u9", mentions=["u9"])), True),
+    (_canonical(dict(_BASE, mentions=["u2", "u3", "u2", "u3"])), True),
+    (_canonical(dict(_BASE, author_id="u/", retweet_of="r/", mentions=["m/"])), True),
+    (_canonical(dict(_BASE, author_id="u ~!", quote_of=" ", mentions=["#[]"])), True),
+    (_canonical(dict(_BASE, mentions=["a,b", ",", "a", "b", "a,b"])), True),
+    (_canonical(dict(_BASE, author_id="u\x7f", retweet_of="r\x7f")), False),
+    (_canonical(dict(_BASE, author_id='u"', mentions=['m"'])), False),
+    (_canonical(dict(_BASE, author_id="u\\", reply_to="r\\")), False),
+    (_canonical(dict(_BASE, author_id="u\x1f")), False),
+    (_canonical(dict(_BASE, author_id="üser")), False),
+    # raw, as json.dumps(..., ensure_ascii=False) or a hand-made file has them
+    (_WITH_TIMESTAMP.replace("u0", "u\x7f") % 9, False),
+    (_WITH_TIMESTAMP.replace("u0", "u\x1f") % 9, False),
+    (_WITH_TIMESTAMP.replace("u0", "üser") % 9, False),
+    (_WITH_TIMESTAMP.replace("u0", "u\udcff") % 9, False),
+    (_CANONICAL_GOOD + "\n", True),
+    (_CANONICAL_GOOD + " ", False),
+    (_CANONICAL_GOOD + " \n", False),
+    (_CANONICAL_GOOD + "\n\n", False),
+    (_CANONICAL_GOOD + "\r\n", False),
+]
+CANONICAL_CASES = (
+    [_canonical(obj) for obj in _VALIDATOR_OBJECTS]
+    + [line for line, _ in CANONICAL_EDGE_CASES]
+    + _decode_cases(_CANONICAL_GOOD)
+)
+
+
+def _takes_match(line):
+    return ingest._match_canonical(line) is not None
+
+
+class TestCanonicalLinesMatchReference:
+    """The same oracle on lines in the form record_to_json writes: with
+    every id printable ASCII they take the anchored match, and any other
+    line takes the scanner."""
+
+    @pytest.mark.parametrize("case", CANONICAL_CASES, ids=range(len(CANONICAL_CASES)))
+    def test_table(self, case):
+        _assert_matches_reference([_line(1, _canonical), case, _line(2, _canonical)])
+
+    def test_edge_cases_take_the_stated_path(self):
+        assert [_takes_match(line) for line, _ in CANONICAL_EDGE_CASES] == [
+            takes for _, takes in CANONICAL_EDGE_CASES
+        ]
+        assert _takes_match(_CANONICAL_GOOD)
+
+    def test_whole_table_with_duplicates(self):
+        _assert_matches_reference(
+            CANONICAL_CASES + [_line(i, _canonical) for i in range(60)]
+        )
+
+    def test_seeded_fuzz(self):
+        lines = _fuzz_lines(_canonical)
+        assert 1000 < sum(map(_takes_match, lines)) < len(lines)
         _assert_matches_reference(lines)
+
+    def test_last_line_without_newline(self, tmp_path):
+        lines = [_line(i, _canonical, mentions=[f"u{i + 1}"]) for i in range(4)]
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines))
+        expected, malformed, duplicates = ref.parse_lines(lines)
+        result = load_tweets_file(path)
+        assert [record_fields(r) for r in result.records] == expected
+        assert (result.malformed, result.duplicates) == (malformed, duplicates) == (0, 0)
+
+    def test_ids_are_shared_across_both_paths(self):
+        first, second, third = _records([
+            _line(1, _canonical, author_id="u5", mentions=["u7"]),
+            _line(2, author_id="u5", retweet_of="u7"),
+            _line(3, _canonical, author_id="u7", reply_to="u5"),
+        ])
+        assert first.author_id is second.author_id is third.reply_to
+        assert first.mentions[0] is second.retweet_of is third.author_id
+        assert first.article_id is second.article_id is third.article_id
+
+    def test_synth_corpus_never_reaches_the_scanner(self, tmp_path, monkeypatch):
+        config = default_config(seed=4)
+        config = dataclasses.replace(
+            config,
+            disinformation=dataclasses.replace(config.disinformation, n_articles=6),
+            mainstream=dataclasses.replace(config.mainstream, n_articles=6),
+        )
+        records, _ = generate_corpus(config)
+        path = tmp_path / "tweets.jsonl"
+        write_tweets_file(path, records)
+
+        def unreachable(*args):
+            raise AssertionError("a line written by write_tweets_file left the fast path")
+
+        monkeypatch.setattr(ingest, "_scan_once", unreachable)
+        monkeypatch.setattr(ingest, "_record_from_obj", unreachable)
+        result = load_tweets_file(path)
+        assert (result.malformed, result.duplicates) == (0, 0)
+        assert result.records == records
+        assert any(r.mentions for r in records) and any(r.quote_of for r in records)
 
 
 # characters the writer must escape, or pass through, exactly as json.dumps
