@@ -22,7 +22,8 @@ plus `labels.csv`. Every run first writes a `manifest.json` recording the
 command, resolved options, sha256 digests of its inputs, the seed and the
 output names, then produces the outputs; reruns with the same inputs and
 seed are byte-identical at any `--jobs` setting (the default jobs count
-comes from the DIFFNET_JOBS environment variable).
+comes from the DIFFNET_JOBS environment variable). A jobs count below 1,
+from the flag or the environment, is `E_USAGE`.
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
@@ -101,15 +102,17 @@ def parse_duration(text: str) -> int:
 
 
 def _jobs(args) -> int:
-    """`--jobs` if given, else DIFFNET_JOBS, else 1."""
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get("DIFFNET_JOBS", "1").strip()
+    """`--jobs` if given, else DIFFNET_JOBS, else 1; below 1 is E_USAGE."""
+    source, raw = "--jobs", args.jobs
+    if raw is None:
+        source, raw = "DIFFNET_JOBS", os.environ.get("DIFFNET_JOBS", "1").strip()
     try:
         jobs = int(raw)
     except ValueError:
-        raise CliError("E_USAGE", f"DIFFNET_JOBS must be an integer, got {raw!r}")
-    return max(1, jobs)
+        raise CliError("E_USAGE", f"{source} must be an integer, got {raw!r}")
+    if jobs < 1:
+        raise CliError("E_USAGE", f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _require_file(path: str) -> Path:

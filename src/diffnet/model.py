@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .features import ArticleFeatures
 from .ingest import CLASS_DISINFORMATION, CLASS_MAINSTREAM, ArticleLabel
@@ -124,6 +123,13 @@ class LogisticModel:
     objective_history: list[float]
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid; exp overflows to inf for z below about -709,
+    which gives the exact limit 0.0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def logistic_objective(
     theta: np.ndarray, X: np.ndarray, y: np.ndarray, C: float, omega: np.ndarray
 ) -> float:
@@ -139,7 +145,7 @@ def logistic_gradient(
     w, b = theta[:-1], theta[-1]
     margins = y * (X @ w + b)
     # d/dz log(1+exp(-yz)) = -y * sigma(-yz)
-    coef = C * omega * (-y) * expit(-margins)
+    coef = C * omega * (-y) * _expit(-margins)
     grad_w = w + X.T @ coef
     grad_b = float(np.sum(coef))
     return np.concatenate([grad_w, [grad_b]])
@@ -149,7 +155,7 @@ def _hessian(
     theta: np.ndarray, X: np.ndarray, y: np.ndarray, C: float, omega: np.ndarray
 ) -> np.ndarray:
     w, b = theta[:-1], theta[-1]
-    p = expit(X @ w + b)
+    p = _expit(X @ w + b)
     s = C * omega * p * (1.0 - p)
     d = X.shape[1]
     H = np.empty((d + 1, d + 1))
@@ -239,7 +245,7 @@ def train_logistic(
 
 def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     """P(class D) for each row."""
-    return expit(np.asarray(X, dtype=np.float64) @ model.weights + model.intercept)
+    return _expit(np.asarray(X, dtype=np.float64) @ model.weights + model.intercept)
 
 
 def rank_auroc(scores: np.ndarray, positive: np.ndarray) -> float:

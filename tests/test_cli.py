@@ -1,14 +1,17 @@
 """End-to-end CLI tests: the pipeline chain, manifests, determinism at any
 jobs count, and the one-line error contract."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import diffnet.cli as cli
 import diffnet.experiments as experiments
 import diffnet.features as features
 from diffnet.cli import CliError, main, parse_duration
@@ -50,6 +53,26 @@ def workspace(tmp_path_factory):
         "--out", str(root / "features.csv"),
     ]) == 0
     return root
+
+
+def test_every_long_option_is_documented():
+    subparsers = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    missing = []
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                # --help is argparse's own, on every subcommand
+                if not option.startswith("--") or option == "--help":
+                    continue
+                pattern = re.escape(option) + r"(?![\w-])"
+                for doc_name, text in (("README.md", readme), ("cli.__doc__", cli.__doc__)):
+                    if not re.search(pattern, text):
+                        missing.append((command, option, doc_name))
+    assert missing == []
 
 
 # ------------------------------------------------------------- durations
@@ -262,6 +285,31 @@ def test_bad_jobs_env_only_breaks_commands_with_jobs(
     assert out.read_bytes() == (workspace / "features.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["synth", "featurize", "temporal"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_jobs_below_one_is_a_usage_error(
+    workspace, tmp_path, capsys, monkeypatch, command, jobs, source
+):
+    cascades = str(workspace / "cascades")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", str(out)],
+        "featurize": ["featurize", "--cascades", cascades, "--out", str(out / "f.csv")],
+        "temporal": ["temporal", "--cascades", cascades, "--out", str(out)],
+    }[command]
+    if source == "flag":
+        argv += ["--jobs", jobs]
+        name = "--jobs"
+    else:
+        monkeypatch.setenv("DIFFNET_JOBS", jobs)
+        name = "DIFFNET_JOBS"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"E_USAGE: {name} must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_evaluate_rerun_byte_identical(workspace, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -447,7 +495,7 @@ def test_out_of_memory_ends_in_one_limit_line(workspace, tmp_path, capsys, monke
 
 # Runs ``python -m diffnet`` under an address-space limit set after the
 # imports, at the child's own VmSize plus HEADROOM bytes, so the test does
-# not depend on how much numpy and scipy take to load.
+# not depend on how much numpy and the package take to load.
 _LIMITED_CHILD = """
 import resource, runpy, sys
 import diffnet.cli

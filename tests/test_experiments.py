@@ -11,6 +11,7 @@ from diffnet.experiments import (
     chi2_ranking,
     chi2_scores,
     featurize_cascades,
+    kolmogorov,
     ks_two_sample,
     layer_ablation,
     layer_feature_indices,
@@ -387,6 +388,29 @@ class TestKS:
         for _, d, p, _ in rows:
             assert 0.0 <= d <= 1.0
             assert 0.0 <= p <= 1.0
+
+
+class TestKolmogorov:
+    """The pure-Python port against scipy.special.kolmogorov, bit for bit:
+    the KS report prints p-values with repr."""
+
+    def test_grid_matches_scipy_exactly(self):
+        from scipy.special import kolmogorov as oracle
+
+        xs = np.linspace(0.0, 10.0, 900_001)
+        got = np.array([kolmogorov(float(x)) for x in xs])
+        mismatched = np.flatnonzero(got != oracle(xs))
+        assert mismatched.size == 0, xs[mismatched[:5]]
+
+    def test_edges_match_scipy_exactly(self):
+        from scipy.special import kolmogorov as oracle
+
+        small = experiments._KOLMOGOROV_SMALL_X
+        edges = [0.0, 5e-324, 40.0, 1e300]
+        for x in (small, 0.82):
+            edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        for x in edges:
+            assert kolmogorov(x) == float(oracle(x)), x
 
 
 class TestTemporalSweep:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from diffnet.features import ArticleFeatures
+from diffnet.features import N_FEATURES, ArticleFeatures, write_features_file
 from diffnet.ingest import ArticleLabel, CorpusFormatError
 from diffnet.model import (
     EvaluationReport,
     FoldMetrics,
     LabeledSample,
+    _expit,
     fit_standardizer,
     fold_test_indices,
     logistic_gradient,
@@ -386,17 +387,55 @@ class TestFoldPolicy:
             assert idx.tolist() == expected.tolist()
 
 
-def test_import_leaves_scipy_stats_unloaded():
+class TestExpit:
+    def test_matches_scipy_within_1e_15(self):
+        from scipy.special import expit
+
+        z = np.linspace(-800.0, 800.0, 1_600_001)
+        got, want = _expit(z), expit(z)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nonzero = want != 0.0
+        assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= 1e-15
+
+    def test_saturates_without_a_warning(self):
+        # pytest turns a RuntimeWarning (here: exp overflow) into an error
+        assert _expit(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+
+
+# imports the package, runs ``python -m diffnet ARGS`` when ARGS are given,
+# then prints the scipy modules loaded
+_SCIPY_PROBE = """
+import runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+import diffnet
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("diffnet", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import diffnet; "
-        "print('scipy.stats' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(src)], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    features_csv = tmp_path / "features.csv"
+    rng = np.random.default_rng(0)
+    write_features_file(features_csv, _blob_samples(rng, n_per_class=20, dim=N_FEATURES))
+    # evaluate reaches the sigmoid and rank-features --method ks the
+    # Kolmogorov distribution; neither may load scipy on the way
+    for argv in (
+        [],
+        ["evaluate", "--features", str(features_csv), "--out", str(tmp_path / "e")],
+        ["rank-features", "--features", str(features_csv), "--method", "ks",
+         "--out", str(tmp_path / "k")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, str(src), *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", argv
 
 
 class TestSamplesToXY:
