@@ -81,9 +81,8 @@ def extract_layer_features(layer: LayerGraph) -> LayerFeatures:
         return _EMPTY
     g = layer.to_directed_graph()
     n_scc, sccs = graphops.scc_groups(g)
-    n_wcc, lwcc_nodes = graphops.largest_wcc(g)
-    max_dist, dist_sum = graphops.undirected_distance_stats(g, lwcc_nodes)
-    n = len(lwcc_nodes)
+    n_wcc, c, n = graphops.largest_component(g)
+    max_dist, dist_sum = graphops.component_distance_stats(g, c)
     sv = 0.0 if n == 1 else dist_sum / (n * (n - 1))
     return LayerFeatures(
         scc=n_scc,

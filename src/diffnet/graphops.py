@@ -5,10 +5,15 @@ dropped, and metrics that call for an undirected view use the simple
 undirected projection. Distances (diameter, structural virality) are
 exact.
 
-A :class:`DirectedGraph` relabels its node ids to 0..n-1 once, in order
-of first appearance, and every kernel runs on those integers; ids
-reappear only in returned sets and lists. It keeps the set of directed
-arcs and the undirected adjacency as deduplicated lists, counting
+A :class:`DirectedGraph` runs every kernel on integer labels 0..n-1.
+Built from edges, it relabels their node ids once, in order of first
+appearance; a layer that labelled its users as it was built hands over
+its id list and labelled arcs, and both go through one builder. Ids
+reappear only in returned sets and lists, and the id -> label dict is
+made only when a function that takes node ids asks for it. The
+featurizer picks the largest weakly connected component by its index
+and hands that index to the distance kernel. The graph keeps the
+directed arcs and the undirected adjacency as deduplicated lists, counting
 |E_und| as it builds them; successor and predecessor sets are built only
 when a kernel follows directions. One cached breadth-first search labels
 the weakly connected components and records each node's parent, so each
@@ -51,7 +56,7 @@ class DirectedGraph:
     built, so whatever a kernel derives from it is cached.
     """
 
-    __slots__ = ("_index", "_ids", "_arcs", "_und", "_und_edges", "_succ", "_pred", "_wcc")
+    __slots__ = ("_ids", "_index", "_arcs", "_und", "_und_edges", "_succ", "_pred", "_wcc")
 
     def __init__(
         self,
@@ -66,22 +71,40 @@ class DirectedGraph:
             for u, v in edges
             if u != v
         }
+        self._build(list(index), arcs)
+        self._index = index
+
+    @classmethod
+    def _labelled(cls, ids: list, arcs) -> DirectedGraph:
+        """The graph on nodes ``ids`` whose arcs are distinct label pairs
+        (i, j) with i != j, a set or a dict's keys; neither is copied."""
+        g = cls.__new__(cls)
+        g._build(ids, arcs)
+        return g
+
+    def _build(self, ids: list, arcs) -> None:
         # one entry per undirected edge; a reciprocal pair enters from i < j
         und_pairs = [(i, j) for i, j in arcs if i < j or (j, i) not in arcs]
-        und: list[list[int]] = [[] for _ in index]
+        und: list[list[int]] = [[] for _ in ids]
         for i, j in und_pairs:
             und[i].append(j)
             und[j].append(i)
-        self._index = index
-        self._ids = list(index)
+        self._ids = ids
         self._arcs = arcs
         self._und = und
         self._und_edges = len(und_pairs)
-        self._succ = self._pred = self._wcc = None
+        self._index = self._succ = self._pred = self._wcc = None
+
+    def _labels(self) -> dict:
+        """Node id -> integer label (cached); built only for the functions
+        that take node ids."""
+        if self._index is None:
+            self._index = dict(zip(self._ids, range(len(self._ids))))
+        return self._index
 
     @property
     def nodes(self):
-        return self._index.keys()
+        return self._labels().keys()
 
     def number_of_nodes(self) -> int:
         return len(self._ids)
@@ -223,16 +246,25 @@ def weakly_connected_components(g: DirectedGraph) -> list[set]:
     return [set(map(ids.__getitem__, comp)) for comp in g._components()[1]]
 
 
+def largest_component(g: DirectedGraph) -> tuple[int, int, int]:
+    """Number of weakly connected components, and the index of the largest
+    in the graph's component list and its size; a tie goes to the
+    component with the smallest node id."""
+    comps = g._components()[1]
+    sizes = list(map(len, comps))
+    size = max(sizes)
+    if sizes.count(size) == 1:
+        return len(comps), sizes.index(size), size
+    ids = g._ids
+    tied = [c for c, s in enumerate(sizes) if s == size]
+    return len(comps), min(tied, key=lambda c: min(map(ids.__getitem__, comps[c]))), size
+
+
 def largest_wcc(g: DirectedGraph) -> tuple[int, list]:
     """Number of weakly connected components, and the node ids of the
     largest; a tie goes to the component with the smallest node id."""
-    ids = g._ids
-    comps = g._components()[1]
-    size = max(map(len, comps))
-    tied = [c for c in comps if len(c) == size]
-    if len(tied) > 1:
-        tied.sort(key=lambda c: min(map(ids.__getitem__, c)))
-    return len(comps), list(map(ids.__getitem__, tied[0]))
+    n_wcc, c, _ = largest_component(g)
+    return n_wcc, list(map(g._ids.__getitem__, g._components()[1][c]))
 
 
 def _eccentricity(adj: list[list[int]], src: int) -> int:
@@ -290,7 +322,7 @@ def _general_distance_stats(adj: list[list[int]]) -> tuple[int, int]:
     return max_dist, total
 
 
-def _component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
+def component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
     """Diameter and ordered-pair distance sum of weakly connected component c.
 
     On a tree, reverse search order puts children before their parents, an
@@ -328,7 +360,7 @@ def undirected_distance_stats(
     if nodes is None:
         members = range(len(g._ids))
     else:
-        index = g._index
+        index = g._labels()
         try:
             members = [index[v] for v in set(nodes)]
         except KeyError as exc:
@@ -339,13 +371,13 @@ def undirected_distance_stats(
     label, comps, _ = g._components()
     c = label[members[0]]
     if len(comps[c]) == n and all(label[v] == c for v in members):
-        return _component_distance_stats(g, c)
+        return component_distance_stats(g, c)
     keep = set(members)
     und = g._und
     sub = DirectedGraph(((v, w) for v in members for w in und[v] if w in keep), members)
     if len(sub._components()[1]) > 1:
         raise ValueError("node set does not induce a connected subgraph")
-    return _component_distance_stats(sub, 0)
+    return component_distance_stats(sub, 0)
 
 
 def diameter_undirected(
@@ -369,10 +401,8 @@ def structural_virality(
     """
     members = set(g.nodes) if nodes is None else set(nodes)
     n = len(members)
-    if n == 1:
-        return 0.0
-    _, total = undirected_distance_stats(g, members)
-    return total / (n * (n - 1))
+    _, total = undirected_distance_stats(g, members)  # checks the node set
+    return 0.0 if n == 1 else total / (n * (n - 1))
 
 
 def average_clustering(g: DirectedGraph) -> float:

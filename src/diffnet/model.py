@@ -194,14 +194,13 @@ def train_logistic(
     theta = np.zeros(d + 1)
     obj = logistic_objective(theta, X, y, C, omega)
     history = [obj]
-    converged = False
+    # the gradient at each accepted point serves its convergence test and
+    # the next step
+    grad = logistic_gradient(theta, X, y, C, omega)
+    converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
     iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        grad = logistic_gradient(theta, X, y, C, omega)
-        if np.max(np.abs(grad)) <= GRADIENT_TOL:
-            converged = True
-            iterations -= 1
-            break
+    while not converged and iterations < MAX_ITERATIONS:
+        iterations += 1
         H = _hessian(theta, X, y, C, omega)
         # tiny ridge keeps the solve well-posed when p*(1-p) underflows
         H[np.diag_indices_from(H)] += 1e-10
@@ -229,10 +228,8 @@ def train_logistic(
         theta = candidate
         obj = cand_obj
         history.append(obj)
-        grad_next = logistic_gradient(theta, X, y, C, omega)
-        if np.max(np.abs(grad_next)) <= GRADIENT_TOL:
-            converged = True
-            break
+        grad = logistic_gradient(theta, X, y, C, omega)
+        converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
     return LogisticModel(
         weights=theta[:-1],
         intercept=float(theta[-1]),

@@ -11,15 +11,20 @@ Repeated interactions between the same ordered pair increment the edge
 weight. Self-interactions are dropped. Tweets with no interaction targets
 at all are "pure": the network stores their count T and their distinct
 authors, whose number is U.
+
+Each layer labels its users 0..n-1 in order of first appearance as the
+tweets are read, and keeps its weighted arcs on those labels, which the
+graph kernels take as they are; ``LayerGraph.edges`` maps them back to
+user ids on each read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import Optional
 
 from .graphops import DirectedGraph
 from .ingest import ArticleCascade
@@ -27,21 +32,62 @@ from .ingest import ArticleCascade
 LAYER_KINDS = ("Q", "RT", "M", "R")
 
 
-@dataclass
 class LayerGraph:
-    """Weighted directed layer; nodes exist only as edge endpoints."""
+    """Weighted directed layer; users exist only as edge endpoints.
 
-    layer_kind: str
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
+    ``ids`` lists the layer's users, labelled 0..n-1 in order of first
+    appearance, and ``arcs`` maps each labelled pair (i, j) to its weight,
+    in the order its first interaction came. ``LayerGraph(kind, edges)``
+    labels a dict of weighted user-id pairs the same way, dropping
+    self-loops as :func:`build_network` drops self-interactions.
+    """
+
+    __slots__ = ("layer_kind", "ids", "arcs")
+
+    def __init__(
+        self, layer_kind: str, edges: Optional[dict[tuple[str, str], int]] = None
+    ) -> None:
+        index: dict[str, int] = {}
+        self.layer_kind = layer_kind
+        self.arcs = {
+            (index.setdefault(u, len(index)), index.setdefault(v, len(index))): weight
+            for (u, v), weight in (edges or {}).items()
+            if u != v
+        }
+        self.ids = list(index)
+
+    @classmethod
+    def _labelled(
+        cls, layer_kind: str, ids: list[str], arcs: dict[tuple[int, int], int]
+    ) -> LayerGraph:
+        """A layer whose users are labelled already; nothing is copied."""
+        layer = cls.__new__(cls)
+        layer.layer_kind, layer.ids, layer.arcs = layer_kind, ids, arcs
+        return layer
+
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """The weighted arcs keyed by user-id pairs, in first-edge order;
+        computed on each read."""
+        ids = self.ids
+        return {(ids[i], ids[j]): weight for (i, j), weight in self.arcs.items()}
 
     def nodes(self) -> set[str]:
-        return set(chain.from_iterable(self.edges))
+        return set(self.ids)
 
     def is_empty(self) -> bool:
-        return not self.edges
+        return not self.arcs
 
     def to_directed_graph(self) -> DirectedGraph:
-        return DirectedGraph(self.edges.keys())
+        return DirectedGraph._labelled(self.ids, self.arcs.keys())
+
+    def __eq__(self, other):
+        if not isinstance(other, LayerGraph):
+            return NotImplemented
+        return self.layer_kind == other.layer_kind and self.edges == other.edges
+
+    def __repr__(self) -> str:
+        return f"LayerGraph({self.layer_kind!r}, {self.edges!r})"
 
 
 @dataclass
@@ -63,8 +109,12 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
     """
     if not cascade.tweets:
         raise ValueError(f"cascade {cascade.article_id!r} has no tweets")
-    pairs: tuple[list[tuple[str, str]], ...] = ([], [], [], [])
-    q, rt, m, r = pairs  # LAYER_KINDS order
+    # per layer, in LAYER_KINDS order: each user's label, and one labelled
+    # pair per interaction
+    index: tuple[dict[str, int], ...] = ({}, {}, {}, {})
+    pairs: tuple[list[tuple[int, int]], ...] = ([], [], [], [])
+    q, rt, m, r = pairs
+    qx, rtx, mx, rx = index
     pure_authors: set[str] = set()
     pure_count = 0
     for t in cascade.tweets:
@@ -76,16 +126,19 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
             continue
         # self-interactions make a tweet impure but add no edge
         if src is not None and src != a:
-            rt.append((src, a))
+            rt.append((rtx.setdefault(src, len(rtx)), rtx.setdefault(a, len(rtx))))
         if quoted is not None and quoted != a:
-            q.append((quoted, a))
+            q.append((qx.setdefault(quoted, len(qx)), qx.setdefault(a, len(qx))))
         if dst is not None and dst != a:
-            r.append((a, dst))
+            r.append((rx.setdefault(a, len(rx)), rx.setdefault(dst, len(rx))))
         for target in mentions:
             if target != a:
-                m.append((a, target))
-    # a Counter keeps each edge where the tweets first make it
-    layers = {kind: LayerGraph(kind, Counter(p)) for kind, p in zip(LAYER_KINDS, pairs)}
+                m.append((mx.setdefault(a, len(mx)), mx.setdefault(target, len(mx))))
+    # a Counter keeps each arc where the tweets first make it
+    layers = {
+        kind: LayerGraph._labelled(kind, list(ix), Counter(p))
+        for kind, ix, p in zip(LAYER_KINDS, index, pairs)
+    }
     return MultiLayerNetwork(
         article_id=cascade.article_id,
         layers=layers,
@@ -98,17 +151,26 @@ def aggregate_user_count(net: MultiLayerNetwork) -> int:
     """Unique users across all layers and pure tweets."""
     users = set(net.pure_authors)
     for layer in net.layers.values():
-        users.update(chain.from_iterable(layer.edges))
+        users.update(layer.ids)
     return len(users)
 
 
 def aggregate_layer(net: MultiLayerNetwork) -> LayerGraph:
-    """Union of all layer edges as a single directed graph (weights summed)."""
-    merged = LayerGraph("ALL")
+    """Union of all layer edges as a single directed graph (weights summed).
+
+    Each layer's users take merged labels in its label order, layer by
+    layer, which is their first appearance over the layers' edges in
+    Q/RT/M/R order; the merged arcs keep that first-edge order too.
+    """
+    index: dict[str, int] = {}
+    arcs: dict[tuple[int, int], int] = {}
     for kind in LAYER_KINDS:
-        for (src, dst), weight in net.layers[kind].edges.items():
-            merged.edges[(src, dst)] = merged.edges.get((src, dst), 0) + weight
-    return merged
+        layer = net.layers[kind]
+        to = [index.setdefault(v, len(index)) for v in layer.ids]
+        for (i, j), weight in layer.arcs.items():
+            key = (to[i], to[j])
+            arcs[key] = arcs.get(key, 0) + weight
+    return LayerGraph._labelled("ALL", list(index), arcs)
 
 
 def truncate_by_lifetime(cascade: ArticleCascade, lifetime: int) -> ArticleCascade:

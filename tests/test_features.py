@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from random_cascades import random_cascade
 
+from diffnet import graphops
 from diffnet.features import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -18,7 +20,7 @@ from diffnet.features import (
     write_features_file,
 )
 from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
-from diffnet.netbuild import LayerGraph, build_network
+from diffnet.netbuild import LAYER_KINDS, LayerGraph, aggregate_layer, build_network
 
 LABEL = ArticleLabel("a1", "M", "paper.com", "left")
 
@@ -221,6 +223,93 @@ class TestLayerFeaturesOracle:
                 edges.append(tuple(rng.sample(users[n:], 2)))
             got = _assert_matches_oracle(edges)
             assert (got.wcc, got.lwcc) == (2, n)
+
+
+def _features_via_ids(edges):
+    """The nine metrics of ``DirectedGraph(edges)`` through the functions
+    that take node ids: the largest WCC as a list of ids, and the distances
+    restricted to it."""
+    g = graphops.DirectedGraph(edges)
+    sccs = graphops.strongly_connected_components(g)
+    n_wcc, lwcc = graphops.largest_wcc(g)
+    max_dist, total = graphops.undirected_distance_stats(g, lwcc)
+    n = len(lwcc)
+    return LayerFeatures(
+        scc=len(sccs),
+        lscc=max(map(len, sccs)),
+        wcc=n_wcc,
+        lwcc=n,
+        dwcc=max_dist,
+        cc=graphops.average_clustering(g),
+        kc=graphops.main_kcore_number(g),
+        d=graphops.density(g),
+        sv=0.0 if n == 1 else total / (n * (n - 1)),
+    )
+
+
+class TestLabelledLayers:
+    """Layers labelled as they are built give, bit for bit, the features of
+    their edges relabelled from user ids."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_cascade_layers_match_features_via_ids(self, seed):
+        rng = random.Random(seed)
+        cascade = random_cascade(rng, rng.choice((10, 40, 150)), rng.randint(3, 15))
+        net = build_network(cascade)
+        for layer in [net.layers[kind] for kind in LAYER_KINDS] + [aggregate_layer(net)]:
+            if layer.is_empty():
+                continue
+            got = extract_layer_features(layer)
+            assert got == _features_via_ids(layer.edges)
+            want = _oracle_features(list(layer.edges))
+            assert replace(got, cc=0.0) == replace(want, cc=0.0)
+            assert got.cc == pytest.approx(want.cc)
+
+    @pytest.mark.parametrize("path_first", [True, False])
+    def test_tie_goes_to_smallest_id_not_first_label(self, path_first):
+        # two five-user components, a path (diameter 4) and a star
+        # (diameter 2); the one that comes first in the tweets holds the
+        # larger ids, so label order and id order disagree
+        path = [("1", "3"), ("3", "0"), ("0", "4"), ("4", "2")]
+        star = [("9", k) for k in "0123"]
+        first, second = (path, star) if path_first else (star, path)
+        retweets = [("b" + u, "b" + v) for u, v in first] + [("a" + u, "a" + v) for u, v in second]
+        tweets = [
+            TweetRecord(f"t{i}", author, 1000 + i, "a1", retweet_of=src)
+            for i, (src, author) in enumerate(retweets)
+        ]
+        layer = build_network(_cascade(tweets)).layers["RT"]
+        assert layer.ids[0].startswith("b")
+        g = layer.to_directed_graph()
+        n_wcc, c, size = graphops.largest_component(g)
+        assert (n_wcc, size) == (2, 5)
+        assert min(g._ids[v] for v in g._components()[1][c]).startswith("a")
+        got = extract_layer_features(layer)
+        assert got.dwcc == (2 if path_first else 4)
+        assert got == _features_via_ids(layer.edges)
+        assert got == extract_layer_features(LayerGraph("RT", layer.edges))
+        assert replace(got, cc=0.0) == replace(_oracle_features(retweets), cc=0.0)
+
+    def test_self_loops_give_the_features_without_them(self):
+        rng = random.Random(75)
+        for n in range(3, 25):
+            users = _names(rng, n)
+            edges = _random_tree(rng, users)
+            edges += [tuple(rng.sample(users, 2)) for _ in range(rng.randint(1, n))]
+            loops = [(u, u) for u in rng.sample(users, rng.randint(1, n))]
+            mixed = list(edges)
+            for loop in loops:  # a user may first show up in its self-loop
+                mixed.insert(rng.randint(0, len(mixed)), loop)
+            weighted = Counter(mixed)
+            got = extract_layer_features(LayerGraph("RT", weighted))
+            assert got == _features_via_ids(weighted)
+            assert got == extract_layer_features(LayerGraph("RT", Counter(edges)))
+            want = _oracle_features(edges)
+            assert replace(got, cc=0.0) == replace(want, cc=0.0)
+            assert got.cc == pytest.approx(want.cc)
+
+    def test_layer_of_self_loops_only_is_empty(self):
+        assert extract_layer_features(LayerGraph("RT", {("u1", "u1"): 3})).as_tuple() == (0.0,) * 9
 
 
 class TestVector:

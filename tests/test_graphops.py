@@ -90,6 +90,19 @@ class TestDistances:
         with pytest.raises(ValueError):
             structural_virality(g)
 
+    @pytest.mark.parametrize("nodes", [["nope"], ["nope", 1], [1, 2, "nope"]])
+    def test_unknown_node_raises(self, nodes):
+        # a lone unknown node is not a single-node graph
+        g = DirectedGraph([(1, 2), (2, 3)])
+        for metric in (diameter_undirected, structural_virality):
+            with pytest.raises(ValueError, match="node 'nope' not in graph"):
+                metric(g, nodes)
+
+    def test_single_known_node_of_a_larger_graph(self):
+        g = DirectedGraph([(1, 2), (2, 3)])
+        assert diameter_undirected(g, [2]) == 0
+        assert structural_virality(g, [2]) == 0.0
+
     def test_restriction_to_component(self):
         g = DirectedGraph([(1, 2), (2, 3), (8, 9)])
         assert diameter_undirected(g, nodes={1, 2, 3}) == 2

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from diffnet import model as model_module
 from diffnet.features import N_FEATURES, ArticleFeatures, write_features_file
 from diffnet.ingest import ArticleLabel, CorpusFormatError
 from diffnet.model import (
@@ -186,6 +190,53 @@ class TestTraining:
         model = train_logistic(X, y, class_weights="balanced")
         assert model.converged
         assert model.n_iterations < 100
+
+
+class TestNewtonGradients:
+    @staticmethod
+    def _overlapping_samples():
+        rng = np.random.default_rng(41)
+        samples = [_sample(i, "D", rng.normal(0.4, 1.0, 5)) for i in range(30)]
+        samples += [_sample(30 + i, "M", rng.normal(-0.4, 1.0, 5)) for i in range(30)]
+        return samples
+
+    def test_one_gradient_per_accepted_point(self, monkeypatch):
+        calls = []
+        real = model_module.logistic_gradient
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model_module, "logistic_gradient", counting)
+        samples = self._overlapping_samples()
+        X = np.array([s.vector for s in samples])
+        y = np.array([1.0] * 30 + [-1.0] * 30)
+        fitted = train_logistic(X, y, C=0.7, class_weights="balanced")
+        assert fitted.converged
+        assert fitted.n_iterations >= 3
+        # the start point, then one per accepted Newton step
+        assert len(calls) == fitted.n_iterations + 1
+
+    def test_fits_and_report_bytes_unchanged(self):
+        # sha256 of this report's text and metric rows, then one fit's
+        # weights, intercept and objective history, as the version that
+        # computed the gradient twice per step wrote them
+        samples = self._overlapping_samples()
+        report = stratified_shuffle_cv(samples, folds=5, test_fraction=0.2, seed=3)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(report.to_metric_rows())
+        X = np.array([s.vector for s in samples])
+        y = np.array([1.0] * 30 + [-1.0] * 30)
+        fitted = train_logistic(X, y, C=0.7, class_weights="balanced")
+        digest = hashlib.sha256((report.to_text() + buf.getvalue()).encode())
+        digest.update(fitted.weights.tobytes())
+        digest.update(np.float64(fitted.intercept).tobytes())
+        digest.update(np.array(fitted.objective_history).tobytes())
+        assert fitted.n_iterations == 5
+        assert digest.hexdigest() == (
+            "f005a0b92ad32c108e257061249479b6130d92588af18e1c34ed453e516a5ce8"
+        )
 
 
 class TestPredict:

@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
+from random_cascades import random_cascade, reference_layers
 
+from diffnet.graphops import DirectedGraph
 from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
 from diffnet.netbuild import (
     LAYER_KINDS,
+    LayerGraph,
     aggregate_layer,
     aggregate_user_count,
     build_network,
@@ -26,6 +30,93 @@ def _tweet(i, author, ts=None, **kw):
 
 def _cascade(tweets):
     return ArticleCascade.build("a1", tweets, LABEL)
+
+
+def _graph_shape(g):
+    """Labels, arc set, undirected edge count and sorted adjacency."""
+    return g._ids, set(g._arcs), g._und_edges, [sorted(nbrs) for nbrs in g._und]
+
+
+class TestLabelledLayers:
+    """Layers labelled as they are built, against the same edges relabelled
+    from their user ids by ``DirectedGraph``."""
+
+    CASES = [(seed, n_tweets, n_users) for seed in range(12)
+             for n_tweets, n_users in ((8, 3), (40, 6), (150, 14))]
+
+    @pytest.mark.parametrize("seed,n_tweets,n_users", CASES)
+    def test_graph_equals_graph_of_edges(self, seed, n_tweets, n_users):
+        cascade = random_cascade(random.Random(seed), n_tweets, n_users)
+        want, _ = reference_layers(cascade)
+        net = build_network(cascade)
+        for kind in LAYER_KINDS:
+            layer = net.layers[kind]
+            assert list(layer.edges.items()) == list(want[kind].items())
+            ref = DirectedGraph(layer.edges)
+            assert layer.ids == list(ref.nodes)
+            assert _graph_shape(layer.to_directed_graph()) == _graph_shape(ref)
+
+    def test_cases_hold_every_kind_of_interaction(self):
+        seen = Counter()
+        for seed, n_tweets, n_users in self.CASES:
+            cascade = random_cascade(random.Random(seed), n_tweets, n_users)
+            for t in cascade.tweets:
+                a = t.author_id
+                seen["self"] += a in (t.retweet_of, t.quote_of, t.reply_to) or a in t.mentions
+                seen["reply target mentioned"] += t.reply_to in t.mentions
+            for edges in reference_layers(cascade)[0].values():
+                seen["repeated"] += any(w > 1 for w in edges.values())
+                seen["reciprocal"] += any((v, u) in edges for u, v in edges)
+        assert min(seen.values()) >= 5 and len(seen) == 4
+
+    @pytest.mark.parametrize("seed,n_tweets,n_users", CASES)
+    def test_aggregate_equals_union_of_edges(self, seed, n_tweets, n_users):
+        cascade = random_cascade(random.Random(seed), n_tweets, n_users)
+        want, pure = reference_layers(cascade)
+        union = {}
+        for kind in LAYER_KINDS:
+            for edge, weight in want[kind].items():
+                union[edge] = union.get(edge, 0) + weight
+        net = build_network(cascade)
+        merged = aggregate_layer(net)
+        assert merged.layer_kind == "ALL"
+        assert list(merged.edges.items()) == list(union.items())
+        ref = DirectedGraph(union)
+        assert merged.ids == list(ref.nodes)
+        assert _graph_shape(merged.to_directed_graph()) == _graph_shape(ref)
+        assert aggregate_user_count(net) == len(set(ref.nodes) | set(pure))
+
+    def test_merged_labels_follow_layer_order_not_tweet_order(self):
+        # u3 is first in the tweets but only in the M layer, after Q and RT
+        net = build_network(
+            _cascade(
+                [
+                    _tweet(1, "u3", mentions=("u4",)),
+                    _tweet(2, "u2", retweet_of="u1"),
+                    _tweet(3, "u5", quote_of="u2"),
+                ]
+            )
+        )
+        merged = aggregate_layer(net)
+        assert merged.ids == ["u2", "u5", "u1", "u3", "u4"]
+        assert merged.edges == {("u2", "u5"): 1, ("u1", "u2"): 1, ("u3", "u4"): 1}
+
+    def test_layer_from_edges_drops_self_loops(self):
+        # x appears first in its self-loop, then in an edge: it takes its
+        # label where the edge first names it
+        layer = LayerGraph("RT", {("x", "x"): 2, ("a", "b"): 3, ("b", "x"): 1, ("y", "y"): 1})
+        assert layer.ids == ["a", "b", "x"]
+        assert list(layer.edges.items()) == [(("a", "b"), 3), (("b", "x"), 1)]
+        assert layer.nodes() == {"a", "b", "x"}
+        assert LayerGraph("RT", {("x", "x"): 1}).is_empty()
+        assert LayerGraph("RT").is_empty() and LayerGraph("RT").edges == {}
+
+    def test_edges_is_a_view_computed_on_read(self):
+        layer = LayerGraph("M", {("a", "b"): 2, ("b", "a"): 1})
+        layer.edges[("c", "d")] = 1
+        assert layer.edges == {("a", "b"): 2, ("b", "a"): 1}
+        assert layer == LayerGraph("M", {("b", "a"): 1, ("a", "b"): 2})
+        assert layer != LayerGraph("M", {("a", "b"): 1, ("b", "a"): 1})
 
 
 class TestBuildNetwork:
@@ -134,25 +225,7 @@ class TestBuildNetwork:
                 kw["mentions"] = tuple(rng.sample(users, rng.randint(1, 3)))
             tweets.append(_tweet(i, rng.choice(users), ts=rng.randint(1, 500), **kw))
         cascade = _cascade(tweets)
-        want = {kind: {} for kind in LAYER_KINDS}
-        pure = []
-
-        def add(kind, src, dst):
-            if src != dst:
-                want[kind][(src, dst)] = want[kind].get((src, dst), 0) + 1
-
-        for t in cascade.tweets:
-            if t.interaction_free():
-                pure.append(t.author_id)
-                continue
-            if t.retweet_of is not None:
-                add("RT", t.retweet_of, t.author_id)
-            if t.quote_of is not None:
-                add("Q", t.quote_of, t.author_id)
-            if t.reply_to is not None:
-                add("R", t.author_id, t.reply_to)
-            for m in t.mentions:
-                add("M", t.author_id, m)
+        want, pure = reference_layers(cascade)
         net = build_network(cascade)
         assert list(net.layers) == list(LAYER_KINDS)
         users = set(pure)
