@@ -56,12 +56,12 @@ print(header)
 for kind in ("RT", "R", "Q", "M"):
     layer = net.layers[kind]
     f = extract_layer_features(layer)
-    print(f"  {kind:>9} {len(layer.nodes()):>6} {len(layer.edges):>6} "
+    print(f"  {kind:>9} {len(layer.ids):>6} {len(layer.edges):>6} "
           f"{f.lwcc:>6} {f.lscc:>6} {f.kc:>4} {f.sv:>8.3f}")
 
 merged = aggregate_layer(net)
 f = extract_layer_features(merged)
-print(f"  {'merged':>9} {len(merged.nodes()):>6} {len(merged.edges):>6} "
+print(f"  {'merged':>9} {len(merged.ids):>6} {len(merged.edges):>6} "
       f"{f.lwcc:>6} {f.lscc:>6} {f.kc:>4} {f.sv:>8.3f}")
 print("\nThe merged row is what a single-graph analysis sees; the class "
       "signal carried by mention volume lives only in the M row.")

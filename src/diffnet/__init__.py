@@ -23,10 +23,8 @@ from .graphops import (
     DirectedGraph,
     average_clustering,
     density,
-    diameter_undirected,
     main_kcore_number,
     strongly_connected_components,
-    structural_virality,
     weakly_connected_components,
 )
 from .ingest import (
@@ -135,7 +133,6 @@ __all__ = [
     "chi2_ranking",
     "default_config",
     "density",
-    "diameter_undirected",
     "evaluate_split",
     "extract_layer_features",
     "featurize",
@@ -160,7 +157,6 @@ __all__ = [
     "size_class_of",
     "stratified_shuffle_cv",
     "strongly_connected_components",
-    "structural_virality",
     "temporal_sweep",
     "train_logistic",
     "truncate_by_lifetime",

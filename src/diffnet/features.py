@@ -8,12 +8,14 @@ empty layer contributes nine zeros.
 
 Features file: CSV with header ``article_id,label,source,bias,n_users``
 followed by the 38 feature columns; floats are written with full
-round-trip precision.
+round-trip precision. The reader rejects a repeated article, an ``n_users``
+that is not a count and a feature that is not a finite number.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -189,17 +191,37 @@ def read_features_file(path) -> list[ArticleFeatures]:
         if header != _header():
             raise ValueError("features file header does not match")
         rows = []
-        for row in reader:
+        first_row: dict[str, int] = {}
+        for k, row in enumerate(reader, 1):
             if len(row) != len(METADATA_COLUMNS) + N_FEATURES:
-                raise ValueError(f"features row has {len(row)} columns")
+                raise ValueError(f"features row {k} has {len(row)} columns")
             article_id, label, source, bias, n_users = row[:5]
-            vector = np.array([float(v) for v in row[5:]], dtype=np.float64)
+            where = f"features row {k}, column"
+            if first_row.setdefault(article_id, k) != k:
+                raise ValueError(
+                    f"{where} article_id: {article_id!r} repeats row {first_row[article_id]}"
+                )
+            count = _parse(int, n_users)
+            if count is None or count < 0:
+                raise ValueError(f"{where} n_users: {n_users!r} is not a count")
+            values = [_parse(float, v) for v in row[5:]]
+            for name, text, value in zip(FEATURE_NAMES, row[5:], values):
+                if value is None or not math.isfinite(value):
+                    raise ValueError(f"{where} {name}: {text!r} is not a finite number")
             rows.append(
                 ArticleFeatures(
                     article_id=article_id,
                     label=ArticleLabel(article_id, label, source, bias),
-                    n_users=int(n_users),
-                    vector=vector,
+                    n_users=count,
+                    vector=np.array(values, dtype=np.float64),
                 )
             )
     return rows
+
+
+def _parse(kind, text: str):
+    """``kind(text)``, or None where ``text`` does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        return None

@@ -1,18 +1,16 @@
 """Directed-graph algorithms behind the global network metrics.
 
-Everything here is weight-agnostic: parallel edges collapse, self-loops are
-dropped, and metrics that call for an undirected view use the simple
+Everything here is weight-agnostic: a graph holds each arc once and no
+self-loops, and metrics that call for an undirected view use the simple
 undirected projection. Distances (diameter, structural virality) are
 exact.
 
-A :class:`DirectedGraph` runs every kernel on integer labels 0..n-1.
-Built from edges, it relabels their node ids once, in order of first
-appearance; a layer that labelled its users as it was built hands over
-its id list and labelled arcs, and both go through one builder. Ids
-reappear only in returned sets and lists, and the id -> label dict is
-made only when a function that takes node ids asks for it. The
-featurizer picks the largest weakly connected component by its index
-and hands that index to the distance kernel. The graph keeps the
+A :class:`DirectedGraph` runs every kernel on integer labels 0..n-1. It
+is built only from labelled arcs: the list of node ids, whose position is
+each node's label, and the distinct label pairs, as a layer holds them
+once it has labelled its users. Ids reappear only in returned sets and
+lists. The featurizer picks the largest weakly connected component by
+its index and hands that index to the distance kernel. The graph keeps the
 directed arcs and the undirected adjacency as deduplicated lists, counting
 |E_und| as it builds them; successor and predecessor sets are built only
 when a kernel follows directions. One cached breadth-first search labels
@@ -48,41 +46,17 @@ _BLOCK_BITS = 1 << 20
 
 
 class DirectedGraph:
-    """Simple directed graph over arbitrary hashable node ids.
+    """Simple directed graph on integer labels 0..n-1.
 
-    Duplicate edges collapse and self-loops are silently dropped, matching
-    the set-based metric definitions used downstream. Node ids map to
-    integer labels in order of first appearance. The graph is fixed once
-    built, so whatever a kernel derives from it is cached.
+    ``ids[i]`` is the node id of label i, and ``arcs`` holds the distinct
+    label pairs (i, j) with i != j, as a set or a dict's keys; neither is
+    copied. The graph is fixed once built, so whatever a kernel derives
+    from it is cached.
     """
 
-    __slots__ = ("_ids", "_index", "_arcs", "_und", "_und_edges", "_succ", "_pred", "_wcc")
+    __slots__ = ("_ids", "_arcs", "_und", "_und_edges", "_succ", "_pred", "_wcc")
 
-    def __init__(
-        self,
-        edges: Iterable[tuple[Hashable, Hashable]] = (),
-        nodes: Iterable[Hashable] = (),
-    ) -> None:
-        index: dict = {}
-        for v in nodes:
-            index.setdefault(v, len(index))
-        arcs = {
-            (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-            for u, v in edges
-            if u != v
-        }
-        self._build(list(index), arcs)
-        self._index = index
-
-    @classmethod
-    def _labelled(cls, ids: list, arcs) -> DirectedGraph:
-        """The graph on nodes ``ids`` whose arcs are distinct label pairs
-        (i, j) with i != j, a set or a dict's keys; neither is copied."""
-        g = cls.__new__(cls)
-        g._build(ids, arcs)
-        return g
-
-    def _build(self, ids: list, arcs) -> None:
+    def __init__(self, ids: list, arcs) -> None:
         # one entry per undirected edge; a reciprocal pair enters from i < j
         und_pairs = [(i, j) for i, j in arcs if i < j or (j, i) not in arcs]
         und: list[list[int]] = [[] for _ in ids]
@@ -93,18 +67,7 @@ class DirectedGraph:
         self._arcs = arcs
         self._und = und
         self._und_edges = len(und_pairs)
-        self._index = self._succ = self._pred = self._wcc = None
-
-    def _labels(self) -> dict:
-        """Node id -> integer label (cached); built only for the functions
-        that take node ids."""
-        if self._index is None:
-            self._index = dict(zip(self._ids, range(len(self._ids))))
-        return self._index
-
-    @property
-    def nodes(self):
-        return self._labels().keys()
+        self._succ = self._pred = self._wcc = None
 
     def number_of_nodes(self) -> int:
         return len(self._ids)
@@ -260,13 +223,6 @@ def largest_component(g: DirectedGraph) -> tuple[int, int, int]:
     return len(comps), min(tied, key=lambda c: min(map(ids.__getitem__, comps[c]))), size
 
 
-def largest_wcc(g: DirectedGraph) -> tuple[int, list]:
-    """Number of weakly connected components, and the node ids of the
-    largest; a tie goes to the component with the smallest node id."""
-    n_wcc, c, _ = largest_component(g)
-    return n_wcc, list(map(g._ids.__getitem__, g._components()[1][c]))
-
-
 def _eccentricity(adj: list[list[int]], src: int) -> int:
     """Largest breadth-first distance from ``src`` within its component."""
     seen = [False] * len(adj)
@@ -352,15 +308,15 @@ def undirected_distance_stats(
 
     Returns ``(max_distance, sum_of_ordered_pair_distances)``. The node set
     must induce a connected undirected subgraph (a single node counts as
-    connected); otherwise ValueError. Shared by the diameter and structural
-    virality metrics so the component is swept once per caller. A set that
-    is not a whole component is copied into its induced graph, which then
-    runs the same component path.
+    connected); otherwise ValueError. A set that is not a whole component
+    is relabelled 0..n-1 into its induced graph, which then runs the same
+    component path.
     """
+    ids = g._ids
     if nodes is None:
-        members = range(len(g._ids))
+        members = range(len(ids))
     else:
-        index = g._labels()
+        index = dict(zip(ids, range(len(ids))))
         try:
             members = [index[v] for v in set(nodes)]
         except KeyError as exc:
@@ -372,37 +328,15 @@ def undirected_distance_stats(
     c = label[members[0]]
     if len(comps[c]) == n and all(label[v] == c for v in members):
         return component_distance_stats(g, c)
-    keep = set(members)
+    pos = dict(zip(members, range(n)))
     und = g._und
-    sub = DirectedGraph(((v, w) for v in members for w in und[v] if w in keep), members)
+    sub = DirectedGraph(
+        [ids[v] for v in members],
+        {(pos[v], pos[w]) for v in members for w in und[v] if w in pos},
+    )
     if len(sub._components()[1]) > 1:
         raise ValueError("node set does not induce a connected subgraph")
     return component_distance_stats(sub, 0)
-
-
-def diameter_undirected(
-    g: DirectedGraph, nodes: Optional[Iterable[Hashable]] = None
-) -> int:
-    """Largest shortest-path length between any pair, ignoring directions.
-
-    0 for a single node; ValueError if the node set is disconnected.
-    """
-    max_dist, _ = undirected_distance_stats(g, nodes)
-    return max_dist
-
-
-def structural_virality(
-    g: DirectedGraph, nodes: Optional[Iterable[Hashable]] = None
-) -> float:
-    """Mean shortest-path distance over all ordered node pairs, undirected.
-
-    Equals the Wiener index scaled by 2/(|V|(|V|-1)); defined as 0 for a
-    single node. ValueError if the node set is disconnected.
-    """
-    members = set(g.nodes) if nodes is None else set(nodes)
-    n = len(members)
-    _, total = undirected_distance_stats(g, members)  # checks the node set
-    return 0.0 if n == 1 else total / (n * (n - 1))
 
 
 def average_clustering(g: DirectedGraph) -> float:

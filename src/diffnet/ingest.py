@@ -71,15 +71,6 @@ class TweetRecord:
         _set_reply_to(self, reply_to)
         _set_mentions(self, mentions)
 
-    def interaction_free(self) -> bool:
-        """True for a pure tweet: no retweet, quote, reply or mention."""
-        return (
-            self.retweet_of is None
-            and self.quote_of is None
-            and self.reply_to is None
-            and not self.mentions
-        )
-
 
 (
     _set_tweet_id, _set_author_id, _set_timestamp, _set_article_id,

@@ -13,9 +13,10 @@ at all are "pure": the network stores their count T and their distinct
 authors, whose number is U.
 
 Each layer labels its users 0..n-1 in order of first appearance as the
-tweets are read, and keeps its weighted arcs on those labels, which the
-graph kernels take as they are; ``LayerGraph.edges`` maps them back to
-user ids on each read.
+tweets are read, and keeps its weighted arcs on those labels. Layers and
+graphs are constructed only from such labelled arcs, which the graph
+kernels take as they are; ``LayerGraph.edges`` maps them back to user ids
+on each read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
 
 from .graphops import DirectedGraph
 from .ingest import ArticleCascade
@@ -36,34 +36,16 @@ class LayerGraph:
     """Weighted directed layer; users exist only as edge endpoints.
 
     ``ids`` lists the layer's users, labelled 0..n-1 in order of first
-    appearance, and ``arcs`` maps each labelled pair (i, j) to its weight,
-    in the order its first interaction came. ``LayerGraph(kind, edges)``
-    labels a dict of weighted user-id pairs the same way, dropping
-    self-loops as :func:`build_network` drops self-interactions.
+    appearance, and ``arcs`` maps each labelled pair (i, j), i != j, to its
+    weight, in the order its first interaction came; nothing is copied.
     """
 
     __slots__ = ("layer_kind", "ids", "arcs")
 
     def __init__(
-        self, layer_kind: str, edges: Optional[dict[tuple[str, str], int]] = None
+        self, layer_kind: str, ids: list[str], arcs: dict[tuple[int, int], int]
     ) -> None:
-        index: dict[str, int] = {}
-        self.layer_kind = layer_kind
-        self.arcs = {
-            (index.setdefault(u, len(index)), index.setdefault(v, len(index))): weight
-            for (u, v), weight in (edges or {}).items()
-            if u != v
-        }
-        self.ids = list(index)
-
-    @classmethod
-    def _labelled(
-        cls, layer_kind: str, ids: list[str], arcs: dict[tuple[int, int], int]
-    ) -> LayerGraph:
-        """A layer whose users are labelled already; nothing is copied."""
-        layer = cls.__new__(cls)
-        layer.layer_kind, layer.ids, layer.arcs = layer_kind, ids, arcs
-        return layer
+        self.layer_kind, self.ids, self.arcs = layer_kind, ids, arcs
 
     @property
     def edges(self) -> dict[tuple[str, str], int]:
@@ -72,22 +54,11 @@ class LayerGraph:
         ids = self.ids
         return {(ids[i], ids[j]): weight for (i, j), weight in self.arcs.items()}
 
-    def nodes(self) -> set[str]:
-        return set(self.ids)
-
     def is_empty(self) -> bool:
         return not self.arcs
 
     def to_directed_graph(self) -> DirectedGraph:
-        return DirectedGraph._labelled(self.ids, self.arcs.keys())
-
-    def __eq__(self, other):
-        if not isinstance(other, LayerGraph):
-            return NotImplemented
-        return self.layer_kind == other.layer_kind and self.edges == other.edges
-
-    def __repr__(self) -> str:
-        return f"LayerGraph({self.layer_kind!r}, {self.edges!r})"
+        return DirectedGraph(self.ids, self.arcs.keys())
 
 
 @dataclass
@@ -136,7 +107,7 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
                 m.append((mx.setdefault(a, len(mx)), mx.setdefault(target, len(mx))))
     # a Counter keeps each arc where the tweets first make it
     layers = {
-        kind: LayerGraph._labelled(kind, list(ix), Counter(p))
+        kind: LayerGraph(kind, list(ix), Counter(p))
         for kind, ix, p in zip(LAYER_KINDS, index, pairs)
     }
     return MultiLayerNetwork(
@@ -170,7 +141,7 @@ def aggregate_layer(net: MultiLayerNetwork) -> LayerGraph:
         for (i, j), weight in layer.arcs.items():
             key = (to[i], to[j])
             arcs[key] = arcs.get(key, 0) + weight
-    return LayerGraph._labelled("ALL", list(index), arcs)
+    return LayerGraph("ALL", list(index), arcs)
 
 
 def truncate_by_lifetime(cascade: ArticleCascade, lifetime: int) -> ArticleCascade:

@@ -22,7 +22,7 @@ def reference_layers(cascade):
             want[kind][(src, dst)] = want[kind].get((src, dst), 0) + 1
 
     for t in cascade.tweets:
-        if t.interaction_free():
+        if t.retweet_of is None and t.quote_of is None and t.reply_to is None and not t.mentions:
             pure.append(t.author_id)
             continue
         if t.retweet_of is not None:

@@ -15,6 +15,7 @@ import pytest
 
 import bruteforce as bf
 import reference_stats as ref
+from graphs import digraph, layer
 from diffnet.cli import main as cli_main
 from diffnet.experiments import (
     chi2_ranking,
@@ -29,13 +30,11 @@ from diffnet.features import (
     featurize_article,
 )
 from diffnet.graphops import (
-    DirectedGraph,
     average_clustering,
     density,
-    diameter_undirected,
     main_kcore_number,
     strongly_connected_components,
-    structural_virality,
+    undirected_distance_stats,
     weakly_connected_components,
 )
 from diffnet.ingest import (
@@ -54,7 +53,7 @@ from diffnet.model import (
     stratified_shuffle_cv,
     train_logistic,
 )
-from diffnet.netbuild import LayerGraph, truncate_by_lifetime
+from diffnet.netbuild import truncate_by_lifetime
 from diffnet.synth import default_config, generate_corpus
 
 
@@ -96,16 +95,17 @@ def test_criterion_1_graph_metric_oracle_equivalence():
         edges = [
             (u, v) for u in nodes for v in nodes if u != v and rng.random() < p
         ]
-        g = DirectedGraph(edges, nodes=nodes)
+        g = digraph(edges, nodes=nodes)
         wccs = weakly_connected_components(g)
         comp = max(wccs, key=lambda c: (len(c), -min(c)))
+        max_dist, dist_sum = undirected_distance_stats(g, comp)
+        pairs = len(comp) * (len(comp) - 1)
         checks = [
             ("scc", _comp_key(strongly_connected_components(g))
              == _comp_key(bf.scc_sets(nodes, edges))),
             ("wcc", _comp_key(wccs) == _comp_key(bf.wcc_sets(nodes, edges))),
-            ("diameter", diameter_undirected(g, comp)
-             == bf.diameter(nodes, edges, subset=comp)),
-            ("virality", abs(structural_virality(g, comp)
+            ("diameter", max_dist == bf.diameter(nodes, edges, subset=comp)),
+            ("virality", abs((dist_sum / pairs if pairs else 0.0)
              - bf.avg_pair_distance(nodes, edges, subset=comp)) <= 1e-9),
             ("clustering", abs(average_clustering(g)
              - bf.avg_clustering(nodes, edges)) <= 1e-9),
@@ -122,18 +122,18 @@ def test_criterion_1_graph_metric_oracle_equivalence():
 
 
 def test_criterion_2_hand_derived_fixtures():
-    path3 = DirectedGraph([(1, 2), (2, 3)])
-    cycle3 = DirectedGraph([(1, 2), (2, 3), (3, 1)])
-    k4 = DirectedGraph([(u, v) for u in range(4) for v in range(4) if u != v])
-    lonely = DirectedGraph([], nodes=[7])
+    path3 = layer("RT", {(1, 2): 1, (2, 3): 1})
+    cycle3 = digraph([(1, 2), (2, 3), (3, 1)])
+    k4 = digraph([(u, v) for u in range(4) for v in range(4) if u != v])
+    lonely = digraph([], nodes=[7])
     checks = {
-        "path-of-3 SV": structural_virality(path3) == 8 / 6,
+        "path-of-3 SV": extract_layer_features(path3).sv == 8 / 6,
         "3-cycle KC": main_kcore_number(cycle3) == 2,
         "triangle CC": average_clustering(cycle3) == 1.0,
         "complete density": density(k4) == 1.0,
-        "empty layer zeros": extract_layer_features(LayerGraph("RT")).as_tuple()
+        "empty layer zeros": extract_layer_features(layer("RT")).as_tuple()
         == (0.0,) * 9,
-        "single-node SV": structural_virality(lonely) == 0.0,
+        "single-node SV": undirected_distance_stats(lonely) == (0, 0),
     }
     bad = [name for name, good in checks.items() if not good]
     _line(2, not bad, "six pinned fixtures" + (f"; failed: {bad}" if bad else ""))

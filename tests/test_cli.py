@@ -399,6 +399,34 @@ def test_malformed_features_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("E_FORMAT:")
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # the first bad cell is named
+        ({"Q_LWCC": "nan", "R_SV": "inf"}, "row 2, column Q_LWCC: 'nan' is not a finite number"),
+        ({"RT_SCC": "inf"}, "row 2, column RT_SCC: 'inf' is not a finite number"),
+        ({"n_users": "-3"}, "row 2, column n_users: '-3' is not a count"),
+        ({"article_id": None}, "row 2, column article_id: '{first}' repeats row 1"),
+    ],
+)
+def test_bad_value_in_features_file(workspace, tmp_path, capsys, edit, message):
+    lines = (workspace / "features.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    first = lines[1].split(",")[0]
+    cells = lines[2].split(",")
+    for column, text in edit.items():
+        cells[header.index(column)] = first if text is None else text
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--features", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:")
+    assert f"features {message.format(first=first)}" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bias_eval_needs_both_classes(workspace, tmp_path, capsys):
     # excluding every mainstream left-leaning source leaves one class
     labels = (workspace / "corpus" / "labels.csv").read_text().splitlines()[1:]

@@ -521,8 +521,8 @@ class TestSingleLayer:
         net = build_network(cascade)
         merged = aggregate_layer(net)
         sample = single_layer_samples([cascade])[0]
-        pure_only = net.pure_authors - merged.nodes()
-        assert len(merged.nodes()) == sample.n_users - len(pure_only)
+        pure_only = net.pure_authors - set(merged.ids)
+        assert len(merged.ids) == sample.n_users - len(pure_only)
 
     @staticmethod
     def _reference(cascade):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from graphs import digraph, layer
 from random_cascades import random_cascade
 
 from diffnet import graphops
@@ -20,7 +22,7 @@ from diffnet.features import (
     write_features_file,
 )
 from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
-from diffnet.netbuild import LAYER_KINDS, LayerGraph, aggregate_layer, build_network
+from diffnet.netbuild import LAYER_KINDS, aggregate_layer, build_network
 
 LABEL = ArticleLabel("a1", "M", "paper.com", "left")
 
@@ -34,7 +36,7 @@ def _cascade(tweets, label=LABEL):
 
 
 def _layer(edges):
-    return LayerGraph("RT", Counter((src, dst) for src, dst in edges if src != dst))
+    return layer("RT", Counter(edges))
 
 
 class TestLayerFeatures:
@@ -97,7 +99,7 @@ class TestLayerFeatures:
             if layer.is_empty():
                 continue
             feats = extract_layer_features(layer)
-            total = len(layer.nodes())
+            total = len(layer.ids)
             assert feats.lscc <= feats.lwcc <= total
             assert feats.scc >= feats.wcc
             assert 0.0 <= feats.cc <= 1.0
@@ -226,12 +228,13 @@ class TestLayerFeaturesOracle:
 
 
 def _features_via_ids(edges):
-    """The nine metrics of ``DirectedGraph(edges)`` through the functions
-    that take node ids: the largest WCC as a list of ids, and the distances
-    restricted to it."""
-    g = graphops.DirectedGraph(edges)
+    """The nine metrics of ``digraph(edges)`` through the functions that
+    return or take node ids: the largest WCC as a set of ids, the one with
+    the smallest id on a tie, and the distances restricted to it."""
+    g = digraph(edges)
     sccs = graphops.strongly_connected_components(g)
-    n_wcc, lwcc = graphops.largest_wcc(g)
+    wccs = graphops.weakly_connected_components(g)
+    n_wcc, lwcc = len(wccs), min(wccs, key=lambda c: (-len(c), min(c)))
     max_dist, total = graphops.undirected_distance_stats(g, lwcc)
     n = len(lwcc)
     return LayerFeatures(
@@ -278,16 +281,16 @@ class TestLabelledLayers:
             TweetRecord(f"t{i}", author, 1000 + i, "a1", retweet_of=src)
             for i, (src, author) in enumerate(retweets)
         ]
-        layer = build_network(_cascade(tweets)).layers["RT"]
-        assert layer.ids[0].startswith("b")
-        g = layer.to_directed_graph()
+        rt = build_network(_cascade(tweets)).layers["RT"]
+        assert rt.ids[0].startswith("b")
+        g = rt.to_directed_graph()
         n_wcc, c, size = graphops.largest_component(g)
         assert (n_wcc, size) == (2, 5)
         assert min(g._ids[v] for v in g._components()[1][c]).startswith("a")
-        got = extract_layer_features(layer)
+        got = extract_layer_features(rt)
         assert got.dwcc == (2 if path_first else 4)
-        assert got == _features_via_ids(layer.edges)
-        assert got == extract_layer_features(LayerGraph("RT", layer.edges))
+        assert got == _features_via_ids(rt.edges)
+        assert got == extract_layer_features(layer("RT", rt.edges))
         assert replace(got, cc=0.0) == replace(_oracle_features(retweets), cc=0.0)
 
     def test_self_loops_give_the_features_without_them(self):
@@ -301,15 +304,15 @@ class TestLabelledLayers:
             for loop in loops:  # a user may first show up in its self-loop
                 mixed.insert(rng.randint(0, len(mixed)), loop)
             weighted = Counter(mixed)
-            got = extract_layer_features(LayerGraph("RT", weighted))
+            got = extract_layer_features(layer("RT", weighted))
             assert got == _features_via_ids(weighted)
-            assert got == extract_layer_features(LayerGraph("RT", Counter(edges)))
+            assert got == extract_layer_features(layer("RT", Counter(edges)))
             want = _oracle_features(edges)
             assert replace(got, cc=0.0) == replace(want, cc=0.0)
             assert got.cc == pytest.approx(want.cc)
 
     def test_layer_of_self_loops_only_is_empty(self):
-        assert extract_layer_features(LayerGraph("RT", {("u1", "u1"): 3})).as_tuple() == (0.0,) * 9
+        assert extract_layer_features(layer("RT", {("u1", "u1"): 3})).as_tuple() == (0.0,) * 9
 
 
 class TestVector:
@@ -385,22 +388,27 @@ class TestVector:
         assert np.array_equal(base, relabeled)
 
 
+def _feature_rows():
+    rng = random.Random(5)
+    rows = []
+    for i in range(6):
+        tweets = [_tweet(1, "u0")] + [
+            _tweet(j, f"u{rng.randint(0, 6)}", retweet_of=f"u{rng.randint(0, 6)}")
+            for j in range(2, 12)
+        ]
+        label = ArticleLabel(f"a{i}", "D" if i % 2 else "M", "s.org", "")
+        cascade = ArticleCascade.build(
+            f"a{i}",
+            [replace(t, article_id=f"a{i}") for t in tweets],
+            label,
+        )
+        rows.append(featurize_article(cascade))
+    return rows
+
+
 class TestFeaturesFile:
     def test_roundtrip_and_column_count(self, tmp_path):
-        rng = random.Random(5)
-        rows = []
-        for i in range(6):
-            tweets = [_tweet(1, "u0")] + [
-                _tweet(j, f"u{rng.randint(0, 6)}", retweet_of=f"u{rng.randint(0, 6)}")
-                for j in range(2, 12)
-            ]
-            label = ArticleLabel(f"a{i}", "D" if i % 2 else "M", "s.org", "")
-            cascade = ArticleCascade.build(
-                f"a{i}",
-                [replace(t, article_id=f"a{i}") for t in tweets],
-                label,
-            )
-            rows.append(featurize_article(cascade))
+        rows = _feature_rows()
         path = tmp_path / "features.csv"
         write_features_file(path, rows)
         header = path.read_text().splitlines()[0]
@@ -421,3 +429,50 @@ class TestFeaturesFile:
         path.write_text("article_id,label\nx,D\n")
         with pytest.raises(ValueError):
             read_features_file(path)
+
+    @pytest.mark.parametrize(
+        "column,text,problem",
+        [
+            ("Q_SCC", "nan", "is not a finite number"),
+            ("R_SV", "inf", "is not a finite number"),
+            ("M_D", "-inf", "is not a finite number"),
+            ("T", "NaN", "is not a finite number"),
+            ("U", "", "is not a finite number"),
+            ("RT_CC", "0.5x", "is not a finite number"),
+            ("n_users", "-1", "is not a count"),
+            ("n_users", "2.5", "is not a count"),
+            ("n_users", "nan", "is not a count"),
+        ],
+    )
+    def test_reader_names_the_row_and_column_of_a_bad_value(
+        self, tmp_path, column, text, problem
+    ):
+        path = tmp_path / "features.csv"
+        write_features_file(path, _feature_rows())
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = text
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"features row 3, column {column}: {text!r} {problem}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_features_file(path)
+
+    def test_reader_rejects_a_repeated_article(self, tmp_path):
+        # a repeated article could sit on both sides of one fold
+        path = tmp_path / "features.csv"
+        write_features_file(path, _feature_rows())
+        lines = path.read_text().splitlines()
+        lines[5] = "a1" + lines[5][2:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="features row 5, column article_id: 'a1' repeats row 2"):
+            read_features_file(path)
+
+    def test_reader_accepts_negative_and_zero_finite_values(self, tmp_path):
+        # only non-finite values are refused; the format has no sign rule
+        path = tmp_path / "features.csv"
+        rows = _feature_rows()
+        rows[0] = replace(rows[0], n_users=0, vector=-rows[0].vector)
+        write_features_file(path, rows)
+        assert read_features_file(path) == rows

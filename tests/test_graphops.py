@@ -3,15 +3,16 @@ import random
 import pytest
 
 import bruteforce as bf
+from graphs import digraph, layer
+
 from diffnet import graphops
+from diffnet.features import extract_layer_features
 from diffnet.graphops import (
     DirectedGraph,
     average_clustering,
     density,
-    diameter_undirected,
     main_kcore_number,
     strongly_connected_components,
-    structural_virality,
     undirected_distance_stats,
     weakly_connected_components,
 )
@@ -27,149 +28,153 @@ def _largest(comps):
 
 class TestBasics:
     def test_self_loops_and_duplicates_collapse(self):
-        g = DirectedGraph([(1, 1), (1, 2), (1, 2), (2, 1)])
+        g = digraph([(1, 1), (1, 2), (1, 2), (2, 1)])
         assert g.number_of_nodes() == 2
         assert g.number_of_edges() == 2
         # the reciprocal pair is two arcs on one undirected edge
         assert g.undirected_adj() == {1: {2}, 2: {1}}
 
     def test_isolated_node_kept_if_added_explicitly(self):
-        g = DirectedGraph([(1, 2)], nodes=[5])
-        assert set(g.nodes) == {1, 2, 5}
+        # the graph has a node per id, whether or not an arc names it
+        g = DirectedGraph([1, 2, 5], {(0, 1)})
+        assert g.number_of_nodes() == 3
+        assert _comp_key(weakly_connected_components(g)) == [(1, 2), (5,)]
 
     def test_reciprocal_pair_is_one_undirected_edge(self):
         # the adjacency lists hold each neighbour once, so a forest with
         # reciprocal pairs is still seen as a forest by every shortcut
-        g = DirectedGraph([(1, 2), (2, 1), (2, 3), (3, 2), (4, 3)])
+        g = digraph([(1, 2), (2, 1), (2, 3), (3, 2), (4, 3)])
         assert sorted(map(sorted, g._und)) == [[0, 2], [1], [1, 3], [2]]
         assert g._is_forest()
         assert g._reciprocal_pairs() == 2
 
     def test_undirected_adjacency_keyed_by_id(self):
-        g = DirectedGraph([(1, 2), (3, 1)], nodes=[4])
+        g = digraph([(1, 2), (3, 1)], nodes=[4])
         assert g.undirected_adj() == {1: {2, 3}, 2: {1}, 3: {1}, 4: set()}
 
 
 class TestComponents:
     def test_two_node_cycle_is_one_scc(self):
-        g = DirectedGraph([(1, 2), (2, 1), (2, 3)])
+        g = digraph([(1, 2), (2, 1), (2, 3)])
         comps = strongly_connected_components(g)
         assert _comp_key(comps) == [(1, 2), (3,)]
 
     def test_chain_is_all_singleton_sccs(self):
-        g = DirectedGraph([(1, 2), (2, 3), (3, 4)])
+        g = digraph([(1, 2), (2, 3), (3, 4)])
         assert len(strongly_connected_components(g)) == 4
 
     def test_wcc_ignores_direction(self):
-        g = DirectedGraph([(1, 2), (3, 2), (4, 5)])
+        g = digraph([(1, 2), (3, 2), (4, 5)])
         comps = weakly_connected_components(g)
         assert _comp_key(comps) == [(1, 2, 3), (4, 5)]
 
     def test_deep_chain_no_recursion_blowup(self):
-        g = DirectedGraph((i, i + 1) for i in range(30000))
+        g = digraph((i, i + 1) for i in range(30000))
         assert len(strongly_connected_components(g)) == 30001
         assert len(weakly_connected_components(g)) == 1
 
 
 class TestDistances:
     def test_path_of_three_diameter_and_virality(self):
-        g = DirectedGraph([(1, 2), (2, 3)])
-        assert diameter_undirected(g) == 2
-        # ordered pair distances: 1,1,1,1,2,2 over 6 pairs
-        assert structural_virality(g) == pytest.approx(8 / 6)
+        g = digraph([(1, 2), (2, 3)])
+        # ordered pair distances: 1,1,1,1,2,2
+        assert undirected_distance_stats(g) == (2, 8)
+        feats = extract_layer_features(layer("RT", {(1, 2): 1, (2, 3): 1}))
+        assert (feats.dwcc, feats.sv) == (2, 8 / 6)
 
     def test_single_node_conventions(self):
-        g = DirectedGraph(nodes=[7])
-        assert diameter_undirected(g) == 0
-        assert structural_virality(g) == 0.0
+        assert undirected_distance_stats(digraph(nodes=[7])) == (0, 0)
 
     def test_disconnected_raises(self):
-        g = DirectedGraph([(1, 2), (3, 4)])
+        g = digraph([(1, 2), (3, 4)])
         with pytest.raises(ValueError):
-            diameter_undirected(g)
-        with pytest.raises(ValueError):
-            structural_virality(g)
+            undirected_distance_stats(g)
 
     @pytest.mark.parametrize("nodes", [["nope"], ["nope", 1], [1, 2, "nope"]])
     def test_unknown_node_raises(self, nodes):
         # a lone unknown node is not a single-node graph
-        g = DirectedGraph([(1, 2), (2, 3)])
-        for metric in (diameter_undirected, structural_virality):
-            with pytest.raises(ValueError, match="node 'nope' not in graph"):
-                metric(g, nodes)
+        g = digraph([(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="node 'nope' not in graph"):
+            undirected_distance_stats(g, nodes)
 
     def test_single_known_node_of_a_larger_graph(self):
-        g = DirectedGraph([(1, 2), (2, 3)])
-        assert diameter_undirected(g, [2]) == 0
-        assert structural_virality(g, [2]) == 0.0
+        g = digraph([(1, 2), (2, 3)])
+        assert undirected_distance_stats(g, [2]) == (0, 0)
 
     def test_restriction_to_component(self):
-        g = DirectedGraph([(1, 2), (2, 3), (8, 9)])
-        assert diameter_undirected(g, nodes={1, 2, 3}) == 2
-        assert structural_virality(g, nodes={8, 9}) == 1.0
+        g = digraph([(1, 2), (2, 3), (8, 9)])
+        assert undirected_distance_stats(g, nodes={1, 2, 3}) == (2, 8)
+        assert undirected_distance_stats(g, nodes={8, 9}) == (1, 2)
 
     def test_restriction_must_induce_connected_subgraph(self):
         # 1 and 3 are only linked through 2, which is excluded
-        g = DirectedGraph([(1, 2), (2, 3)])
+        g = digraph([(1, 2), (2, 3)])
         with pytest.raises(ValueError):
             undirected_distance_stats(g, nodes={1, 3})
+
+    def test_induced_subgraph_of_later_labels(self):
+        # the set holds labels 3..5 of a 6-node graph; its induced graph
+        # is the path 9 - 7 - 8, without the arcs through 1
+        g = digraph([(1, 2), (2, 3), (7, 8), (9, 7), (8, 1), (1, 9)])
+        assert undirected_distance_stats(g, nodes={7, 8, 9}) == (2, 8)
+        assert undirected_distance_stats(g, nodes={7, 9}) == (1, 2)
 
 
 class TestClustering:
     def test_triangle(self):
-        g = DirectedGraph([(1, 2), (2, 3), (3, 1)])
+        g = digraph([(1, 2), (2, 3), (3, 1)])
         assert average_clustering(g) == pytest.approx(1.0)
 
     def test_triangle_plus_pendant(self):
         # pendant 4 hangs off 3: coefficients 1, 1, 1/3, 0 -> mean 7/12
-        g = DirectedGraph([(1, 2), (2, 3), (3, 1), (3, 4)])
+        g = digraph([(1, 2), (2, 3), (3, 1), (3, 4)])
         assert average_clustering(g) == pytest.approx(7 / 12)
 
     def test_reciprocal_edges_do_not_double_count(self):
-        g = DirectedGraph([(1, 2), (2, 1), (2, 3), (3, 1)])
+        g = digraph([(1, 2), (2, 1), (2, 3), (3, 1)])
         assert average_clustering(g) == pytest.approx(1.0)
 
     def test_star_has_zero_clustering(self):
-        g = DirectedGraph([(0, i) for i in range(1, 5)])
+        g = digraph([(0, i) for i in range(1, 5)])
         assert average_clustering(g) == 0.0
 
     def test_empty_graph(self):
-        assert average_clustering(DirectedGraph()) == 0.0
+        assert average_clustering(digraph()) == 0.0
 
 
 class TestKCore:
     def test_directed_three_cycle(self):
-        g = DirectedGraph([(1, 2), (2, 3), (3, 1)])
+        g = digraph([(1, 2), (2, 3), (3, 1)])
         assert main_kcore_number(g) == 2
 
     def test_reciprocal_pair_counts_twice(self):
-        g = DirectedGraph([(1, 2), (2, 1)])
+        g = digraph([(1, 2), (2, 1)])
         assert main_kcore_number(g) == 2
 
     def test_chain(self):
-        g = DirectedGraph([(1, 2), (2, 3), (3, 4)])
+        g = digraph([(1, 2), (2, 3), (3, 4)])
         assert main_kcore_number(g) == 1
 
     def test_core_survives_pendant_peeling(self):
-        g = DirectedGraph([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
+        g = digraph([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
         assert main_kcore_number(g) == 2
 
     def test_empty(self):
-        assert main_kcore_number(DirectedGraph()) == 0
+        assert main_kcore_number(digraph()) == 0
 
 
 class TestDensity:
     def test_single_edge_three_nodes(self):
-        g = DirectedGraph([(1, 2)], nodes=[3])
+        g = digraph([(1, 2)], nodes=[3])
         assert density(g) == pytest.approx(1 / 6)
 
     def test_complete_directed(self):
-        g = DirectedGraph([(u, v) for u in range(3) for v in range(3) if u != v])
+        g = digraph([(u, v) for u in range(3) for v in range(3) if u != v])
         assert density(g) == pytest.approx(1.0)
 
     def test_degenerate_sizes(self):
-        assert density(DirectedGraph()) == 0.0
-        assert density(DirectedGraph(nodes=[1])) == 0.0
+        assert density(digraph()) == 0.0
+        assert density(digraph(nodes=[1])) == 0.0
 
 
 def _random_graph(rng, max_nodes=8):
@@ -179,7 +184,7 @@ def _random_graph(rng, max_nodes=8):
     edges = [
         (u, v) for u in nodes for v in nodes if u != v and rng.random() < p
     ]
-    g = DirectedGraph(edges, nodes=nodes)
+    g = digraph(edges, nodes=nodes)
     return nodes, edges, g
 
 
@@ -202,10 +207,11 @@ class TestOracleEquivalence:
         for _ in range(150):
             nodes, edges, g = _random_graph(rng)
             comp = _largest(weakly_connected_components(g))
-            assert diameter_undirected(g, comp) == bf.diameter(nodes, edges, comp)
-            assert structural_virality(g, comp) == pytest.approx(
-                bf.avg_pair_distance(nodes, edges, comp)
-            )
+            n = len(comp)
+            max_dist, total = undirected_distance_stats(g, comp)
+            assert max_dist == bf.diameter(nodes, edges, comp)
+            # the oracle's mean times the pair count is an exact integer
+            assert total == round(bf.avg_pair_distance(nodes, edges, comp) * n * (n - 1))
 
     def test_clustering_matches(self):
         rng = random.Random(11)
@@ -274,7 +280,7 @@ class TestDistanceKernelOracle:
         for n in range(1, 61):
             nodes = list(range(n))
             edges = _random_tree_edges(rng, nodes)
-            self._check(DirectedGraph(edges, nodes=nodes), nodes, edges)
+            self._check(digraph(edges, nodes=nodes), nodes, edges)
 
     def test_random_graphs_with_cycles(self):
         rng = random.Random(32)
@@ -282,7 +288,7 @@ class TestDistanceKernelOracle:
             nodes = list(range(n))
             edges = _random_cyclic_edges(rng, nodes)
             assert len({frozenset(e) for e in edges}) >= n  # not a tree
-            self._check(DirectedGraph(edges, nodes=nodes), nodes, edges)
+            self._check(digraph(edges, nodes=nodes), nodes, edges)
 
     @pytest.mark.parametrize("make", [_random_tree_edges, _random_cyclic_edges])
     def test_restricted_to_one_component(self, make):
@@ -292,7 +298,7 @@ class TestDistanceKernelOracle:
             other = list(range(100, 100 + rng.randint(3, 12)))
             edges = make(rng, comp) + _random_cyclic_edges(rng, other)
             nodes = comp + other
-            g = DirectedGraph(edges, nodes=nodes)
+            g = digraph(edges, nodes=nodes)
             self._check(g, nodes, edges, set(comp))
             self._check(g, nodes, edges, set(other))
             # every node hangs off an earlier one, so a head of the
@@ -301,12 +307,12 @@ class TestDistanceKernelOracle:
 
     def test_long_path_closed_form(self):
         n = 20000
-        g = DirectedGraph((i, i + 1) for i in range(n - 1))
+        g = digraph((i, i + 1) for i in range(n - 1))
         assert undirected_distance_stats(g) == (n - 1, n * (n * n - 1) // 3)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 60, 61, 1500])
     def test_cycle_closed_form(self, n):
-        g = DirectedGraph((i, (i + 1) % n) for i in range(n))
+        g = digraph((i, (i + 1) % n) for i in range(n))
         assert undirected_distance_stats(g) == (n // 2, n * (n * n // 4))
         if n == 1500:
             # the general path takes its sources in more than one block here
@@ -320,18 +326,18 @@ class TestDistanceKernelOracle:
             for n in range(3, 41, 4):
                 nodes = list(range(n))
                 edges = _random_cyclic_edges(rng, nodes)
-                self._check(DirectedGraph(edges, nodes=nodes), nodes, edges)
+                self._check(digraph(edges, nodes=nodes), nodes, edges)
 
     def test_set_sized_like_a_component_but_spanning_two_raises(self):
         # either member's component has three nodes, as the set does
-        g = DirectedGraph([(1, 2), (2, 3), (7, 8), (8, 9), (9, 7)])
+        g = digraph([(1, 2), (2, 3), (7, 8), (8, 9), (9, 7)])
         for nodes in ({1, 2, 7}, {1, 8, 9}, {3, 9, 2}):
             with pytest.raises(ValueError):
                 undirected_distance_stats(g, nodes=nodes)
 
     def test_triangle_plus_isolated_node_raises(self):
         # three edges on four nodes: n - 1 edges, yet not a tree
-        g = DirectedGraph([(1, 2), (2, 3), (3, 1)], nodes=[4])
+        g = digraph([(1, 2), (2, 3), (3, 1)], nodes=[4])
         with pytest.raises(ValueError):
             undirected_distance_stats(g)
         with pytest.raises(ValueError):
@@ -372,7 +378,7 @@ class TestForestShortcuts:
             edges = _random_forest_edges(rng, nodes, reciprocal)
             # a forest: n - #WCC undirected edges
             assert len({frozenset(e) for e in edges}) == n - len(bf.wcc_sets(nodes, edges))
-            g = DirectedGraph(edges, nodes=nodes)
+            g = digraph(edges, nodes=nodes)
             kcore = _check_against_oracles(g, nodes, edges)
             assert average_clustering(g) == 0.0
             if not edges:
@@ -387,12 +393,12 @@ class TestForestShortcuts:
         # a directed path, then one chord back to its start: one cycle
         edges = [(i, i + 1) for i in range(n - 1)]
         nodes = list(range(n))
-        g = DirectedGraph(edges)
+        g = digraph(edges)
         assert len(strongly_connected_components(g)) == n
         assert main_kcore_number(g) == 1
         assert average_clustering(g) == 0.0
         edges.append((n - 1, 0))
-        g = DirectedGraph(edges)
+        g = digraph(edges)
         _check_against_oracles(g, nodes, edges)
         assert len(strongly_connected_components(g)) == 1
         assert main_kcore_number(g) == 2
@@ -407,7 +413,7 @@ class TestForestShortcuts:
             while frozenset((u, v)) in {frozenset(e) for e in edges}:
                 u, v = rng.sample(nodes, 2)
             edges.append((u, v))
-            _check_against_oracles(DirectedGraph(edges, nodes=nodes), nodes, edges)
+            _check_against_oracles(digraph(edges, nodes=nodes), nodes, edges)
 
 
 class TestBucketKCore:
@@ -415,13 +421,13 @@ class TestBucketKCore:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 30])
     def test_complete_digraph(self, n):
-        g = DirectedGraph((u, v) for u in range(n) for v in range(n) if u != v)
+        g = digraph((u, v) for u in range(n) for v in range(n) if u != v)
         assert main_kcore_number(g) == 2 * (n - 1)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 13, 30])
     def test_one_way_tournament(self, n):
         rng = random.Random(n)
-        g = DirectedGraph(
+        g = digraph(
             (u, v) if rng.random() < 0.5 else (v, u)
             for u in range(n) for v in range(u + 1, n)
         )
@@ -441,7 +447,7 @@ class TestBucketKCore:
                 prev, nxt = nxt, nxt + 1
         edges += [(5, 100), (100, 5), (100, 101), (101, 100)]
         nodes += [100, 101]
-        g = DirectedGraph(edges)
+        g = digraph(edges)
         assert main_kcore_number(g) == 2 == bf.main_kcore_peeling(nodes, edges)
 
     def test_random_graphs_against_peeling(self):
@@ -450,5 +456,5 @@ class TestBucketKCore:
             nodes = list(range(n))
             p = rng.uniform(0.02, 0.5)
             edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < p]
-            g = DirectedGraph(edges, nodes=nodes)
+            g = digraph(edges, nodes=nodes)
             assert main_kcore_number(g) == bf.main_kcore_peeling(nodes, edges)

@@ -98,11 +98,6 @@ class TestParseRecords:
         assert len(result.records) == 1
         assert result.malformed == 0
 
-    def test_pure_tweet_predicate(self):
-        recs = _records([_line(1), _line(2, retweet_of="u7")])
-        assert recs[0].interaction_free()
-        assert not recs[1].interaction_free()
-
     def test_roundtrip_is_stable(self):
         lines = [
             _line(1),

@@ -2,13 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from graphs import digraph, layer
 from random_cascades import random_cascade, reference_layers
 
-from diffnet.graphops import DirectedGraph
 from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
 from diffnet.netbuild import (
     LAYER_KINDS,
-    LayerGraph,
     aggregate_layer,
     aggregate_user_count,
     build_network,
@@ -39,7 +38,7 @@ def _graph_shape(g):
 
 class TestLabelledLayers:
     """Layers labelled as they are built, against the same edges relabelled
-    from their user ids by ``DirectedGraph``."""
+    from their user ids by ``digraph``."""
 
     CASES = [(seed, n_tweets, n_users) for seed in range(12)
              for n_tweets, n_users in ((8, 3), (40, 6), (150, 14))]
@@ -50,11 +49,11 @@ class TestLabelledLayers:
         want, _ = reference_layers(cascade)
         net = build_network(cascade)
         for kind in LAYER_KINDS:
-            layer = net.layers[kind]
-            assert list(layer.edges.items()) == list(want[kind].items())
-            ref = DirectedGraph(layer.edges)
-            assert layer.ids == list(ref.nodes)
-            assert _graph_shape(layer.to_directed_graph()) == _graph_shape(ref)
+            got = net.layers[kind]
+            assert list(got.edges.items()) == list(want[kind].items())
+            ref = digraph(want[kind])
+            assert got.ids == ref._ids
+            assert _graph_shape(got.to_directed_graph()) == _graph_shape(ref)
 
     def test_cases_hold_every_kind_of_interaction(self):
         seen = Counter()
@@ -81,10 +80,10 @@ class TestLabelledLayers:
         merged = aggregate_layer(net)
         assert merged.layer_kind == "ALL"
         assert list(merged.edges.items()) == list(union.items())
-        ref = DirectedGraph(union)
-        assert merged.ids == list(ref.nodes)
+        ref = digraph(union)
+        assert merged.ids == ref._ids
         assert _graph_shape(merged.to_directed_graph()) == _graph_shape(ref)
-        assert aggregate_user_count(net) == len(set(ref.nodes) | set(pure))
+        assert aggregate_user_count(net) == len(set(ref._ids) | set(pure))
 
     def test_merged_labels_follow_layer_order_not_tweet_order(self):
         # u3 is first in the tweets but only in the M layer, after Q and RT
@@ -104,19 +103,18 @@ class TestLabelledLayers:
     def test_layer_from_edges_drops_self_loops(self):
         # x appears first in its self-loop, then in an edge: it takes its
         # label where the edge first names it
-        layer = LayerGraph("RT", {("x", "x"): 2, ("a", "b"): 3, ("b", "x"): 1, ("y", "y"): 1})
-        assert layer.ids == ["a", "b", "x"]
-        assert list(layer.edges.items()) == [(("a", "b"), 3), (("b", "x"), 1)]
-        assert layer.nodes() == {"a", "b", "x"}
-        assert LayerGraph("RT", {("x", "x"): 1}).is_empty()
-        assert LayerGraph("RT").is_empty() and LayerGraph("RT").edges == {}
+        rt = layer("RT", {("x", "x"): 2, ("a", "b"): 3, ("b", "x"): 1, ("y", "y"): 1})
+        assert rt.ids == ["a", "b", "x"]
+        assert rt.arcs == {(0, 1): 3, (1, 2): 1}
+        assert list(rt.edges.items()) == [(("a", "b"), 3), (("b", "x"), 1)]
+        assert layer("RT", {("x", "x"): 1}).is_empty()
+        assert layer("RT").is_empty() and layer("RT").edges == {}
 
     def test_edges_is_a_view_computed_on_read(self):
-        layer = LayerGraph("M", {("a", "b"): 2, ("b", "a"): 1})
-        layer.edges[("c", "d")] = 1
-        assert layer.edges == {("a", "b"): 2, ("b", "a"): 1}
-        assert layer == LayerGraph("M", {("b", "a"): 1, ("a", "b"): 2})
-        assert layer != LayerGraph("M", {("a", "b"): 1, ("b", "a"): 1})
+        m = layer("M", {("a", "b"): 2, ("b", "a"): 1})
+        m.edges[("c", "d")] = 1
+        assert m.edges == {("a", "b"): 2, ("b", "a"): 1}
+        assert m.arcs == {(0, 1): 2, (1, 0): 1}
 
 
 class TestBuildNetwork:
@@ -234,7 +232,7 @@ class TestBuildNetwork:
             users |= ends
             assert net.layers[kind].layer_kind == kind
             assert list(net.layers[kind].edges.items()) == list(want[kind].items())
-            assert net.layers[kind].nodes() == ends
+            assert set(net.layers[kind].ids) == ends
         assert net.pure_tweet_count == len(pure)
         assert net.pure_authors == frozenset(pure)
         assert aggregate_user_count(net) == len(users)

@@ -1,0 +1,46 @@
+"""The package's public surface: what ``diffnet`` exports, and the README's
+library quickstart run on its own text."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import diffnet
+from diffnet.graphops import DirectedGraph
+from diffnet.ingest import TweetRecord
+from diffnet.netbuild import LayerGraph
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# names of the id-keyed graph API, which graphs built from labelled arcs replaced
+REMOVED = {
+    diffnet: ("diameter_undirected", "structural_virality", "largest_wcc"),
+    diffnet.graphops: ("diameter_undirected", "structural_virality", "largest_wcc"),
+    DirectedGraph: ("nodes", "_labels", "_labelled"),
+    LayerGraph: ("nodes", "_labelled"),
+    TweetRecord: ("interaction_free",),
+}
+
+
+def test_every_export_resolves_and_no_removed_name_is_left():
+    assert len(diffnet.__all__) == len(set(diffnet.__all__))
+    for name in diffnet.__all__:
+        assert hasattr(diffnet, name), name
+    for owner, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+            assert name not in diffnet.__all__
+
+
+def test_readme_quickstart_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "quickstart"})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("AUROC 1.000000 ")
+    assert lines[1].startswith("AUROC 0.918171 ")

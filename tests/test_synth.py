@@ -198,7 +198,9 @@ def test_cascade_roots_are_pure_and_timestamps_positive():
     cascades, skipped = group_cascades(records, label_map)
     assert skipped == 0
     for cascade in cascades:
-        assert cascade.tweets[0].interaction_free()
+        root = cascade.tweets[0]
+        assert root.retweet_of is None and root.quote_of is None
+        assert root.reply_to is None and not root.mentions
         assert all(t.timestamp > 0 for t in cascade.tweets)
 
 
