@@ -28,21 +28,35 @@ Otherwise SCCs come from an iterative Tarjan and the k-core from the
 bucket peeling of Batagelj and Zaversnik (2003), both linear. A
 component that is a tree takes an O(n) distance path on its search:
 subtree sizes from the parents for the pair sum, one more search for the
-diameter. Any other component is relabelled 0..n-1 for a bit-parallel
-breadth-first search with one Python-int bitset of sources per node,
-O(diameter * m) big-int operations per block of sources. The sources go
-in blocks of ``_BLOCK_BITS // n``, so the bitsets hold O(n * block) bits,
-a few times ``_BLOCK_BITS``, at once.
+diameter.
+
+The general paths run in numpy on one undirected adjacency in compressed
+form, built once per graph: an offsets array and a flat neighbour array.
+Any component that is not a tree runs a bit-parallel breadth-first
+search: each node holds one bit per source of a block, packed into
+``uint64`` words, and each level is one gather of the frontier words
+along the neighbour array, one OR-reduction per node and one popcount,
+O(diameter * m) word operations per block. The sources go in blocks of
+``_BLOCK_BITS // 2m``, so the gathered words hold about ``_BLOCK_BITS``
+bits, and never less than one word per adjacency entry. The clustering
+coefficient first peels the projection to its 2-core: a node outside it
+lies on no triangle. The core's neighbour sets are packed into ``uint64``
+rows one word of 64 columns at a time, so memory stays O(c + m) words
+however wide the core, and a node's twice-triangle count is the popcount
+of its row AND each neighbour's row, summed over the words.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import xor
+from itertools import accumulate, chain
 from typing import Hashable, Iterable, Optional
 
-# nodes times sources in one block of the general distance path
+import numpy as np
+
+# adjacency entries times sources in one block of the general distance path
 _BLOCK_BITS = 1 << 20
+# _BIT[i] is the word with bit i set
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 class DirectedGraph:
@@ -54,7 +68,7 @@ class DirectedGraph:
     from it is cached.
     """
 
-    __slots__ = ("_ids", "_arcs", "_und", "_und_edges", "_succ", "_pred", "_wcc")
+    __slots__ = ("_ids", "_arcs", "_und", "_und_edges", "_und_csr", "_succ", "_pred", "_wcc")
 
     def __init__(self, ids: list, arcs) -> None:
         # one entry per undirected edge; a reciprocal pair enters from i < j
@@ -67,7 +81,7 @@ class DirectedGraph:
         self._arcs = arcs
         self._und = und
         self._und_edges = len(und_pairs)
-        self._succ = self._pred = self._wcc = None
+        self._und_csr = self._succ = self._pred = self._wcc = None
 
     def number_of_nodes(self) -> int:
         return len(self._ids)
@@ -79,6 +93,16 @@ class DirectedGraph:
         """Adjacency of the undirected simple projection, keyed by id."""
         ids = self._ids
         return {v: set(map(ids.__getitem__, nbrs)) for v, nbrs in zip(ids, self._und)}
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The undirected adjacency as ``(offsets, nbrs)`` (cached): the
+        neighbours of label v are ``nbrs[offsets[v]:offsets[v + 1]]``."""
+        if self._und_csr is None:
+            und = self._und
+            offsets = np.fromiter(accumulate(map(len, und), initial=0), np.intp, len(und) + 1)
+            nbrs = np.fromiter(chain.from_iterable(und), np.intp, offsets[-1])
+            self._und_csr = offsets, nbrs
+        return self._und_csr
 
     def _directed(self) -> tuple[list[set[int]], list[set[int]]]:
         """Successors and predecessors of each integer label (cached); only
@@ -241,39 +265,42 @@ def _eccentricity(adj: list[list[int]], src: int) -> int:
     return ecc
 
 
-def _general_distance_stats(adj: list[list[int]]) -> tuple[int, int]:
-    """Diameter and ordered-pair distance sum of a connected graph.
+def _general_distance_stats(offsets: np.ndarray, nbrs: np.ndarray) -> tuple[int, int]:
+    """Diameter and ordered-pair distance sum of a connected graph on
+    labels 0..n-1 with n >= 2, given as its undirected adjacency.
 
-    Bit-parallel breadth-first search: bit k of ``reach[v]`` says that
-    source k of the block lies within the current level of v. A node
-    reached by a source at one level hands it on to its neighbours at the
-    next, so each level pushes only the bits that arrived at the last one.
-    The pair (k, v) adds 1 to the sum for every level it is still
-    unreached at, so each level adds the unset bits. Sources go in blocks
-    of ``_BLOCK_BITS // n``, so memory stays O(n * block) bits.
+    Bit-parallel breadth-first search: bit k of node v says that source k
+    of the block has reached v, and the bits are packed into ``uint64``
+    words, word-major, so word w of v sits at ``w * n + v``. Each level
+    gathers the words that arrived at the last level along the neighbour
+    array and ORs each node's segment of them together; the bits a node
+    had not yet seen are the new ones. The pair (k, v) adds 1 to the sum
+    for every level it is still unreached at, so each level adds the
+    unset bits. Sources go in blocks of ``_BLOCK_BITS // 2m``.
     """
-    n = len(adj)
-    block = max(1, _BLOCK_BITS // n)
+    n = len(offsets) - 1
+    entries = len(nbrs)
+    block = max(1, _BLOCK_BITS // entries)
     max_dist = total = 0
     for start in range(0, n, block):
         width = min(block, n - start)
-        reach = [0] * n
-        reach[start:start + width] = [1 << k for k in range(width)]
-        new, active = reach, range(start, start + width)
+        word = np.arange((width + 63) >> 6)[:, None]
+        gather = (word * n + nbrs).ravel()
+        # every node has a neighbour, so no segment is empty
+        segments = (word * entries + offsets[:-1]).ravel()
+        k = np.arange(width)
+        new = np.zeros(len(word) * n, dtype=np.uint64)
+        new[(k >> 6) * n + start + k] = _BIT[k & 63]
+        unreached = ~new
         level = 0
         missing = (n - 1) * width
         while missing:
             total += missing
             level += 1
-            nxt = reach[:]
-            for u in active:
-                bits = new[u]
-                for v in adj[u]:
-                    nxt[v] |= bits
-            new = list(map(xor, nxt, reach))
-            missing -= sum(map(int.bit_count, new))
-            active = list(compress(range(n), new))
-            reach = nxt
+            new = np.bitwise_or.reduceat(new[gather], segments)
+            new &= unreached
+            unreached ^= new
+            missing -= int(np.bitwise_count(new).sum())
         max_dist = max(max_dist, level)
     return max_dist, total
 
@@ -297,8 +324,18 @@ def component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
             total += s * (n - s)
             size[parent[u]] += s
         return _eccentricity(und, order[-1]), 2 * total
-    pos = dict(zip(order, range(n)))
-    return _general_distance_stats([list(map(pos.__getitem__, und[v])) for v in order])
+    offsets, nbrs = g._csr()
+    if n < len(und):
+        # relabel the component 0..n-1; its nodes' neighbours all lie in it
+        order = np.array(order)
+        degree = offsets[order + 1] - offsets[order]
+        sub = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(degree, out=sub[1:])
+        entry = np.repeat(offsets[order] - sub[:-1], degree) + np.arange(sub[-1])
+        pos = np.empty(len(und), dtype=np.intp)
+        pos[order] = np.arange(n)
+        offsets, nbrs = sub, pos[nbrs[entry]]
+    return _general_distance_stats(offsets, nbrs)
 
 
 def undirected_distance_stats(
@@ -339,26 +376,56 @@ def undirected_distance_stats(
     return component_distance_stats(sub, 0)
 
 
+def _two_core(und: list[list[int]]) -> np.ndarray:
+    """Which nodes of an undirected adjacency lie in its 2-core: peel every
+    node with fewer than two neighbours left, until none is left."""
+    degree = list(map(len, und))
+    peeled = [v for v, d in enumerate(degree) if d < 2]
+    for v in peeled:  # the list grows while it is walked: a queue
+        for w in und[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                peeled.append(w)
+    core = np.ones(len(und), dtype=bool)
+    core[peeled] = False
+    return core
+
+
 def average_clustering(g: DirectedGraph) -> float:
     """Mean local clustering coefficient on the undirected simple projection.
 
     Nodes with fewer than two neighbours contribute 0; an empty graph or a
-    forest scores 0.
+    forest scores 0. A node outside the 2-core lies on no triangle, so only
+    the core is packed into bit rows, one bit per core neighbour. Twice a
+    node's triangle count is the sum, over its neighbours, of the popcount
+    of its row AND theirs. The rows are packed one word of 64 columns at a
+    time, so memory stays O(c + m) words for a core of c nodes and m
+    edges. The nonzero coefficients are added in label order, the order a
+    sum over all nodes takes, so the float does not depend on the packing.
     """
     n = g.number_of_nodes()
     if n == 0 or g._is_forest():
         return 0.0
-    # only nodes of degree 2 or more need a set; intersection() takes lists
-    nbr_sets = [set(nbrs) if len(nbrs) > 1 else nbrs for nbrs in g._und]
+    core = _two_core(g._und)
+    offsets, nbrs = g._csr()
+    degree = offsets[1:] - offsets[:-1]
+    src = np.repeat(np.arange(n), degree)
+    keep = core[src] & core[nbrs]
+    label = np.cumsum(core, dtype=np.intp) - 1  # labels 0..c-1 of the core nodes
+    s, t = label[src[keep]], label[nbrs[keep]]
+    c = int(label[-1]) + 1
+    # the core's adjacency entries run by s, two or more per core node
+    starts = np.searchsorted(s, np.arange(c))
+    column, bit = t >> 6, _BIT[t & 63]
+    links2 = 0
+    for word in range((c + 63) >> 6):
+        # bit i of rows[v] says that v links to core node 64 * word + i
+        rows = np.bitwise_or.reduceat(np.where(column == word, bit, 0), starts)
+        links2 = links2 + np.add.reduceat(np.bitwise_count(rows[s] & rows[t]), starts, dtype=np.intp)
+    nonzero = np.flatnonzero(links2)
     total = 0.0
-    for nbrs in nbr_sets:
-        k = len(nbrs)
-        if k < 2:
-            continue
-        # twice the number of edges among the neighbours; no self-loops, so
-        # the node itself never shows up in an intersection
-        links2 = sum(len(nbrs.intersection(nbr_sets[v])) for v in nbrs)
-        total += links2 / (k * (k - 1))
+    for l2, k in zip(links2[nonzero].tolist(), degree[core][nonzero].tolist()):
+        total += l2 / (k * (k - 1))
     return total / n
 
 

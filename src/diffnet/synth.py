@@ -26,9 +26,10 @@ spawned from the master seed, so output is identical at any worker count.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,14 @@ BASE_TIME = 1_000_000
 CASCADE_GAP_FACTOR = 3.0
 
 
+def _require_finite(config) -> None:
+    # JSON configs may spell NaN and Infinity, which every range test passes
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class ClassProfile:
     n_articles: int
@@ -59,6 +68,7 @@ class ClassProfile:
     mention_rate: float
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.n_articles < 1:
             raise ValueError("n_articles must be >= 1")
         if self.cascade_mean < 1.0:
@@ -87,6 +97,7 @@ class GeneratorConfig:
     def validate(self) -> None:
         self.disinformation.validate()
         self.mainstream.validate()
+        _require_finite(self)
         for name in ("reply_rate", "quote_rate", "pure_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -117,9 +128,10 @@ class GeneratorConfig:
                 if k in obj
             }
             config = GeneratorConfig(disinformation=d, mainstream=m, **rest)
+            config.validate()
         except (KeyError, TypeError) as exc:
+            # a missing key, an unknown one, or a value that is not a number
             raise ValueError(f"bad generator config: {exc}") from exc
-        config.validate()
         return config
 
 

@@ -3,7 +3,8 @@
 Everything here trades speed for obviousness: boolean matrix closures,
 Floyd-Warshall, exhaustive subset enumeration and naive repeated peeling.
 The subset enumeration suits graphs of at most ~10 nodes; the cubic
-closures and the peeling reach a few dozen.
+closures and the peeling reach a few dozen, and a breadth-first search
+per source a few hundred.
 """
 
 from __future__ import annotations
@@ -97,6 +98,56 @@ def undirected_distances(nodes, edges):
     return order, d
 
 
+def _undirected_sets(nodes, edges):
+    und = {n: set() for n in nodes}
+    for u, v in edges:
+        if u != v:
+            und[u].add(v)
+            und[v].add(u)
+    return und
+
+
+def bfs_distance_sum(nodes, edges, source):
+    """Eccentricity of ``source`` and the sum of its distances to every
+    node, by one breadth-first search; ValueError if one is unreached."""
+    und = _undirected_sets(nodes, edges)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in und[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    if len(dist) != len(und):
+        raise ValueError("disconnected")
+    return max(dist.values()), sum(dist.values())
+
+
+def distance_stats_bfs(nodes, edges):
+    """Diameter and ordered-pair distance sum, one search per source."""
+    best = total = 0
+    for s in nodes:
+        ecc, dist_sum = bfs_distance_sum(nodes, edges, s)
+        best = max(best, ecc)
+        total += dist_sum
+    return best, total
+
+
+def two_core(nodes, edges):
+    """Nodes of the undirected 2-core: drop every node with fewer than two
+    neighbours left, all at once, until none is."""
+    und = _undirected_sets(nodes, edges)
+    core = set(nodes)
+    while True:
+        low = {u for u in core if len(und[u] & core) < 2}
+        if not low:
+            return core
+        core -= low
+
+
 def diameter(nodes, edges, subset=None):
     order, d = undirected_distances(nodes, edges)
     idx = {n: i for i, n in enumerate(order)}
@@ -131,13 +182,9 @@ def avg_pair_distance(nodes, edges, subset=None):
 
 
 def avg_clustering(nodes, edges):
-    """Direct triple counting on the undirected projection."""
-    und = {n: set() for n in nodes}
-    for u, v in edges:
-        if u == v:
-            continue
-        und[u].add(v)
-        und[v].add(u)
+    """Direct triple counting on the undirected projection, summed in the
+    order of ``nodes``."""
+    und = _undirected_sets(nodes, edges)
     if not und:
         return 0.0
     total = 0.0

@@ -390,6 +390,27 @@ def test_bad_generator_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("E_FORMAT:")
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", [
+    "disinformation.cascade_mean", "disinformation.size_exponent",
+    "mainstream.depth_bias", "mainstream.mention_rate",
+    "reply_rate", "quote_rate", "pure_rate", "inter_arrival_mean",
+])
+def test_non_finite_generator_config(tmp_path, capsys, field, literal):
+    # the JSON reader accepts these literals; the config must not
+    config = json.loads(json.dumps(CONFIG))
+    *profile, name = field.split(".")
+    (config[profile[0]] if profile else config)[name] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config).replace('"@"', literal))
+    out = tmp_path / "x"
+    code = main(["synth", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:") and f"{name} must be a finite number" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_malformed_features_file(tmp_path, capsys):
     broken = tmp_path / "features.csv"
     broken.write_text("not,a,features,header\n1,2,3,4\n")

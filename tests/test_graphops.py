@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -120,19 +122,26 @@ class TestDistances:
         assert undirected_distance_stats(g, nodes={7, 9}) == (1, 2)
 
 
+def _exact_clustering(edges, nodes):
+    """The graph's clustering coefficient, asserted equal to the oracle's
+    float: ``nodes`` lists every node in label order, so that both add the
+    coefficients in one order."""
+    got = average_clustering(digraph(edges, nodes=nodes))
+    assert got == bf.avg_clustering(nodes, edges)
+    return got
+
+
 class TestClustering:
     def test_triangle(self):
-        g = digraph([(1, 2), (2, 3), (3, 1)])
-        assert average_clustering(g) == pytest.approx(1.0)
+        assert _exact_clustering([(1, 2), (2, 3), (3, 1)], [1, 2, 3]) == 1.0
 
     def test_triangle_plus_pendant(self):
         # pendant 4 hangs off 3: coefficients 1, 1, 1/3, 0 -> mean 7/12
-        g = digraph([(1, 2), (2, 3), (3, 1), (3, 4)])
-        assert average_clustering(g) == pytest.approx(7 / 12)
+        got = _exact_clustering([(1, 2), (2, 3), (3, 1), (3, 4)], [1, 2, 3, 4])
+        assert got == pytest.approx(7 / 12)
 
     def test_reciprocal_edges_do_not_double_count(self):
-        g = digraph([(1, 2), (2, 1), (2, 3), (3, 1)])
-        assert average_clustering(g) == pytest.approx(1.0)
+        assert _exact_clustering([(1, 2), (2, 1), (2, 3), (3, 1)], [1, 2, 3]) == 1.0
 
     def test_star_has_zero_clustering(self):
         g = digraph([(0, i) for i in range(1, 5)])
@@ -140,6 +149,76 @@ class TestClustering:
 
     def test_empty_graph(self):
         assert average_clustering(digraph()) == 0.0
+
+
+def _random_edges(rng, nodes, p):
+    return [(u, v) for u in nodes for v in nodes if u != v and rng.random() < p]
+
+
+def _hang_trees(rng, nodes, extra):
+    """Edges that hang ``extra`` new nodes off ``nodes`` as random trees."""
+    edges = []
+    grown = list(nodes)
+    for v in extra:
+        u = rng.choice(grown)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+        grown.append(v)
+    return edges
+
+
+# node counts on either side of one and two 64-bit words
+WORD_EDGES = [63, 64, 65, 127, 128, 129]
+
+
+class TestClusteringKernel:
+    """The packed-row kernel against triple counting, on the shapes that
+    reach it: cliques, dense graphs, 2-cores under pendant trees and
+    several components, with cores on both sides of word boundaries."""
+
+    @pytest.mark.parametrize("n", [3, 4, 10] + WORD_EDGES)
+    def test_cliques(self, n):
+        rng = random.Random(n)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u in range(n) for v in range(u)]
+        assert average_clustering(digraph(edges, nodes=range(n))) == 1.0
+
+    @pytest.mark.parametrize("n", WORD_EDGES)
+    def test_dense_random_graphs(self, n):
+        rng = random.Random(100 + n)
+        for p in (0.1, 0.3, 0.7):
+            # shuffled labels: the core's rows do not follow the node ids
+            nodes = rng.sample(range(n), n)
+            _exact_clustering(_random_edges(rng, nodes, p), nodes)
+
+    @pytest.mark.parametrize("n", WORD_EDGES)
+    def test_cores_with_pendant_trees(self, n):
+        rng = random.Random(200 + n)
+        core = list(range(n // 2))
+        trees = list(range(n // 2, n))
+        edges = _random_edges(rng, core, 0.3) + _hang_trees(rng, core, trees)
+        nodes = rng.sample(range(n), n)
+        _exact_clustering(edges, nodes)
+        g = digraph(edges, nodes=nodes)
+        assert set(np.flatnonzero(graphops._two_core(g._und))) == {
+            nodes.index(v) for v in bf.two_core(nodes, edges)
+        }
+
+    def test_several_components(self):
+        rng = random.Random(300)
+        parts = [list(range(0, 5)), list(range(5, 75)), list(range(75, 140)), list(range(140, 200))]
+        edges = [(u, v) for u in parts[0] for v in parts[0] if u < v]  # a clique
+        edges += _random_edges(rng, parts[1], 0.2)
+        edges += _random_edges(rng, parts[2][:30], 0.4) + _hang_trees(rng, parts[2][:30], parts[2][30:])
+        edges += _random_tree_edges(rng, parts[3])
+        nodes = rng.sample(range(200), 200)
+        assert _exact_clustering(edges, nodes) > 0
+
+    def test_two_core_matches_naive_peeling(self):
+        rng = random.Random(301)
+        for n in range(1, 80, 3):
+            nodes = list(range(n))
+            edges = _random_forest_edges(rng, nodes, 0) + _random_edges(rng, nodes, 1.5 / n)
+            g = digraph(edges, nodes=nodes)
+            assert set(np.flatnonzero(graphops._two_core(g._und))) == bf.two_core(nodes, edges)
 
 
 class TestKCore:
@@ -216,10 +295,9 @@ class TestOracleEquivalence:
     def test_clustering_matches(self):
         rng = random.Random(11)
         for _ in range(150):
+            # the nodes are in label order, so both sum in one order
             nodes, edges, g = _random_graph(rng)
-            assert average_clustering(g) == pytest.approx(
-                bf.avg_clustering(nodes, edges)
-            )
+            assert average_clustering(g) == bf.avg_clustering(nodes, edges)
 
     def test_kcore_matches_subset_enumeration(self):
         rng = random.Random(4242)
@@ -310,16 +388,32 @@ class TestDistanceKernelOracle:
         g = digraph((i, i + 1) for i in range(n - 1))
         assert undirected_distance_stats(g) == (n - 1, n * (n * n - 1) // 3)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 60, 61, 1500])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 60, 61, *WORD_EDGES, 1500])
     def test_cycle_closed_form(self, n):
         g = digraph((i, (i + 1) % n) for i in range(n))
         assert undirected_distance_stats(g) == (n // 2, n * (n * n // 4))
         if n == 1500:
-            # the general path takes its sources in more than one block here
-            assert graphops._BLOCK_BITS // n < n
+            # a cycle has 2n adjacency entries: the general path takes its
+            # sources in more than one block here, each of several words
+            assert 64 < graphops._BLOCK_BITS // (2 * n) < n
+
+    @pytest.mark.parametrize("n", WORD_EDGES)
+    def test_blocks_of_several_words(self, monkeypatch, n):
+        # blocks of 64, 65 and 100 sources: whole words, one bit over a
+        # word, and a partial second word, with a short last block
+        rng = random.Random(34 + n)
+        nodes = rng.sample(range(n), n)
+        edges = _random_cyclic_edges(rng, nodes)
+        g = digraph(edges, nodes=nodes)
+        entries = 2 * len({frozenset(e) for e in edges})
+        expected = bf.distance_stats_bfs(nodes, edges)
+        for sources in (64, 65, 100):
+            monkeypatch.setattr(graphops, "_BLOCK_BITS", sources * entries)
+            assert undirected_distance_stats(g) == expected
 
     def test_many_source_blocks(self, monkeypatch):
-        # blocks of one to a few sources, so every block boundary is crossed
+        # blocks of one to a few sources, each less than a word, so every
+        # block boundary is crossed
         rng = random.Random(33)
         for bits in (1, 40, 200):
             monkeypatch.setattr(graphops, "_BLOCK_BITS", bits)
@@ -344,6 +438,62 @@ class TestDistanceKernelOracle:
             undirected_distance_stats(g, nodes={1, 2, 3, 4})
 
 
+class TestWideSparseComponent:
+    """One 20,000-node component that is a tree plus 50 chords: a star whose
+    hub is linked to every leaf, with the chords joining 100 of the leaves
+    in pairs, so 50 triangles through the hub. Its 2-core is the hub and
+    those 100 leaves."""
+
+    N = 20000
+
+    @pytest.fixture(scope="class")
+    def star(self):
+        rng = random.Random(35)
+        # shuffled labels: the hub, node 0, and the core spread over them
+        nodes = rng.sample(range(self.N), self.N)
+        chorded = rng.sample(range(1, self.N), 100)
+        edges = [(0, v) if v % 2 else (v, 0) for v in range(1, self.N)]
+        edges += [(chorded[i], chorded[i + 1]) for i in range(0, 100, 2)]
+        return nodes, edges, chorded, digraph(edges, nodes=nodes)
+
+    def test_two_core_is_the_triangles(self, star):
+        nodes, _, chorded, g = star
+        core = graphops._two_core(g._und)
+        assert {nodes[i] for i in np.flatnonzero(core)} == {0, *chorded}
+
+    def test_clustering_closed_form_and_memory(self, star):
+        nodes, _, chorded, g = star
+        # the hub closes 50 of its C(19999, 2) neighbour pairs, and each
+        # chorded leaf has two linked neighbours; summed in label order
+        k = self.N - 1
+        coefficient = {0: 100 / (k * (k - 1)), **{v: 1.0 for v in chorded}}
+        expected = 0.0
+        for v in nodes:
+            expected += coefficient.get(v, 0.0)
+        tracemalloc.start()
+        try:
+            got = average_clustering(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected / self.N
+        # rows for the core alone; a 20,000-bit row per node would take 50 MB
+        assert peak < 10 * 2**20
+
+    def test_distances_against_breadth_first_search(self, star):
+        nodes, edges, chorded, g = star
+        # every leaf with a chord is the image of every other under some
+        # automorphism, and so is every leaf without one: a search from the
+        # hub and from one leaf of each kind gives every source's sum
+        plain = min(set(range(1, self.N)) - set(chorded))
+        hub, with_chord, without = (
+            bf.bfs_distance_sum(nodes, edges, v) for v in (0, chorded[0], plain)
+        )
+        total = hub[1] + 100 * with_chord[1] + (self.N - 101) * without[1]
+        diameter = max(hub[0], with_chord[0], without[0])
+        assert undirected_distance_stats(g) == (diameter, total) == (2, 2 * (self.N - 1) ** 2 - 100)
+
+
 def _random_forest_edges(rng, nodes, reciprocal):
     """Random trees over ``nodes`` with random orientations, plus the reverse
     of ``reciprocal`` of their edges (or of all of them, if fewer)."""
@@ -359,7 +509,7 @@ def _random_forest_edges(rng, nodes, reciprocal):
 def _check_against_oracles(g, nodes, edges):
     assert _comp_key(strongly_connected_components(g)) == _comp_key(bf.scc_sets(nodes, edges))
     assert _comp_key(weakly_connected_components(g)) == _comp_key(bf.wcc_sets(nodes, edges))
-    assert average_clustering(g) == pytest.approx(bf.avg_clustering(nodes, edges))
+    assert average_clustering(g) == bf.avg_clustering(nodes, edges)
     kcore = main_kcore_number(g)
     assert kcore == bf.main_kcore_peeling(nodes, edges)
     if len(nodes) <= 7:

@@ -87,6 +87,34 @@ def test_config_rate_bounds(field):
         config.validate()
 
 
+PROFILE_FLOATS = ["cascade_mean", "size_exponent", "depth_bias", "mention_rate"]
+CONFIG_FLOATS = ["reply_rate", "quote_rate", "pure_rate", "inter_arrival_mean"]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", PROFILE_FLOATS + CONFIG_FLOATS)
+def test_validation_rejects_non_finite(field, value):
+    if field in PROFILE_FLOATS:
+        config = small_config(mainstream=small_profile(**{field: value}))
+    else:
+        config = small_config(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        config.validate()
+    # the JSON reader takes NaN and Infinity as written
+    text = json.dumps(config.to_json_dict())
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        GeneratorConfig.from_json_dict(json.loads(text))
+
+
+def test_config_from_json_rejects_a_value_that_is_not_a_number():
+    obj = small_config().to_json_dict()
+    obj["disinformation"]["depth_bias"] = "deep"
+    with pytest.raises(ValueError, match="bad generator config"):
+        GeneratorConfig.from_json_dict(obj)
+
+
 def test_config_json_round_trip():
     config = small_config()
     blob = json.dumps(config.to_json_dict())
