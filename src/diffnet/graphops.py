@@ -10,25 +10,37 @@ is built only from labelled arcs: the list of node ids, whose position is
 each node's label, and the distinct label pairs, as a layer holds them
 once it has labelled its users. Ids reappear only in returned sets and
 lists. The featurizer picks the largest weakly connected component by
-its index and hands that index to the distance kernel. The graph keeps the
-directed arcs and the undirected adjacency as deduplicated lists, counting
-|E_und| as it builds them; successor and predecessor sets are built only
-when a kernel follows directions. One cached breadth-first search labels
-the weakly connected components and records each node's parent, so each
-kernel can test cheaply whether the undirected projection is a forest
-(|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| - |E_und|):
+its index and hands that index to the distance kernel.
+
+A layer labels its users in order of first appearance and keeps its arcs
+in first-interaction order, so in a forest layer whose trees no later arc
+joins, each arc names the next unseen label as the child of a seen one,
+joins the next two labels as a new root and its child, or reverses an
+earlier tree arc. The constructor makes one pass over the arcs in the
+order given and checks exactly that. When every arc fits and every label
+is seen, the pass yields the components (in label order, parents before
+children), each node's parent and |E_und| = n - #roots, and nothing else
+is built. Any other arc ends the pass, whatever the graph's source: a
+set's order, an isolated node, a later arc between two trees or a cycle.
+The components then come from a breadth-first search over the undirected
+adjacency as deduplicated lists, which also count |E_und|. Those lists,
+like the successor and predecessor sets, are built only on first use.
+
+Either way each kernel can test cheaply whether the undirected projection
+is a forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
+|E_und|):
 
 * in a forest the clustering coefficient is 0, and the main k-core is 1,
   or 2 once there is a reciprocal pair (0 without edges);
 * in a forest every directed cycle is a reciprocal pair, so the strongly
   connected components are those of the pairs: n - #pairs of them, grouped
-  along the search parents.
+  along the tree parents.
 
 Otherwise SCCs come from an iterative Tarjan and the k-core from the
 bucket peeling of Batagelj and Zaversnik (2003), both linear. A
-component that is a tree takes an O(n) distance path on its search:
-subtree sizes from the parents for the pair sum, one more search for the
-diameter.
+component that is a tree takes an O(n) distance path: one reverse walk of
+its nodes, children before parents, sums subtree sizes for the pair sum
+and keeps each node's height for the diameter.
 
 The general paths run in numpy on one undirected adjacency in compressed
 form, built once per graph: an offsets array and a flat neighbour array.
@@ -71,17 +83,41 @@ class DirectedGraph:
     __slots__ = ("_ids", "_arcs", "_und", "_und_edges", "_und_csr", "_succ", "_pred", "_wcc")
 
     def __init__(self, ids: list, arcs) -> None:
-        # one entry per undirected edge; a reciprocal pair enters from i < j
-        und_pairs = [(i, j) for i, j in arcs if i < j or (j, i) not in arcs]
-        und: list[list[int]] = [[] for _ in ids]
-        for i, j in und_pairs:
-            und[i].append(j)
-            und[j].append(i)
         self._ids = ids
         self._arcs = arcs
-        self._und = und
-        self._und_edges = len(und_pairs)
-        self._und_csr = self._succ = self._pred = self._wcc = None
+        self._und = self._und_csr = self._succ = self._pred = None
+        self._wcc = self._forest_pass()
+        # the pass leaves |E_und| = n - #roots; otherwise _adjacency counts it
+        self._und_edges = None if self._wcc is None else len(ids) - len(self._wcc[1])
+
+    def _forest_pass(self) -> Optional[tuple[list[int], list[list[int]], list[int]]]:
+        """``_components()`` of a forest whose arcs come in first-appearance
+        order, or None. With labels 0..top-1 seen, an arc must make top a
+        child of a seen label, make top a root with child top + 1, or
+        reverse a tree arc (parent[hi] == lo: a parent has the smaller
+        label); and every label must be seen."""
+        label = [-1] * len(self._ids)
+        parent = [-1] * len(self._ids)
+        comps: list[list[int]] = []
+        top = 0
+        for i, j in self._arcs:
+            if i < j:
+                lo, hi = i, j
+            else:
+                lo, hi = j, i
+            if hi == top != lo:
+                c = label[hi] = label[lo]
+                parent[hi] = lo
+                comps[c].append(hi)
+                top += 1
+            elif lo == top and hi == top + 1:
+                label[lo] = label[hi] = len(comps)
+                parent[hi] = lo
+                comps.append([lo, hi])
+                top += 2
+            elif hi >= top or parent[hi] != lo:
+                return None
+        return (label, comps, parent) if top == len(label) else None
 
     def number_of_nodes(self) -> int:
         return len(self._ids)
@@ -92,13 +128,28 @@ class DirectedGraph:
     def undirected_adj(self) -> dict:
         """Adjacency of the undirected simple projection, keyed by id."""
         ids = self._ids
-        return {v: set(map(ids.__getitem__, nbrs)) for v, nbrs in zip(ids, self._und)}
+        return {v: set(map(ids.__getitem__, nbrs)) for v, nbrs in zip(ids, self._adjacency())}
+
+    def _adjacency(self) -> list[list[int]]:
+        """The undirected projection as deduplicated neighbour lists of the
+        integer labels (cached), counting |E_und| as they are built."""
+        if self._und is None:
+            arcs = self._arcs
+            # one entry per undirected edge; a reciprocal pair enters from i < j
+            und_pairs = [(i, j) for i, j in arcs if i < j or (j, i) not in arcs]
+            und: list[list[int]] = [[] for _ in self._ids]
+            for i, j in und_pairs:
+                und[i].append(j)
+                und[j].append(i)
+            self._und = und
+            self._und_edges = len(und_pairs)
+        return self._und
 
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The undirected adjacency as ``(offsets, nbrs)`` (cached): the
         neighbours of label v are ``nbrs[offsets[v]:offsets[v + 1]]``."""
         if self._und_csr is None:
-            und = self._und
+            und = self._adjacency()
             offsets = np.fromiter(accumulate(map(len, und), initial=0), np.intp, len(und) + 1)
             nbrs = np.fromiter(chain.from_iterable(und), np.intp, offsets[-1])
             self._und_csr = offsets, nbrs
@@ -116,10 +167,11 @@ class DirectedGraph:
         return self._succ, self._pred
 
     def _components(self) -> tuple[list[int], list[list[int]], list[int]]:
-        """Per node its component label and search parent (-1 at a root),
-        and per component its nodes in breadth-first order (cached)."""
+        """Per node its component label and tree parent (-1 at a root), and
+        per component its nodes, parents first (cached): in label order
+        from the forest pass, else in breadth-first order."""
         if self._wcc is None:
-            und = self._und
+            und = self._adjacency()
             label = [-1] * len(und)
             parent = [-1] * len(und)
             comps: list[list[int]] = []
@@ -141,11 +193,13 @@ class DirectedGraph:
 
     def _reciprocal_pairs(self) -> int:
         """|E_dir| - |E_und|: each reciprocal pair is two arcs on one edge."""
+        self._components()  # counts |E_und|
         return len(self._arcs) - self._und_edges
 
     def _is_forest(self) -> bool:
         """Whether the undirected projection has no cycle."""
-        return self._und_edges == len(self._ids) - len(self._components()[1])
+        roots = len(self._components()[1])
+        return self._und_edges == len(self._ids) - roots
 
 
 def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:
@@ -154,10 +208,10 @@ def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:
 
     Every directed cycle of a forest is a reciprocal pair, so there the
     components are those of the reciprocal pairs, n - #pairs of them (no
-    pairs: all singletons). Each pair is an edge of the search forest, so
-    one walk down the search order puts every pair's child in the group of
-    its parent. Any other graph runs an iterative Tarjan, linear in nodes +
-    edges; cascade chains can be long, so no recursion.
+    pairs: all singletons). Each pair is an edge of the forest, so one
+    walk down the component order, parents first, puts every pair's child
+    in the group of its parent. Any other graph runs an iterative Tarjan,
+    linear in nodes + edges; cascade chains can be long, so no recursion.
     """
     n = len(g._ids)
     if g._is_forest():
@@ -247,24 +301,6 @@ def largest_component(g: DirectedGraph) -> tuple[int, int, int]:
     return len(comps), min(tied, key=lambda c: min(map(ids.__getitem__, comps[c]))), size
 
 
-def _eccentricity(adj: list[list[int]], src: int) -> int:
-    """Largest breadth-first distance from ``src`` within its component."""
-    seen = [False] * len(adj)
-    seen[src] = True
-    frontier = [src]
-    ecc = -1
-    while frontier:
-        ecc += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        frontier = nxt
-    return ecc
-
-
 def _general_distance_stats(offsets: np.ndarray, nbrs: np.ndarray) -> tuple[int, int]:
     """Diameter and ordered-pair distance sum of a connected graph on
     labels 0..n-1 with n >= 2, given as its undirected adjacency.
@@ -308,31 +344,44 @@ def _general_distance_stats(offsets: np.ndarray, nbrs: np.ndarray) -> tuple[int,
 def component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
     """Diameter and ordered-pair distance sum of weakly connected component c.
 
-    On a tree, reverse search order puts children before their parents, an
-    edge above a subtree of s nodes lies on s * (n - s) unordered pair paths
-    (the Wiener index), and the last node searched ends a longest path.
+    On a tree, reverse component order puts children before their parents,
+    as any order with parents first does. An edge above a subtree of s
+    nodes lies on s * (n - s) unordered pair paths (the Wiener index), and
+    the same walk keeps each node's height: the longest path through a node
+    joins its two highest child branches.
     """
     _, comps, parent = g._components()
     order = comps[c]
-    und = g._und
     n = len(order)
-    if g._is_forest() or sum(len(und[v]) for v in order) == 2 * (n - 1):
-        size = [1] * len(und)
-        total = 0
+    tree = g._is_forest()
+    if not tree:
+        und = g._adjacency()
+        tree = sum(len(und[v]) for v in order) == 2 * (n - 1)
+    if tree:
+        size = [1] * len(parent)
+        height = [0] * len(parent)
+        total = diameter = 0
         for u in order[:0:-1]:  # every node but the root
             s = size[u]
             total += s * (n - s)
-            size[parent[u]] += s
-        return _eccentricity(und, order[-1]), 2 * total
+            p = parent[u]
+            size[p] += s
+            h = height[u] + 1
+            hp = height[p]
+            if hp + h > diameter:
+                diameter = hp + h
+            if h > hp:
+                height[p] = h
+        return diameter, 2 * total
     offsets, nbrs = g._csr()
-    if n < len(und):
+    if n < len(parent):
         # relabel the component 0..n-1; its nodes' neighbours all lie in it
         order = np.array(order)
         degree = offsets[order + 1] - offsets[order]
         sub = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(degree, out=sub[1:])
         entry = np.repeat(offsets[order] - sub[:-1], degree) + np.arange(sub[-1])
-        pos = np.empty(len(und), dtype=np.intp)
+        pos = np.empty(len(parent), dtype=np.intp)
         pos[order] = np.arange(n)
         offsets, nbrs = sub, pos[nbrs[entry]]
     return _general_distance_stats(offsets, nbrs)
@@ -366,7 +415,7 @@ def undirected_distance_stats(
     if len(comps[c]) == n and all(label[v] == c for v in members):
         return component_distance_stats(g, c)
     pos = dict(zip(members, range(n)))
-    und = g._und
+    und = g._adjacency()
     sub = DirectedGraph(
         [ids[v] for v in members],
         {(pos[v], pos[w]) for v in members for w in und[v] if w in pos},
@@ -406,7 +455,7 @@ def average_clustering(g: DirectedGraph) -> float:
     n = g.number_of_nodes()
     if n == 0 or g._is_forest():
         return 0.0
-    core = _two_core(g._und)
+    core = _two_core(g._adjacency())
     offsets, nbrs = g._csr()
     degree = offsets[1:] - offsets[:-1]
     src = np.repeat(np.arange(n), degree)

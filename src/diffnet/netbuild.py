@@ -17,6 +17,15 @@ tweets are read, and keeps its weighted arcs on those labels. Layers and
 graphs are constructed only from such labelled arcs, which the graph
 kernels take as they are; ``LayerGraph.edges`` maps them back to user ids
 on each read.
+
+A layer's arcs keep the order of their first interaction, and an arc's
+two ends are labelled in the arc's own order. So an arc whose ends are
+both new is (top, top + 1), and an arc with one new end gives it label
+top, where top counts the users labelled before it. In a forest layer
+whose trees no later arc joins, every arc is then one of the three kinds
+the graph's forest pass reads (see :mod:`diffnet.graphops`). The graph
+checks that order arc by arc and does not rely on it: any layer whose
+arcs break it is still exact.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class TestBasics:
         # the adjacency lists hold each neighbour once, so a forest with
         # reciprocal pairs is still seen as a forest by every shortcut
         g = digraph([(1, 2), (2, 1), (2, 3), (3, 2), (4, 3)])
-        assert sorted(map(sorted, g._und)) == [[0, 2], [1], [1, 3], [2]]
+        assert sorted(map(sorted, g._adjacency())) == [[0, 2], [1], [1, 3], [2]]
         assert g._is_forest()
         assert g._reciprocal_pairs() == 2
 
@@ -198,7 +198,7 @@ class TestClusteringKernel:
         nodes = rng.sample(range(n), n)
         _exact_clustering(edges, nodes)
         g = digraph(edges, nodes=nodes)
-        assert set(np.flatnonzero(graphops._two_core(g._und))) == {
+        assert set(np.flatnonzero(graphops._two_core(g._adjacency()))) == {
             nodes.index(v) for v in bf.two_core(nodes, edges)
         }
 
@@ -218,7 +218,7 @@ class TestClusteringKernel:
             nodes = list(range(n))
             edges = _random_forest_edges(rng, nodes, 0) + _random_edges(rng, nodes, 1.5 / n)
             g = digraph(edges, nodes=nodes)
-            assert set(np.flatnonzero(graphops._two_core(g._und))) == bf.two_core(nodes, edges)
+            assert set(np.flatnonzero(graphops._two_core(g._adjacency()))) == bf.two_core(nodes, edges)
 
 
 class TestKCore:
@@ -458,7 +458,7 @@ class TestWideSparseComponent:
 
     def test_two_core_is_the_triangles(self, star):
         nodes, _, chorded, g = star
-        core = graphops._two_core(g._und)
+        core = graphops._two_core(g._adjacency())
         assert {nodes[i] for i in np.flatnonzero(core)} == {0, *chorded}
 
     def test_clustering_closed_form_and_memory(self, star):
@@ -608,3 +608,253 @@ class TestBucketKCore:
             edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < p]
             g = digraph(edges, nodes=nodes)
             assert main_kcore_number(g) == bf.main_kcore_peeling(nodes, edges)
+
+
+def _ordered_forest(rng, n, reciprocal, new_root=0.2):
+    """Arcs of a random forest on labels 0..n-1, in the order a layer makes
+    them: each arc names the next unseen label as a child of a seen one,
+    or the next two as a new root and its child, in a random direction.
+    The reverse of ``reciprocal`` tree arcs (or all, if fewer) each come
+    at a random place after the arc they reverse."""
+    tree = []
+    top = 0
+    while top < n and n >= 2:
+        if top == 0 or (top <= n - 2 and rng.random() < new_root):
+            arc = (top, top + 1)
+            top += 2
+        else:
+            arc = (rng.randrange(top), top)
+            top += 1
+        tree.append(arc if rng.random() < 0.5 else arc[::-1])
+    # tree arc k sorts at 2k, its reverse at an odd key past it
+    keyed = [(2 * k, arc) for k, arc in enumerate(tree)]
+    for k in rng.sample(range(len(tree)), min(reciprocal, len(tree))):
+        keyed.append((rng.randrange(2 * k + 1, 2 * len(tree) + 1, 2), tree[k][::-1]))
+    return [arc for _, arc in sorted(keyed, key=lambda x: x[0])]
+
+
+def _fits_pass(n, arcs):
+    """Whether the forest pass reads this arc order, by sets: each arc
+    names one or two new labels and leaves the named labels 0..m-1, or
+    repeats an undirected edge that an earlier arc made; and all n labels
+    are named."""
+    named, made = set(), set()
+    for arc in arcs:
+        edge = frozenset(arc)
+        if len(edge) < 2:
+            return False
+        if edge <= named:
+            if edge not in made:
+                return False
+            continue
+        named |= edge
+        made.add(edge)
+        if named != set(range(len(named))):
+            return False
+    return len(named) == n
+
+
+def _id_edges(ids, arcs):
+    return [(ids[i], ids[j]) for i, j in arcs]
+
+
+def _metrics(g):
+    """Every kernel's result on ``g``, keyed by node ids so that two graphs
+    of the same id edges compare equal whatever their labels."""
+    ids = g._ids
+    comps = g._components()[1]
+    n_scc, groups = graphops.scc_groups(g)
+    n_wcc, c, size = graphops.largest_component(g)
+    return (
+        n_scc,
+        _comp_key([ids[v] for v in grp] for grp in groups),
+        _comp_key([ids[v] for v in comp] for comp in comps),
+        {
+            frozenset(ids[v] for v in comp): graphops.component_distance_stats(g, k)
+            for k, comp in enumerate(comps)
+        },
+        (n_wcc, size, min(ids[v] for v in comps[c])) if comps else None,
+        average_clustering(g),
+        main_kcore_number(g),
+        density(g),
+        g._is_forest(),
+        g._reciprocal_pairs(),
+    )
+
+
+def _check_components_against_oracle(g, nodes, edges):
+    """Components, SCCs, CC and k-core as in ``_check_against_oracles``, and
+    each component's distances against one search per source."""
+    _check_against_oracles(g, nodes, edges)
+    ids = g._ids
+    for k, comp in enumerate(g._components()[1]):
+        members = {ids[v] for v in comp}
+        inside = [(u, v) for u, v in edges if u in members]
+        assert graphops.component_distance_stats(g, k) == bf.distance_stats_bfs(members, inside)
+
+
+class TestForestPass:
+    """Forests whose arcs come in first-appearance order are read off the
+    arcs in one pass; every other arc order falls back to the search."""
+
+    @pytest.mark.parametrize("reciprocal", [0, 3, 1000])
+    def test_random_ordered_forests(self, reciprocal):
+        rng = random.Random(60 + reciprocal)
+        for n in range(1, 61):
+            ids = rng.sample(range(1000), n)
+            arcs = _ordered_forest(rng, n, reciprocal)
+            edges = _id_edges(ids, arcs)
+            g = DirectedGraph(ids, dict.fromkeys(arcs).keys())
+            # a lone node has no arc to name it: it is isolated
+            assert (g._wcc is not None) == (n >= 2) == _fits_pass(n, arcs)
+            _check_components_against_oracle(g, ids, edges)
+            assert _metrics(g) == _metrics(DirectedGraph(ids, set(arcs)))
+            if n >= 2:
+                # no kernel of a forest read from the pass builds adjacency lists
+                assert g._und is None and g._und_csr is None
+
+    def test_every_order_of_small_forests(self):
+        # the order decides only whether the pass runs, never the metrics
+        rng = random.Random(65)
+        took = fell_back = 0
+        for n in range(2, 7):
+            for _ in range(20):
+                ids = rng.sample(range(1000), n)
+                arcs = _ordered_forest(rng, n, rng.randrange(n), new_root=0.4)
+                expected = _metrics(DirectedGraph(ids, dict.fromkeys(arcs).keys()))
+                for _ in range(10):
+                    order = rng.sample(arcs, len(arcs))
+                    g = DirectedGraph(ids, dict.fromkeys(order).keys())
+                    fits = _fits_pass(n, order)
+                    assert (g._wcc is not None) == fits
+                    assert _metrics(g) == expected
+                    took += fits
+                    fell_back += not fits
+        assert took > 100 and fell_back > 100
+
+    def test_pass_lists_components_in_label_order(self):
+        # two trees: 0-1 with 3 and 4 below 1, and 2-5 with a reciprocal pair
+        arcs = [(0, 1), (2, 3), (3, 2), (1, 4), (4, 5)]
+        g = DirectedGraph(list("abcdef"), dict.fromkeys(arcs).keys())
+        label, comps, parent = g._components()
+        assert comps == [[0, 1, 4, 5], [2, 3]]
+        assert label == [0, 0, 1, 1, 0, 0]
+        assert parent == [-1, 0, -1, 2, 1, 4]
+        assert (g._und_edges, g._reciprocal_pairs()) == (4, 1)
+        assert g._und is None
+
+    @pytest.mark.parametrize(
+        "case", ["reversed", "shuffled", "set", "chord", "isolated", "isolated_middle", "joined"]
+    )
+    def test_other_orders_fall_back(self, case):
+        rng = random.Random(70)
+        for n in range(5, 41, 5):
+            for reciprocal in (0, 2, n):
+                ids = rng.sample(range(1000), n)
+                arcs = _ordered_forest(rng, n, reciprocal, new_root=0.3)
+                nodes = ids
+                if case == "reversed":
+                    arcs = arcs[::-1]
+                elif case == "shuffled":
+                    rng.shuffle(arcs)
+                elif case == "chord":
+                    # two nodes of one tree that no arc joins: a cycle
+                    _, comps, _ = DirectedGraph(ids, dict.fromkeys(arcs).keys())._components()
+                    comp = max(comps, key=len)
+                    linked = {frozenset(a) for a in arcs}
+                    pairs = [(u, v) for u in comp for v in comp if u < v and {u, v} not in linked]
+                    if not pairs:
+                        continue
+                    arcs.append(rng.choice(pairs))
+                elif case == "isolated":
+                    nodes = ids + [1000]
+                elif case in ("isolated_middle", "joined"):
+                    # a directed path 0 -> 1 -> ..., then a second path
+                    arcs = [(i, i + 1) for i in range(n - 1)]
+                    if case == "isolated_middle":
+                        # label k names no arc: the first arc past it names k + 1
+                        k = rng.randrange(1, n - 1)
+                        arcs = [(i + (i >= k), j + (j >= k)) for i, j in arcs]
+                        nodes = ids + [1000]
+                    else:
+                        arcs += [(n, n + 1), (n + 1, n + 2), (n - 1, n + 2)]
+                        nodes = ids + [1000, 1001, 1002]
+                g = DirectedGraph(nodes, set(arcs) if case == "set" else dict.fromkeys(arcs).keys())
+                # a shuffle or a set may by chance keep an order the pass reads
+                assert (g._wcc is not None) == _fits_pass(len(nodes), g._arcs)
+                assert g._wcc is None or case in ("shuffled", "set")
+                edges = _id_edges(nodes, arcs)
+                _check_components_against_oracle(g, nodes, edges)
+                if case == "joined":
+                    # still a forest: one path of n + 3 nodes
+                    assert g._is_forest() and len(g._components()[1]) == 1
+
+    @pytest.mark.parametrize("at", ["seen", "next"])
+    def test_self_loop_falls_back(self, at):
+        # a loop on a labelled node, or on the next label, which no other arc names
+        arcs = [(0, 1), (1, 2), (3, 1)]
+        loop = (2, 2) if at == "seen" else (4, 4)
+        ids = ["a", "b", "c", "d", "e"][: 4 if at == "seen" else 5]
+        g = DirectedGraph(ids, dict.fromkeys(arcs + [loop]).keys())
+        assert g._wcc is None
+        edges = _id_edges(ids, arcs)
+        assert _comp_key(weakly_connected_components(g)) == _comp_key(bf.wcc_sets(ids, edges))
+        assert _comp_key(strongly_connected_components(g)) == _comp_key(bf.scc_sets(ids, edges))
+        assert undirected_distance_stats(g, ["a", "b", "c", "d"]) == bf.distance_stats_bfs(
+            ids[:4], edges
+        )
+
+
+class TestTreeDiameter:
+    """The diameter from the reverse walk that sums subtree sizes, in the
+    label order of the forest pass and in the search order of the
+    fallback."""
+
+    def test_random_trees_in_label_order(self):
+        rng = random.Random(80)
+        for n in range(1, 61):
+            ids = rng.sample(range(1000), n)
+            arcs = _ordered_forest(rng, n, n // 3, new_root=0)
+            edges = _id_edges(ids, arcs)
+            g = DirectedGraph(ids, dict.fromkeys(arcs).keys())
+            assert (g._wcc is not None) == (n >= 2)
+            dwcc, total = graphops.component_distance_stats(g, 0)
+            assert dwcc == bf.diameter(ids, edges)
+            assert total == bf.distance_stats_bfs(ids, edges)[1]
+
+    def test_random_trees_beside_a_cycle(self):
+        # the triangle makes the graph cyclic: the search labels the
+        # components, and the tree component still takes the tree path
+        rng = random.Random(81)
+        for n in range(1, 61):
+            nodes = list(range(n))
+            edges = _random_tree_edges(rng, nodes) + [(-1, -2), (-2, -3), (-3, -1)]
+            g = digraph(edges, nodes=rng.sample(nodes, n))
+            assert g._wcc is None and not g._is_forest()
+            ids = g._ids
+            (k,) = [k for k, comp in enumerate(g._components()[1]) if ids[comp[0]] >= 0]
+            tree = edges[:-3]
+            assert graphops.component_distance_stats(g, k) == (
+                bf.diameter(nodes, tree),
+                bf.distance_stats_bfs(nodes, tree)[1],
+            )
+
+    def test_long_path_grown_from_its_middle(self):
+        # label 0 sits in the middle, so its height is half the diameter
+        n = 20000
+        lo, hi = n // 2, n // 2 + 1
+        arcs = [(lo, hi)]
+        while hi - lo < n - 1:
+            # the two ends grow in turn
+            if (hi - lo) % 2:
+                arcs.append((lo, lo - 1))
+                lo -= 1
+            else:
+                arcs.append((hi, hi + 1))
+                hi += 1
+        index = {}
+        labelled = [(index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v in arcs]
+        g = DirectedGraph(list(index), dict.fromkeys(labelled).keys())
+        assert g._wcc is not None
+        assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
+        assert extract_layer_features(layer("RT", dict.fromkeys(arcs, 1))).dwcc == n - 1

@@ -33,7 +33,8 @@ def _cascade(tweets):
 
 def _graph_shape(g):
     """Labels, arc set, undirected edge count and sorted adjacency."""
-    return g._ids, set(g._arcs), g._und_edges, [sorted(nbrs) for nbrs in g._und]
+    und = g._adjacency()
+    return g._ids, set(g._arcs), g._und_edges, [sorted(nbrs) for nbrs in und]
 
 
 class TestLabelledLayers:
