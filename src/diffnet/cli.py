@@ -441,11 +441,11 @@ def cmd_temporal(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-def _add_cv_flags(sub, seed_default: Optional[int] = 0) -> None:
+def _add_cv_flags(sub) -> None:
     sub.add_argument("--folds", type=int, default=10)
     sub.add_argument("--test-fraction", type=float, default=0.2)
     sub.add_argument("--C", type=float, default=1.0)
-    sub.add_argument("--seed", type=int, default=seed_default)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

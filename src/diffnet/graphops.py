@@ -24,7 +24,7 @@ is built. Any other arc ends the pass, whatever the graph's source: a
 set's order, an isolated node, a later arc between two trees or a cycle.
 The components then come from a breadth-first search over the undirected
 adjacency as deduplicated lists, which also count |E_und|. Those lists,
-like the successor and predecessor sets, are built only on first use.
+like the successor and predecessor lists, are built only on first use.
 
 Either way each kernel can test cheaply whether the undirected projection
 is a forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
@@ -36,11 +36,12 @@ is a forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
   connected components are those of the pairs: n - #pairs of them, grouped
   along the tree parents.
 
-Otherwise SCCs come from an iterative Tarjan and the k-core from the
-bucket peeling of Batagelj and Zaversnik (2003), both linear. A
-component that is a tree takes an O(n) distance path: one reverse walk of
-its nodes, children before parents, sums subtree sizes for the pair sum
-and keeps each node's height for the diameter.
+Otherwise SCCs come from the two plain searches of Kosaraju and Sharir
+(Sharir 1981), in O(n + m), and the main k-core from peeling by degree
+threshold, in O(n + m log K) for main core number K. A component that is
+a tree takes an O(n) distance path: one reverse walk of its nodes,
+children before parents, sums subtree sizes for the pair sum and keeps
+each node's height for the diameter.
 
 The general paths run in numpy on one undirected adjacency in compressed
 form, built once per graph: an offsets array and a flat neighbour array.
@@ -155,15 +156,16 @@ class DirectedGraph:
             self._und_csr = offsets, nbrs
         return self._und_csr
 
-    def _directed(self) -> tuple[list[set[int]], list[set[int]]]:
+    def _directed(self) -> tuple[list[list[int]], list[list[int]]]:
         """Successors and predecessors of each integer label (cached); only
-        the kernels that follow directions need them."""
+        the kernels that follow directions need them. The arcs are
+        distinct, so the lists hold no repeats."""
         if self._succ is None:
-            self._succ = [set() for _ in self._ids]
-            self._pred = [set() for _ in self._ids]
+            self._succ = succ = [[] for _ in self._ids]
+            self._pred = pred = [[] for _ in self._ids]
             for i, j in self._arcs:
-                self._succ[i].add(j)
-                self._pred[j].add(i)
+                succ[i].append(j)
+                pred[j].append(i)
         return self._succ, self._pred
 
     def _components(self) -> tuple[list[int], list[list[int]], list[int]]:
@@ -210,8 +212,13 @@ def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:
     components are those of the reciprocal pairs, n - #pairs of them (no
     pairs: all singletons). Each pair is an edge of the forest, so one
     walk down the component order, parents first, puts every pair's child
-    in the group of its parent. Any other graph runs an iterative Tarjan,
-    linear in nodes + edges; cascade chains can be long, so no recursion.
+    in the group of its parent.
+
+    Any other graph runs the two searches of Kosaraju and Sharir, linear in
+    nodes + edges: one depth-first search along successors records the
+    order in which nodes are left, then in reverse of that order each
+    unplaced node collects the unplaced nodes that reach it, by a search
+    along predecessors. Cascade chains can be long, so no recursion.
     """
     n = len(g._ids)
     if g._is_forest():
@@ -227,49 +234,42 @@ def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:
         for v, first in top.items():
             groups.setdefault(first, [first]).append(v)
         return n - len(top), list(groups.values())
-    succ, _ = g._directed()
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    succ, pred = g._directed()
+    seen = [False] * n
+    left: list[int] = []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        seen[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, succ_iter = work[-1]
             for w in succ_iter:
-                if index[w] < 0:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                if not seen[w]:
+                    seen[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[v] < lowlink[parent]:
-                        lowlink[parent] = lowlink[v]
-                if lowlink[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(comp)
-    return len(components), [c for c in components if len(c) > 1]
+                left.append(v)
+    # no other component reaches the last node left, so the unplaced nodes
+    # that reach it are its component; seen[v] now says v is unplaced
+    count = 0
+    multi: list[list[int]] = []
+    for root in reversed(left):
+        if not seen[root]:
+            continue
+        seen[root] = False
+        comp = [root]
+        for v in comp:  # the list grows while it is walked
+            for u in pred[v]:
+                if seen[u]:
+                    seen[u] = False
+                    comp.append(u)
+        count += 1
+        if len(comp) > 1:
+            multi.append(comp)
+    return count, multi
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[set]:
@@ -482,10 +482,12 @@ def main_kcore_number(g: DirectedGraph) -> int:
     """Largest k such that some nonempty subgraph has minimum total degree >= k.
 
     Total degree is in-degree plus out-degree on the simple directed graph
-    (a reciprocal pair contributes 2). Bucket peeling in O(n + m)
-    (Batagelj and Zaversnik 2003): nodes leave in order of current degree,
-    and the degree a node has when it leaves is its core number. 0 for a
-    graph without edges.
+    (a reciprocal pair contributes 2). Peeling by threshold: k is the
+    least degree left, and every node of degree k leaves, along with every
+    node whose degree falls to k as they go; the degrees left then all
+    exceed k, and the last k is the answer. 0 for a graph without edges. A
+    level of least degree k starts with at most 2m/k nodes, and k grows
+    at every level, so the scans cost O(n + m log K) for the answer K.
     """
     if g.number_of_edges() == 0:
         return 0
@@ -494,40 +496,22 @@ def main_kcore_number(g: DirectedGraph) -> int:
         # so at most total degree 2, which a reciprocal pair reaches
         return 2 if g._reciprocal_pairs() else 1
     succ, pred = g._directed()
-    n = len(succ)
     deg = [len(s) + len(p) for s, p in zip(succ, pred)]
-    # bucket sort by degree: vert lists the nodes, pos is each node's place
-    # in it, start[d] is where the nodes of degree d begin
-    start = [0] * (max(deg) + 2)
-    for d in deg:
-        start[d + 1] += 1
-    for d in range(1, len(start)):
-        start[d] += start[d - 1]
-    vert = [0] * n
-    pos = [0] * n
-    fill = start[:]
-    for v, d in enumerate(deg):
-        pos[v] = fill[d]
-        vert[fill[d]] = v
-        fill[d] += 1
-    for i in range(n):
-        v = vert[i]
-        dv = deg[v]
-        # a reciprocal neighbour shows up in both sets: two decrements
-        for u in chain(succ[v], pred[v]):
-            du = deg[u]
-            if du > dv:
-                # swap u with the first node of its bucket, then shrink the
-                # bucket past it: u now has degree du - 1
-                first = start[du]
-                w = vert[first]
-                if w != u:
-                    pu = pos[u]
-                    vert[pu], vert[first] = w, u
-                    pos[w], pos[u] = pu, first
-                start[du] += 1
-                deg[u] = du - 1
-    return max(deg)
+    rest = range(len(deg))
+    while True:
+        k = min(map(deg.__getitem__, rest))
+        peel = [v for v in rest if deg[v] == k]
+        for v in peel:  # the list grows while it is walked
+            # a reciprocal neighbour shows up in both lists: two decrements
+            for u in chain(succ[v], pred[v]):
+                d = deg[u]
+                if d > k:  # a node at or below k is leaving already
+                    deg[u] = d - 1
+                    if d == k + 1:
+                        peel.append(u)
+        rest = [v for v in rest if deg[v] > k]
+        if not rest:
+            return k
 
 
 def density(g: DirectedGraph) -> float:

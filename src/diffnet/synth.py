@@ -57,6 +57,15 @@ def _require_finite(config) -> None:
             raise ValueError(f"{field.name} must be a finite number")
 
 
+def _require_int(config, names) -> None:
+    # JSON configs may give a count or seed as 2.5 or true, which the range
+    # tests pass and only range() or SeedSequence rejects, mid-run
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class ClassProfile:
     n_articles: int
@@ -69,6 +78,7 @@ class ClassProfile:
 
     def validate(self) -> None:
         _require_finite(self)
+        _require_int(self, ("n_articles", "size_min", "size_max"))
         if self.n_articles < 1:
             raise ValueError("n_articles must be >= 1")
         if self.cascade_mean < 1.0:
@@ -98,6 +108,7 @@ class GeneratorConfig:
         self.disinformation.validate()
         self.mainstream.validate()
         _require_finite(self)
+        _require_int(self, ("sources_per_class", "seed"))
         for name in ("reply_rate", "quote_rate", "pure_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -113,20 +124,9 @@ class GeneratorConfig:
     @staticmethod
     def from_json_dict(obj: dict) -> "GeneratorConfig":
         try:
-            d = ClassProfile(**obj["disinformation"])
-            m = ClassProfile(**obj["mainstream"])
-            rest = {
-                k: obj[k]
-                for k in (
-                    "reply_rate",
-                    "quote_rate",
-                    "pure_rate",
-                    "inter_arrival_mean",
-                    "sources_per_class",
-                    "seed",
-                )
-                if k in obj
-            }
+            rest = {**obj}
+            d = ClassProfile(**rest.pop("disinformation"))
+            m = ClassProfile(**rest.pop("mainstream"))
             config = GeneratorConfig(disinformation=d, mainstream=m, **rest)
             config.validate()
         except (KeyError, TypeError) as exc:

@@ -411,6 +411,36 @@ def test_non_finite_generator_config(tmp_path, capsys, field, literal):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("disinformation.n_articles", 3.5), ("mainstream.size_min", 6.0),
+    ("mainstream.size_max", True), ("sources_per_class", 2.5), ("seed", 1.5),
+    ("seed", False),
+])
+def test_non_integer_generator_config(tmp_path, capsys, field, value):
+    config = json.loads(json.dumps(CONFIG))
+    *profile, name = field.split(".")
+    (config[profile[0]] if profile else config)[name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    code = main(["synth", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:") and f"{name} must be an integer" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_unknown_generator_config_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(CONFIG, reply_rat=0.5)))
+    out = tmp_path / "x"
+    code = main(["synth", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:") and "reply_rat" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_malformed_features_file(tmp_path, capsys):
     broken = tmp_path / "features.csv"
     broken.write_text("not,a,features,header\n1,2,3,4\n")

@@ -75,6 +75,22 @@ class TestComponents:
         assert len(strongly_connected_components(g)) == 30001
         assert len(weakly_connected_components(g)) == 1
 
+    # a path is a forest; these two are not, so they run the general search
+
+    def test_deep_cycle_is_one_scc(self):
+        n = 30000
+        g = digraph((i, (i + 1) % n) for i in range(n))
+        n_scc, groups = graphops.scc_groups(g)
+        assert (n_scc, list(map(len, groups))) == (1, [n])
+
+    def test_deep_path_with_an_arc_back_to_its_middle(self):
+        # the back arc closes a cycle over the second half; the first half
+        # stays singletons
+        n = 30000
+        g = digraph([(i, i + 1) for i in range(n - 1)] + [(n - 1, n // 2)])
+        assert graphops.scc_groups(g)[0] == n // 2 + 1
+        assert _largest(strongly_connected_components(g)) == set(range(n // 2, n))
+
 
 class TestDistances:
     def test_path_of_three_diameter_and_virality(self):
@@ -567,7 +583,7 @@ class TestForestShortcuts:
 
 
 class TestBucketKCore:
-    """Batagelj-Zaversnik peeling against closed forms and naive peeling."""
+    """Peeling by degree threshold against closed forms and naive peeling."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 30])
     def test_complete_digraph(self, n):
@@ -608,6 +624,53 @@ class TestBucketKCore:
             edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < p]
             g = digraph(edges, nodes=nodes)
             assert main_kcore_number(g) == bf.main_kcore_peeling(nodes, edges)
+
+    @pytest.mark.parametrize("top", [3, 12, 40])
+    def test_core_ladder(self, top):
+        # complete digraphs on 2..top nodes, each joined to the next by one
+        # one-way arc: each clique of s nodes peels at its own level,
+        # 2(s - 1), and the answer is the last level's
+        rng = random.Random(top)
+        edges, cliques, first = [], [], 0
+        for s in range(2, top + 1):
+            members = list(range(first, first + s))
+            edges += [(u, v) for u in members for v in members if u != v]
+            if cliques:
+                u, v = rng.choice(cliques[-1]), rng.choice(members)
+                edges.append((u, v) if rng.random() < 0.5 else (v, u))
+            cliques.append(members)
+            first += s
+        rng.shuffle(edges)  # labels in a random order
+        g = digraph(edges)
+        assert main_kcore_number(g) == 2 * (top - 1)
+        assert graphops.scc_groups(g)[0] == top - 1
+        assert _comp_key(strongly_connected_components(g)) == _comp_key(cliques)
+        if top <= 12:
+            assert main_kcore_number(g) == bf.main_kcore_peeling(range(first), edges)
+
+
+class TestGeneralDirectedKernels:
+    """SCCs and the main k-core of graphs with cycles, n up to 60, against
+    mutual reachability and naive peeling."""
+
+    def test_random_digraphs_with_cycles(self):
+        rng = random.Random(1981)
+        for n in range(1, 61):
+            for _ in range(3):
+                nodes = list(range(n))
+                p = rng.choice((0.0, 0.02, 0.1, 0.3))
+                edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < p]
+                if n >= 3:
+                    edges += _random_cyclic_edges(rng, nodes)
+                g = digraph(edges, nodes=nodes)
+                assert g._is_forest() == (n < 3)
+                expected = bf.scc_sets(nodes, edges)
+                n_scc, groups = graphops.scc_groups(g)
+                assert n_scc == len(expected)
+                assert _comp_key([{g._ids[v] for v in c} for c in groups]) == _comp_key(
+                    [c for c in expected if len(c) > 1]
+                )
+                assert main_kcore_number(g) == bf.main_kcore_peeling(nodes, edges)
 
 
 def _ordered_forest(rng, n, reciprocal, new_root=0.2):

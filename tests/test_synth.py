@@ -108,6 +108,39 @@ def test_validation_rejects_non_finite(field, value):
         GeneratorConfig.from_json_dict(json.loads(text))
 
 
+PROFILE_INTS = ["n_articles", "size_min", "size_max"]
+CONFIG_INTS = ["sources_per_class", "seed"]
+
+
+@pytest.mark.parametrize("value", [2.5, 6.0, True])
+@pytest.mark.parametrize("field", PROFILE_INTS + CONFIG_INTS)
+def test_validation_rejects_non_integer_counts(field, value):
+    # each passes the range tests; range() or SeedSequence would reject it
+    # only once generation has started
+    if field in PROFILE_INTS:
+        config = small_config(mainstream=small_profile(**{field: value}))
+    else:
+        config = small_config(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        config.validate()
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GeneratorConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+
+
+def test_config_from_json_rejects_an_unknown_key():
+    obj = small_config().to_json_dict()
+    obj["reply_rat"] = 0.5
+    with pytest.raises(ValueError, match="reply_rat"):
+        GeneratorConfig.from_json_dict(obj)
+
+
+def test_config_from_json_missing_key_takes_its_default():
+    obj = small_config().to_json_dict()
+    del obj["inter_arrival_mean"], obj["seed"]
+    config = GeneratorConfig.from_json_dict(obj)
+    assert config == small_config(inter_arrival_mean=600.0, seed=0)
+
+
 def test_config_from_json_rejects_a_value_that_is_not_a_number():
     obj = small_config().to_json_dict()
     obj["disinformation"]["depth_bias"] = "deep"
