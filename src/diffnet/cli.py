@@ -29,9 +29,10 @@ Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
 (`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`, `E_LIMIT`) exits 1. A run
 that runs out of memory ends in `E_LIMIT`. A `--folds` below
-1, a `--test-fraction` outside (0, 1) or a `--C` that is not finite and
-positive is `E_INVARIANT`, raised before any network is built and before
-any report or ranking is written.
+1, a `--test-fraction` outside (0, 1), a `--C` that is not finite and
+positive, a `--seed` below 0 or an `--alpha` outside (0, 1) is
+`E_INVARIANT`, raised before any network is built and before any
+manifest, report or ranking is written.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ def cmd_synth(args) -> int:
             config = dataclasses.replace(config, seed=args.seed)
     else:
         config = default_config(seed=0 if args.seed is None else args.seed)
+    config.validate()  # a --seed below 0, before the manifest
     out = Path(args.out)
     write_manifest(
         out / "manifest.json", "synth", config.to_json_dict(), inputs,

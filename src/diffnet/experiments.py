@@ -223,8 +223,10 @@ def rank_features_ks(
     """Per-feature KS test of class D values against class M values.
 
     Returns (name, D_statistic, p_value, rejected_at_alpha) sorted by
-    decreasing D.
+    decreasing D. ValueError unless 0 < alpha < 1.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     X, y = samples_to_xy(samples)
     if X.shape[1] != len(feature_names):
         raise ValueError("feature_names does not match vector width")
@@ -265,7 +267,7 @@ def temporal_sweep(
     reproduces the untruncated report. Any jobs count gives the same series.
     Bad CV settings raise ValueError before anything is featurized.
     """
-    check_folds(folds, test_fraction)
+    check_folds(folds, test_fraction, seed)
     check_C(C)
     prefixes: list[ArticleCascade] = []
     slot: dict[tuple[int, int], int] = {}
@@ -322,7 +324,7 @@ def single_layer_baseline(
     """The comparison row: same CV protocol on the 11 aggregate features.
     Bad CV settings raise ValueError before any network is built.
     """
-    check_folds(folds, test_fraction)
+    check_folds(folds, test_fraction, seed)
     check_C(C)
     return stratified_shuffle_cv(
         single_layer_samples(cascades),

@@ -12,19 +12,12 @@ once it has labelled its users. Ids reappear only in returned sets and
 lists. The featurizer picks the largest weakly connected component by
 its index and hands that index to the distance kernel.
 
-A layer labels its users in order of first appearance and keeps its arcs
-in first-interaction order, so in a forest layer whose trees no later arc
-joins, each arc names the next unseen label as the child of a seen one,
-joins the next two labels as a new root and its child, or reverses an
-earlier tree arc. The constructor makes one pass over the arcs in the
-order given and checks exactly that. When every arc fits and every label
-is seen, the pass yields the components (in label order, parents before
-children), each node's parent and |E_und| = n - #roots, and nothing else
-is built. Any other arc ends the pass, whatever the graph's source: a
-set's order, an isolated node, a later arc between two trees or a cycle.
-The components then come from a breadth-first search over the undirected
-adjacency as deduplicated lists, which also count |E_und|. Those lists,
-like the successor and predecessor lists, are built only on first use.
+Arcs in an order that grows the forest skip the search: one pass over
+them in the constructor yields the components (parents first), each
+node's parent and |E_und| = n - #roots. Otherwise the components come
+from a breadth-first search over the undirected adjacency as deduplicated
+lists, which also count |E_und|. Those lists, like the successor and
+predecessor lists, are built only on first use.
 
 Either way each kernel can test cheaply whether the undirected projection
 is a forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
@@ -92,33 +85,32 @@ class DirectedGraph:
         self._und_edges = None if self._wcc is None else len(ids) - len(self._wcc[1])
 
     def _forest_pass(self) -> Optional[tuple[list[int], list[list[int]], list[int]]]:
-        """``_components()`` of a forest whose arcs come in first-appearance
-        order, or None. With labels 0..top-1 seen, an arc must make top a
-        child of a seen label, make top a root with child top + 1, or
-        reverse a tree arc (parent[hi] == lo: a parent has the smaller
-        label); and every label must be seen."""
+        """``_components()`` of a forest whose arcs come in an order that
+        grows it, or None. Two unseen ends start a tree rooted at the
+        first, one unseen end becomes a child of the seen one, two seen
+        ends must reverse a tree arc; and every node must be seen."""
         label = [-1] * len(self._ids)
         parent = [-1] * len(self._ids)
         comps: list[list[int]] = []
-        top = 0
         for i, j in self._arcs:
-            if i < j:
-                lo, hi = i, j
-            else:
-                lo, hi = j, i
-            if hi == top != lo:
-                c = label[hi] = label[lo]
-                parent[hi] = lo
-                comps[c].append(hi)
-                top += 1
-            elif lo == top and hi == top + 1:
-                label[lo] = label[hi] = len(comps)
-                parent[hi] = lo
-                comps.append([lo, hi])
-                top += 2
-            elif hi >= top or parent[hi] != lo:
+            if label[i] < 0:
+                if label[j] >= 0:
+                    c = label[i] = label[j]
+                    parent[i] = j
+                    comps[c].append(i)
+                elif i != j:
+                    label[i] = label[j] = len(comps)
+                    parent[j] = i
+                    comps.append([i, j])
+                else:  # a self-loop
+                    return None
+            elif label[j] < 0:
+                c = label[j] = label[i]
+                parent[j] = i
+                comps[c].append(j)
+            elif parent[i] != j and parent[j] != i:
                 return None
-        return (label, comps, parent) if top == len(label) else None
+        return None if -1 in label else (label, comps, parent)
 
     def number_of_nodes(self) -> int:
         return len(self._ids)
@@ -170,8 +162,8 @@ class DirectedGraph:
 
     def _components(self) -> tuple[list[int], list[list[int]], list[int]]:
         """Per node its component label and tree parent (-1 at a root), and
-        per component its nodes, parents first (cached): in label order
-        from the forest pass, else in breadth-first order."""
+        per component its nodes, parents first (cached): in arc order from
+        the forest pass, else in breadth-first order."""
         if self._wcc is None:
             und = self._adjacency()
             label = [-1] * len(und)

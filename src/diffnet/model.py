@@ -4,9 +4,9 @@ stratified shuffle-split cross-validation.
 Every cross-validated number (the CV reports, the bias-restricted runs and
 the chi-square ranking) draws its folds from :func:`fold_test_indices`, the
 one place that spawns the fold seeds and draws the stratified test rows.
-The fold count and test fraction are checked by :func:`check_folds` and C
-by :func:`check_C`; the fold policy and the trainer call them, and so do
-callers that must reject bad settings before costly work.
+The fold count, test fraction and seed are checked by :func:`check_folds`
+and C by :func:`check_C`; the fold policy and the trainer call them, and
+so do callers that must reject bad settings before costly work.
 
 Labels are the strings ``D`` (treated as the positive class throughout) and
 ``M``. The trainer minimizes
@@ -415,13 +415,15 @@ def stratified_test_indices(
     return np.sort(np.concatenate(picked))
 
 
-def check_folds(folds: int, test_fraction: float) -> None:
-    """Raise ValueError unless there is at least one fold and the test
-    fraction lies in (0, 1)."""
+def check_folds(folds: int, test_fraction: float, seed: int) -> None:
+    """Raise ValueError unless there is at least one fold, the test
+    fraction lies in (0, 1) and the seed is not negative."""
     if folds < 1:
         raise ValueError(f"folds must be >= 1, got {folds!r}")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
 
 def fold_test_indices(
@@ -430,7 +432,7 @@ def fold_test_indices(
     """The fold policy: one stratified test subset of ``labels`` per fold,
     each drawn with its own child of ``SeedSequence(seed)``.
     """
-    check_folds(folds, test_fraction)
+    check_folds(folds, test_fraction, seed)
     return [
         stratified_test_indices(labels, test_fraction, np.random.default_rng(ss))
         for ss in np.random.SeedSequence(seed).spawn(folds)

@@ -13,19 +13,15 @@ at all are "pure": the network stores their count T and their distinct
 authors, whose number is U.
 
 Each layer labels its users 0..n-1 in order of first appearance as the
-tweets are read, and keeps its weighted arcs on those labels. Layers and
+tweets are read (the clustering coefficient adds its terms in label
+order, so the labels fix its last bits), and keeps its weighted arcs on
+those labels. Layers and
 graphs are constructed only from such labelled arcs, which the graph
 kernels take as they are; ``LayerGraph.edges`` maps them back to user ids
 on each read.
 
-A layer's arcs keep the order of their first interaction, and an arc's
-two ends are labelled in the arc's own order. So an arc whose ends are
-both new is (top, top + 1), and an arc with one new end gives it label
-top, where top counts the users labelled before it. In a forest layer
-whose trees no later arc joins, every arc is then one of the three kinds
-the graph's forest pass reads (see :mod:`diffnet.graphops`). The graph
-checks that order arc by arc and does not rely on it: any layer whose
-arcs break it is still exact.
+A layer's arcs keep the order of their first interaction: arcs in an
+order that grows the forest skip the search (see :mod:`diffnet.graphops`).
 """
 
 from __future__ import annotations

@@ -117,6 +117,8 @@ class GeneratorConfig:
             raise ValueError("inter_arrival_mean must be positive")
         if self.sources_per_class < 1:
             raise ValueError("sources_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

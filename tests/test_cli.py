@@ -200,6 +200,20 @@ def test_rank_features_ks(workspace, tmp_path, capsys):
     assert rows[1].endswith(("true", "false"))
 
 
+@pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "2"])
+def test_rank_features_ks_alpha_outside_the_unit_interval(workspace, tmp_path, capsys, alpha):
+    out = tmp_path / "rank-ks"
+    assert main([
+        "rank-features", "--features", str(workspace / "features.csv"),
+        "--method", "ks", "--alpha", alpha, "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_INVARIANT: alpha must be in (0, 1)"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "ranking.csv").exists()
+
+
 def test_temporal_emits_seven_rows(workspace, tmp_path, capsys):
     out = tmp_path / "temporal"
     assert main([
@@ -430,6 +444,30 @@ def test_non_integer_generator_config(tmp_path, capsys, field, value):
     assert not (out / "manifest.json").exists()
 
 
+def test_negative_seed_in_generator_config(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(CONFIG, seed=-1)))
+    out = tmp_path / "x"
+    code = main(["synth", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:") and "seed must be >= 0, got -1" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_negative_synth_seed(tmp_path, capsys, with_config):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(CONFIG))
+    out = tmp_path / "x"
+    code = main(["synth", "--seed", "-1", "--out", str(out)]
+                + ["--config", str(good)] * with_config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "E_INVARIANT: seed must be >= 0, got -1\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_unknown_generator_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(CONFIG, reply_rat=0.5)))
@@ -507,6 +545,7 @@ _BAD_CV_VALUES = (
     + [(cmd, ["--test-fraction", "1.5"]) for cmd in _CV_COMMANDS if cmd != "bias-eval"]
     + [(cmd, ["--C", v]) for cmd in _CV_COMMANDS if cmd != "rank-features"
        for v in ("0", "-1", "nan", "inf")]
+    + [(cmd, ["--seed", "-1"]) for cmd in _CV_COMMANDS]
 )
 
 
@@ -520,13 +559,16 @@ def test_bad_cv_values_end_in_one_invariant_line(workspace, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("E_INVARIANT:"), err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # the message names the option: "folds", "test fraction", "C", "seed"
+    assert bad[0][2:].replace("-", " ") in err, err
+    assert not (out / "manifest.json").exists()
     assert not (out / "report.txt").exists()
     assert not (out / "ranking.csv").exists()
 
 
 _EARLY_CV_CHECKS = [
     (cmd, bad) for cmd in ("temporal", "baseline-single-layer")
-    for bad in (["--folds", "0"], ["--test-fraction", "1.5"], ["--C", "0"])
+    for bad in (["--folds", "0"], ["--test-fraction", "1.5"], ["--C", "0"], ["--seed", "-1"])
 ]
 
 

@@ -698,9 +698,8 @@ def _ordered_forest(rng, n, reciprocal, new_root=0.2):
 
 def _fits_pass(n, arcs):
     """Whether the forest pass reads this arc order, by sets: each arc
-    names one or two new labels and leaves the named labels 0..m-1, or
-    repeats an undirected edge that an earlier arc made; and all n labels
-    are named."""
+    names two new nodes, names one new node, or repeats an undirected edge
+    that an earlier arc made; and all n nodes are named."""
     named, made = set(), set()
     for arc in arcs:
         edge = frozenset(arc)
@@ -712,8 +711,6 @@ def _fits_pass(n, arcs):
             continue
         named |= edge
         made.add(edge)
-        if named != set(range(len(named))):
-            return False
     return len(named) == n
 
 
@@ -775,6 +772,14 @@ class TestForestPass:
             if n >= 2:
                 # no kernel of a forest read from the pass builds adjacency lists
                 assert g._und is None and g._und_csr is None
+            # the same arc order on permuted labels: the pass compares no labels
+            perm = rng.sample(range(n), n)
+            relabelled = [None] * n
+            for i, v in enumerate(ids):
+                relabelled[perm[i]] = v
+            h = DirectedGraph(relabelled, dict.fromkeys((perm[i], perm[j]) for i, j in arcs).keys())
+            assert _metrics(h) == _metrics(g)
+            assert (h._wcc is not None and h._und is None) == (n >= 2)
 
     def test_every_order_of_small_forests(self):
         # the order decides only whether the pass runs, never the metrics
@@ -783,7 +788,9 @@ class TestForestPass:
         for n in range(2, 7):
             for _ in range(20):
                 ids = rng.sample(range(1000), n)
-                arcs = _ordered_forest(rng, n, rng.randrange(n), new_root=0.4)
+                # few roots: a shuffle that starts two parts of one tree
+                # apart and then joins them falls back
+                arcs = _ordered_forest(rng, n, rng.randrange(n), new_root=0.2)
                 expected = _metrics(DirectedGraph(ids, dict.fromkeys(arcs).keys()))
                 for _ in range(10):
                     order = rng.sample(arcs, len(arcs))
@@ -843,9 +850,10 @@ class TestForestPass:
                         arcs += [(n, n + 1), (n + 1, n + 2), (n - 1, n + 2)]
                         nodes = ids + [1000, 1001, 1002]
                 g = DirectedGraph(nodes, set(arcs) if case == "set" else dict.fromkeys(arcs).keys())
-                # a shuffle or a set may by chance keep an order the pass reads
+                # a reversal, a shuffle or a set may keep an order that grows
+                # the forest: a path grown from one end, read backwards
                 assert (g._wcc is not None) == _fits_pass(len(nodes), g._arcs)
-                assert g._wcc is None or case in ("shuffled", "set")
+                assert g._wcc is None or case in ("reversed", "shuffled", "set")
                 edges = _id_edges(nodes, arcs)
                 _check_components_against_oracle(g, nodes, edges)
                 if case == "joined":
@@ -905,7 +913,7 @@ class TestTreeDiameter:
     def test_long_path_grown_from_its_middle(self):
         # label 0 sits in the middle, so its height is half the diameter
         n = 20000
-        lo, hi = n // 2, n // 2 + 1
+        lo, hi = n // 2 - 1, n // 2
         arcs = [(lo, hi)]
         while hi - lo < n - 1:
             # the two ends grow in turn
@@ -921,3 +929,9 @@ class TestTreeDiameter:
         assert g._wcc is not None
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
         assert extract_layer_features(layer("RT", dict.fromkeys(arcs, 1))).dwcc == n - 1
+        # the same arc order under a random labelling of nodes 0..n-1
+        perm = random.Random(82).sample(range(n), n)
+        g = DirectedGraph(list(range(n)), dict.fromkeys((perm[u], perm[v]) for u, v in arcs).keys())
+        assert g._wcc is not None
+        assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
+        assert g._und is None

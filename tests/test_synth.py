@@ -127,6 +127,15 @@ def test_validation_rejects_non_integer_counts(field, value):
         GeneratorConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
 
 
+def test_validation_rejects_a_negative_seed():
+    # SeedSequence would reject it only once generation has started
+    config = small_config(seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        config.validate()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        GeneratorConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+
+
 def test_config_from_json_rejects_an_unknown_key():
     obj = small_config().to_json_dict()
     obj["reply_rat"] = 0.5
