@@ -69,7 +69,7 @@ from .ingest import (
     write_labels_file,
     write_tweets_file,
 )
-from .model import SIZE_CLASSES, size_class_of, stratified_shuffle_cv
+from .model import SIZE_CLASSES, check_C, check_folds, size_class_of, stratified_shuffle_cv
 from .netbuild import LAYER_KINDS
 from .synth import GeneratorConfig, default_config, generate_corpus, load_config
 
@@ -323,6 +323,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    check_folds(args.folds, args.test_fraction, args.seed)
+    check_C(args.C)
     cascades, inputs = _load_cascades(args.cascades)
     report = single_layer_baseline(
         cascades, folds=args.folds, test_fraction=args.test_fraction,
@@ -399,11 +401,13 @@ def cmd_rank_features(args) -> int:
 
 def cmd_temporal(args) -> int:
     jobs = _jobs(args)
-    cascades, inputs = _load_cascades(args.cascades)
     raw = [part.strip() for part in args.lifetimes.split(",")]
     if not any(raw):
         raise CliError("E_USAGE", "--lifetimes must list at least one duration")
     lifetimes = [parse_duration(part) for part in raw if part]
+    check_folds(args.folds, args.test_fraction, args.seed)
+    check_C(args.C)
+    cascades, inputs = _load_cascades(args.cascades)
     results = temporal_sweep(
         cascades, lifetimes, folds=args.folds,
         test_fraction=args.test_fraction, seed=args.seed, C=args.C,

@@ -12,15 +12,15 @@ once it has labelled its users. Ids reappear only in returned sets and
 lists. The featurizer picks the largest weakly connected component by
 its index and hands that index to the distance kernel.
 
-Arcs in an order that grows the forest skip the search: one pass over
-them in the constructor yields the components (parents first), each
-node's parent and |E_und| = n - #roots. Otherwise the components come
-from a breadth-first search over the undirected adjacency as deduplicated
-lists, which also count |E_und|. Those lists, like the successor and
-predecessor lists, are built only on first use.
+One pass over the arcs, in any order, grows a spanning forest: the
+components (each one parents first), each node's parent and whether the
+undirected projection has a cycle; a forest has |E_und| = n - #trees. An
+arc that joins two trees reroots the smaller at its end, listing the
+reversed path first, and hangs it under the other end, so no node moves
+more than log2(n) times. Adjacency lists are built only on first use.
 
-Either way each kernel can test cheaply whether the undirected projection
-is a forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
+So each kernel can test cheaply whether the undirected projection is a
+forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
 |E_und|):
 
 * in a forest the clustering coefficient is 0, and the main k-core is 1,
@@ -80,37 +80,56 @@ class DirectedGraph:
         self._ids = ids
         self._arcs = arcs
         self._und = self._und_csr = self._succ = self._pred = None
-        self._wcc = self._forest_pass()
-        # the pass leaves |E_und| = n - #roots; otherwise _adjacency counts it
-        self._und_edges = None if self._wcc is None else len(ids) - len(self._wcc[1])
+        self._grow_forest()
 
-    def _forest_pass(self) -> Optional[tuple[list[int], list[list[int]], list[int]]]:
-        """``_components()`` of a forest whose arcs come in an order that
-        grows it, or None. Two unseen ends start a tree rooted at the
-        first, one unseen end becomes a child of the seen one, two seen
-        ends must reverse a tree arc; and every node must be seen."""
+    def _grow_forest(self) -> None:
+        """``_components()``, and |E_und| unless there is a cycle or a self-loop."""
         label = [-1] * len(self._ids)
         parent = [-1] * len(self._ids)
-        comps: list[list[int]] = []
+        comps, cyclic = [], False
         for i, j in self._arcs:
-            if label[i] < 0:
-                if label[j] >= 0:
-                    c = label[i] = label[j]
+            a, b = label[i], label[j]
+            if a < 0:
+                if b >= 0:
+                    label[i] = b
                     parent[i] = j
-                    comps[c].append(i)
+                    comps[b].append(i)
                 elif i != j:
                     label[i] = label[j] = len(comps)
                     parent[j] = i
                     comps.append([i, j])
-                else:  # a self-loop
-                    return None
-            elif label[j] < 0:
-                c = label[j] = label[i]
+                else:
+                    cyclic = True
+            elif b < 0:
+                label[j] = a
                 parent[j] = i
-                comps[c].append(j)
-            elif parent[i] != j and parent[j] != i:
-                return None
-        return None if -1 in label else (label, comps, parent)
+                comps[a].append(j)
+            elif a == b:
+                cyclic |= parent[i] != j and parent[j] != i
+            else:
+                if len(comps[a]) > len(comps[b]):  # move the smaller tree
+                    i, j, a, b = j, i, b, a
+                # hang tree a from j by i: reverse the path up to its old root
+                path = [i]
+                while parent[path[-1]] >= 0:
+                    path.append(parent[path[-1]])
+                for up, v in zip([j] + path, path):
+                    parent[v] = up
+                    label[v] = b
+                for v in comps[a]:
+                    if label[v] == a:
+                        label[v] = b
+                        path.append(v)
+                comps[b] += path
+                comps[a] = None
+        if None in comps or -1 in label:
+            comps = [comp for comp in comps if comp] + [[v] for v, c in enumerate(label) if c < 0]
+            for c, comp in enumerate(comps):
+                for v in comp:
+                    label[v] = c
+        self._wcc = (label, comps, parent)
+        # a forest has |E_und| = n - #trees; otherwise _adjacency counts it
+        self._und_edges = None if cyclic else len(label) - len(comps)
 
     def number_of_nodes(self) -> int:
         return len(self._ids)
@@ -162,38 +181,18 @@ class DirectedGraph:
 
     def _components(self) -> tuple[list[int], list[list[int]], list[int]]:
         """Per node its component label and tree parent (-1 at a root), and
-        per component its nodes, parents first (cached): in arc order from
-        the forest pass, else in breadth-first order."""
-        if self._wcc is None:
-            und = self._adjacency()
-            label = [-1] * len(und)
-            parent = [-1] * len(und)
-            comps: list[list[int]] = []
-            for root in range(len(und)):
-                if label[root] >= 0:
-                    continue
-                c = len(comps)
-                label[root] = c
-                order = [root]
-                for u in order:  # the list grows while it is walked: a FIFO queue
-                    for w in und[u]:
-                        if label[w] < 0:
-                            label[w] = c
-                            parent[w] = u
-                            order.append(w)
-                comps.append(order)
-            self._wcc = (label, comps, parent)
+        per component its nodes, parents first."""
         return self._wcc
 
     def _reciprocal_pairs(self) -> int:
         """|E_dir| - |E_und|: each reciprocal pair is two arcs on one edge."""
-        self._components()  # counts |E_und|
+        if self._und_edges is None:
+            self._adjacency()  # counts |E_und|
         return len(self._arcs) - self._und_edges
 
     def _is_forest(self) -> bool:
         """Whether the undirected projection has no cycle."""
-        roots = len(self._components()[1])
-        return self._und_edges == len(self._ids) - roots
+        return self._und_edges == len(self._ids) - len(self._wcc[1])
 
 
 def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:

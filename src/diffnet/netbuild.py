@@ -17,11 +17,8 @@ tweets are read (the clustering coefficient adds its terms in label
 order, so the labels fix its last bits), and keeps its weighted arcs on
 those labels. Layers and
 graphs are constructed only from such labelled arcs, which the graph
-kernels take as they are; ``LayerGraph.edges`` maps them back to user ids
-on each read.
-
-A layer's arcs keep the order of their first interaction: arcs in an
-order that grows the forest skip the search (see :mod:`diffnet.graphops`).
+kernels take as they are, in any order; ``LayerGraph.edges`` maps them
+back to user ids on each read.
 """
 
 from __future__ import annotations

@@ -567,26 +567,32 @@ def test_bad_cv_values_end_in_one_invariant_line(workspace, tmp_path, capsys, co
 
 
 _EARLY_CV_CHECKS = [
-    (cmd, bad) for cmd in ("temporal", "baseline-single-layer")
+    (cmd, bad, "E_INVARIANT") for cmd in ("temporal", "baseline-single-layer")
     for bad in (["--folds", "0"], ["--test-fraction", "1.5"], ["--C", "0"], ["--seed", "-1"])
-]
+] + [("temporal", ["--lifetimes", bad], "E_USAGE") for bad in ("1x", ",")]
 
 
 @pytest.mark.parametrize(
-    "command,bad", _EARLY_CV_CHECKS, ids=[f"{c} {' '.join(b)}" for c, b in _EARLY_CV_CHECKS]
+    "command,bad,code", _EARLY_CV_CHECKS,
+    ids=[f"{c} {' '.join(b)}" for c, b, _ in _EARLY_CV_CHECKS],
 )
 def test_bad_cv_values_rejected_before_featurizing(
-    workspace, tmp_path, capsys, monkeypatch, command, bad
+    workspace, tmp_path, capsys, monkeypatch, command, bad, code
 ):
+    # the settings are checked before the cascades are even read
     def featurized(*args):
         raise AssertionError("featurized before the CV settings were checked")
 
+    def loaded(*args):
+        raise AssertionError("read the cascades before the settings were checked")
+
     monkeypatch.setattr(features, "featurize_article", featurized)
     monkeypatch.setattr(experiments, "build_network", featurized)
+    monkeypatch.setattr(cli, "load_tweets_file", loaded)
     args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
     assert main(args + bad + ["--jobs", "1"] * (command == "temporal")
-                + ["--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("E_INVARIANT:")
+                + ["--out", str(tmp_path / "out")]) == (2 if code == "E_USAGE" else 1)
+    assert capsys.readouterr().err.startswith(code + ":")
 
 
 def test_manifest_written_before_failing_result(workspace, tmp_path, capsys):

@@ -697,9 +697,10 @@ def _ordered_forest(rng, n, reciprocal, new_root=0.2):
 
 
 def _fits_pass(n, arcs):
-    """Whether the forest pass reads this arc order, by sets: each arc
-    names two new nodes, names one new node, or repeats an undirected edge
-    that an earlier arc made; and all n nodes are named."""
+    """Whether this arc order grows the forest without joining two trees,
+    by sets: each arc names two new nodes, names one new node, or repeats
+    an undirected edge that an earlier arc made; and all n nodes are
+    named."""
     named, made = set(), set()
     for arc in arcs:
         edge = frozenset(arc)
@@ -753,9 +754,23 @@ def _check_components_against_oracle(g, nodes, edges):
         assert graphops.component_distance_stats(g, k) == bf.distance_stats_bfs(members, inside)
 
 
+def _check_parents_first(g):
+    """Each component lists its root first and every other node after its
+    parent, and the labels name the component that lists the node."""
+    label, comps, parent = g._components()
+    assert sorted(v for comp in comps for v in comp) == list(range(len(g._ids)))
+    for c, comp in enumerate(comps):
+        assert parent[comp[0]] == -1
+        place = {v: k for k, v in enumerate(comp)}
+        for v in comp[1:]:
+            assert place[parent[v]] < place[v]
+        assert all(label[v] == c for v in comp)
+
+
 class TestForestPass:
-    """Forests whose arcs come in first-appearance order are read off the
-    arcs in one pass; every other arc order falls back to the search."""
+    """One pass over the arcs, in any order, grows a spanning forest: the
+    kernels of a forest then build no adjacency lists, and a graph with a
+    cycle builds them on first use."""
 
     @pytest.mark.parametrize("reciprocal", [0, 3, 1000])
     def test_random_ordered_forests(self, reciprocal):
@@ -763,15 +778,16 @@ class TestForestPass:
         for n in range(1, 61):
             ids = rng.sample(range(1000), n)
             arcs = _ordered_forest(rng, n, reciprocal)
+            # a lone node has no arc to name it: it is isolated
+            assert _fits_pass(n, arcs) == (n >= 2)
             edges = _id_edges(ids, arcs)
             g = DirectedGraph(ids, dict.fromkeys(arcs).keys())
-            # a lone node has no arc to name it: it is isolated
-            assert (g._wcc is not None) == (n >= 2) == _fits_pass(n, arcs)
+            assert g._is_forest()
+            _check_parents_first(g)
             _check_components_against_oracle(g, ids, edges)
             assert _metrics(g) == _metrics(DirectedGraph(ids, set(arcs)))
-            if n >= 2:
-                # no kernel of a forest read from the pass builds adjacency lists
-                assert g._und is None and g._und_csr is None
+            # no kernel of a forest builds adjacency lists
+            assert g._und is None and g._und_csr is None
             # the same arc order on permuted labels: the pass compares no labels
             perm = rng.sample(range(n), n)
             relabelled = [None] * n
@@ -779,28 +795,29 @@ class TestForestPass:
                 relabelled[perm[i]] = v
             h = DirectedGraph(relabelled, dict.fromkeys((perm[i], perm[j]) for i, j in arcs).keys())
             assert _metrics(h) == _metrics(g)
-            assert (h._wcc is not None and h._und is None) == (n >= 2)
+            assert h._und is None
 
     def test_every_order_of_small_forests(self):
-        # the order decides only whether the pass runs, never the metrics
+        # the order changes nothing: no metric, and no adjacency lists
         rng = random.Random(65)
-        took = fell_back = 0
+        grown = joined = 0
         for n in range(2, 7):
             for _ in range(20):
                 ids = rng.sample(range(1000), n)
                 # few roots: a shuffle that starts two parts of one tree
-                # apart and then joins them falls back
+                # apart then joins them
                 arcs = _ordered_forest(rng, n, rng.randrange(n), new_root=0.2)
                 expected = _metrics(DirectedGraph(ids, dict.fromkeys(arcs).keys()))
                 for _ in range(10):
                     order = rng.sample(arcs, len(arcs))
                     g = DirectedGraph(ids, dict.fromkeys(order).keys())
-                    fits = _fits_pass(n, order)
-                    assert (g._wcc is not None) == fits
+                    _check_parents_first(g)
                     assert _metrics(g) == expected
-                    took += fits
-                    fell_back += not fits
-        assert took > 100 and fell_back > 100
+                    assert g._und is None
+                    grows = _fits_pass(n, order)
+                    grown += grows
+                    joined += not grows
+        assert grown > 100 and joined > 100
 
     def test_pass_lists_components_in_label_order(self):
         # two trees: 0-1 with 3 and 4 below 1, and 2-5 with a reciprocal pair
@@ -813,10 +830,30 @@ class TestForestPass:
         assert (g._und_edges, g._reciprocal_pairs()) == (4, 1)
         assert g._und is None
 
+    @pytest.mark.parametrize("late", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_joining_tree_keeps_the_larger_root(self, late, flip):
+        # a path 0-1-2 and a larger tree rooted at 3; the arc that joins
+        # them names 2, the far end of the path from its root 0
+        big = [(3, 4), (4, 5), (4, 6)]
+        small = [(0, 1), (1, 2)]
+        join = (5, 2) if flip else (2, 5)
+        arcs = (small + big if late else big + small) + [join]
+        g = DirectedGraph(list("abcdefg"), dict.fromkeys(arcs).keys())
+        label, comps, parent = g._components()
+        # the path is moved: rerooted at 2, hung under 5, listed 2, 1, 0
+        assert parent[3] == -1 and parent[0] == 1
+        assert parent[2] == 5 and parent[1] == 2
+        assert comps == [[3, 4, 5, 6, 2, 1, 0]] and label == [0] * 7
+        _check_parents_first(g)
+        edges = _id_edges(g._ids, arcs)
+        _check_components_against_oracle(g, g._ids, edges)
+        assert g._is_forest() and g._und is None
+
     @pytest.mark.parametrize(
         "case", ["reversed", "shuffled", "set", "chord", "isolated", "isolated_middle", "joined"]
     )
-    def test_other_orders_fall_back(self, case):
+    def test_other_orders_take_the_pass(self, case):
         rng = random.Random(70)
         for n in range(5, 41, 5):
             for reciprocal in (0, 2, n):
@@ -850,24 +887,26 @@ class TestForestPass:
                         arcs += [(n, n + 1), (n + 1, n + 2), (n - 1, n + 2)]
                         nodes = ids + [1000, 1001, 1002]
                 g = DirectedGraph(nodes, set(arcs) if case == "set" else dict.fromkeys(arcs).keys())
-                # a reversal, a shuffle or a set may keep an order that grows
-                # the forest: a path grown from one end, read backwards
-                assert (g._wcc is not None) == _fits_pass(len(nodes), g._arcs)
-                assert g._wcc is None or case in ("reversed", "shuffled", "set")
+                assert g._is_forest() == (case != "chord")
+                _check_parents_first(g)
                 edges = _id_edges(nodes, arcs)
                 _check_components_against_oracle(g, nodes, edges)
+                # only a graph with a cycle builds adjacency lists
+                assert (g._und is None) == (case != "chord")
                 if case == "joined":
                     # still a forest: one path of n + 3 nodes
                     assert g._is_forest() and len(g._components()[1]) == 1
 
     @pytest.mark.parametrize("at", ["seen", "next"])
     def test_self_loop_falls_back(self, at):
-        # a loop on a labelled node, or on the next label, which no other arc names
+        # a loop on a labelled node, or on the next label, which no other
+        # arc names: the general kernels run
         arcs = [(0, 1), (1, 2), (3, 1)]
         loop = (2, 2) if at == "seen" else (4, 4)
         ids = ["a", "b", "c", "d", "e"][: 4 if at == "seen" else 5]
         g = DirectedGraph(ids, dict.fromkeys(arcs + [loop]).keys())
-        assert g._wcc is None
+        assert not g._is_forest()
+        _check_parents_first(g)
         edges = _id_edges(ids, arcs)
         assert _comp_key(weakly_connected_components(g)) == _comp_key(bf.wcc_sets(ids, edges))
         assert _comp_key(strongly_connected_components(g)) == _comp_key(bf.scc_sets(ids, edges))
@@ -878,8 +917,7 @@ class TestForestPass:
 
 class TestTreeDiameter:
     """The diameter from the reverse walk that sums subtree sizes, in the
-    label order of the forest pass and in the search order of the
-    fallback."""
+    order the pass lists each tree, whatever order the arcs come in."""
 
     def test_random_trees_in_label_order(self):
         rng = random.Random(80)
@@ -888,20 +926,21 @@ class TestTreeDiameter:
             arcs = _ordered_forest(rng, n, n // 3, new_root=0)
             edges = _id_edges(ids, arcs)
             g = DirectedGraph(ids, dict.fromkeys(arcs).keys())
-            assert (g._wcc is not None) == (n >= 2)
+            assert g._is_forest()
             dwcc, total = graphops.component_distance_stats(g, 0)
             assert dwcc == bf.diameter(ids, edges)
             assert total == bf.distance_stats_bfs(ids, edges)[1]
+            assert g._und is None
 
     def test_random_trees_beside_a_cycle(self):
-        # the triangle makes the graph cyclic: the search labels the
-        # components, and the tree component still takes the tree path
+        # the triangle makes the graph cyclic, and the tree component
+        # still takes the tree path
         rng = random.Random(81)
         for n in range(1, 61):
             nodes = list(range(n))
             edges = _random_tree_edges(rng, nodes) + [(-1, -2), (-2, -3), (-3, -1)]
             g = digraph(edges, nodes=rng.sample(nodes, n))
-            assert g._wcc is None and not g._is_forest()
+            assert not g._is_forest()
             ids = g._ids
             (k,) = [k for k, comp in enumerate(g._components()[1]) if ids[comp[0]] >= 0]
             tree = edges[:-3]
@@ -926,12 +965,44 @@ class TestTreeDiameter:
         index = {}
         labelled = [(index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v in arcs]
         g = DirectedGraph(list(index), dict.fromkeys(labelled).keys())
-        assert g._wcc is not None
+        assert g._is_forest()
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
+        assert g._und is None
         assert extract_layer_features(layer("RT", dict.fromkeys(arcs, 1))).dwcc == n - 1
         # the same arc order under a random labelling of nodes 0..n-1
         perm = random.Random(82).sample(range(n), n)
         g = DirectedGraph(list(range(n)), dict.fromkeys((perm[u], perm[v]) for u, v in arcs).keys())
-        assert g._wcc is not None
+        assert g._is_forest()
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
+        assert g._und is None
+
+    def test_long_path_in_shuffled_order(self):
+        # every arc may start a tree or join two: the pass reroots as it goes
+        n = 20000
+        rng = random.Random(83)
+        perm = rng.sample(range(n), n)
+        arcs = [(perm[k], perm[k + 1]) if rng.random() < 0.5 else (perm[k + 1], perm[k])
+                for k in range(n - 1)]
+        rng.shuffle(arcs)
+        g = DirectedGraph(list(range(n)), dict.fromkeys(arcs).keys())
+        assert g._is_forest() and len(g._components()[1]) == 1
+        _check_parents_first(g)
+        assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
+        assert g._und is None
+
+    @pytest.mark.parametrize("depth", [4, 7, 15])
+    def test_complete_binary_tree_leaves_first(self, depth):
+        # node k > 0 hangs under (k - 1) // 2; the arcs come deepest first,
+        # so the pass starts a tree per pair of leaves and joins them upwards
+        n = 2**depth - 1
+        arcs = [((k - 1) // 2, k) for k in range(n - 1, 0, -1)]
+        g = DirectedGraph(list(range(n)), dict.fromkeys(arcs).keys())
+        assert g._is_forest() and len(g._components()[1]) == 1
+        _check_parents_first(g)
+        # 2^k subtrees of 2^(depth - k) - 1 nodes hang below depth k
+        wiener = sum(2**k * (2 ** (depth - k) - 1) * (n - 2 ** (depth - k) + 1)
+                     for k in range(1, depth))
+        assert graphops.component_distance_stats(g, 0) == (2 * (depth - 1), 2 * wiener)
+        if depth <= 7:
+            assert graphops.component_distance_stats(g, 0) == bf.distance_stats_bfs(range(n), arcs)
         assert g._und is None

@@ -1,18 +1,23 @@
+import dataclasses
 import random
 from collections import Counter
 
+import bruteforce as bf
 import pytest
 from graphs import digraph, layer
 from random_cascades import random_cascade, reference_layers
 
-from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord
+from diffnet.features import extract_layer_features
+from diffnet.ingest import ArticleCascade, ArticleLabel, TweetRecord, group_cascades
 from diffnet.netbuild import (
     LAYER_KINDS,
+    LayerGraph,
     aggregate_layer,
     aggregate_user_count,
     build_network,
     truncate_by_lifetime,
 )
+from diffnet.synth import default_config, generate_corpus
 
 LABEL = ArticleLabel("a1", "D", "example.org", "right")
 
@@ -283,6 +288,48 @@ class TestAggregates:
         )
         merged = aggregate_layer(net)
         assert merged.edges == {("u1", "u2"): 3}
+
+    def test_every_merged_forest_builds_no_adjacency(self, monkeypatch):
+        # the merged layer labels users layer by layer, so a later layer's
+        # arcs join trees of earlier layers; the graph's one pass grows
+        # the forest from that order as from any other
+        config = default_config(seed=0)
+        config = dataclasses.replace(
+            config,
+            disinformation=dataclasses.replace(config.disinformation, n_articles=20),
+            mainstream=dataclasses.replace(config.mainstream, n_articles=20),
+        )
+        records, labels = generate_corpus(config)
+        cascades, _ = group_cascades(records, {lab.article_id: lab for lab in labels})
+        graphs = []
+        build = LayerGraph.to_directed_graph
+
+        def record(lg):
+            graphs.append(build(lg))
+            return graphs[-1]
+
+        monkeypatch.setattr(LayerGraph, "to_directed_graph", record)
+        forests = joined = 0
+        for cascade in cascades:
+            merged = aggregate_layer(build_network(cascade))
+            extract_layer_features(merged)  # all nine metrics
+            edges = list(merged.edges)
+            forest = len({frozenset(e) for e in edges}) == len(merged.ids) - len(
+                bf.wcc_sets(merged.ids, edges)
+            )
+            assert (graphs[-1]._und is None) == forest
+            forests += forest
+            # in a forest, an arc between two named users that no earlier
+            # arc linked joins two trees
+            named, linked = set(), set()
+            for edge in map(frozenset, edges):
+                if forest and edge <= named and edge not in linked:
+                    joined += 1
+                    break
+                named |= edge
+                linked.add(edge)
+        assert len(graphs) == len(cascades)
+        assert forests > len(cascades) // 2 and joined > 10
 
 
 class TestTruncate:
