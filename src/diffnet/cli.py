@@ -1,6 +1,6 @@
 """Command-line front end: one subcommand per pipeline stage.
 
-    diffnet synth    --out DIR [--config F] [--seed N] [--jobs N]
+    diffnet synth    --out DIR [--config F] [--seed N]
     diffnet ingest   --tweets F --labels F --out DIR [--start TS]
                      [--window 14d] [--min-tweets 50]
     diffnet featurize --cascades DIR --out FILE [--jobs N]
@@ -21,9 +21,8 @@ A cascades directory is what `ingest` (or `synth`) writes: `tweets.jsonl`
 plus `labels.csv`. Every run first writes a `manifest.json` recording the
 command, resolved options, sha256 digests of its inputs, the seed and the
 output names, then produces the outputs; reruns with the same inputs and
-seed are byte-identical at any `--jobs` setting (the default jobs count
-comes from the DIFFNET_JOBS environment variable). A jobs count below 1,
-from the flag or the environment, is `E_USAGE`.
+seed are byte-identical at any `--jobs` setting (default 1). A `--jobs`
+below 1 is `E_USAGE`.
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
@@ -42,7 +41,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -103,17 +101,10 @@ def parse_duration(text: str) -> int:
 
 
 def _jobs(args) -> int:
-    """`--jobs` if given, else DIFFNET_JOBS, else 1; below 1 is E_USAGE."""
-    source, raw = "--jobs", args.jobs
-    if raw is None:
-        source, raw = "DIFFNET_JOBS", os.environ.get("DIFFNET_JOBS", "1").strip()
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise CliError("E_USAGE", f"{source} must be an integer, got {raw!r}")
-    if jobs < 1:
-        raise CliError("E_USAGE", f"{source} must be at least 1, got {jobs}")
-    return jobs
+    """`--jobs`, default 1; below 1 is E_USAGE."""
+    if args.jobs < 1:
+        raise CliError("E_USAGE", f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _require_file(path: str) -> Path:
@@ -203,7 +194,6 @@ def _cv_config(args) -> dict:
 # ------------------------------------------------------------ subcommands
 
 def cmd_synth(args) -> int:
-    jobs = _jobs(args)
     inputs = []
     if args.config is not None:
         config_path = _require_file(args.config)
@@ -222,7 +212,7 @@ def cmd_synth(args) -> int:
         out / "manifest.json", "synth", config.to_json_dict(), inputs,
         config.seed, ["config.json", "labels.csv", "tweets.jsonl"],
     )
-    records, labels = generate_corpus(config, jobs=jobs)
+    records, labels = generate_corpus(config)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -465,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("synth", help="generate a labeled synthetic corpus")
     sub.add_argument("--config", default=None, help="generator config JSON")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_synth)
 
@@ -481,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("featurize", help="compute the 38-feature table")
     sub.add_argument("--cascades", required=True)
-    sub.add_argument("--jobs", type=int, default=None)
+    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_featurize)
 
@@ -535,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lifetimes",
                      default=",".join(str(s) for s in LIFETIME_LADDER))
     _add_cv_flags(sub)
-    sub.add_argument("--jobs", type=int, default=None)
+    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_temporal)
 

@@ -182,7 +182,7 @@ def write_features_file(path, rows: Iterable[ArticleFeatures]) -> None:
 
 
 def read_features_file(path) -> list[ArticleFeatures]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

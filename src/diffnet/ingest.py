@@ -290,7 +290,7 @@ def record_to_json(record: TweetRecord) -> str:
 def load_tweets_file(path) -> ParseResult:
     try:
         # an invalid byte decodes to a lone surrogate, so only its line is malformed
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             return parse_records(fh)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read tweets file: {exc}") from exc
@@ -328,7 +328,7 @@ def parse_labels(rows: Iterable[str]) -> dict[str, ArticleLabel]:
 
 def load_labels_file(path) -> dict[str, ArticleLabel]:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_labels(fh)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read labels file: {exc}") from exc

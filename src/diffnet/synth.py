@@ -20,15 +20,13 @@ per-layer view does. That is what keeps the multi-layer representation
 ahead of the single-layer baseline.
 
 Generation is deterministic: every article draws from its own stream
-spawned from the master seed, so output is identical at any worker count.
+spawned from the master seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -173,7 +171,7 @@ def default_config(seed: int = 0) -> GeneratorConfig:
 
 
 def load_config(path) -> GeneratorConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return GeneratorConfig.from_json_dict(json.load(fh))
 
 
@@ -291,22 +289,13 @@ def _article_specs(config: GeneratorConfig) -> list[tuple[str, str]]:
     return specs
 
 
-def _worker(args) -> list[TweetRecord]:
-    article_id, class_label, config, seed_seq, start = args
-    profile = (
-        config.disinformation if class_label == "D" else config.mainstream
-    )
-    return _generate_article(article_id, profile, config, seed_seq, start)
-
-
 def generate_corpus(
-    config: GeneratorConfig, jobs: int = 1
+    config: GeneratorConfig,
 ) -> tuple[list[TweetRecord], list[ArticleLabel]]:
     """All tweet records plus one label row per article.
 
-    Same config (including seed) gives an identical corpus at any jobs
-    count; articles are independent streams merged in a fixed order. At
-    most one worker process per article and per CPU is started.
+    Same config (including seed) gives an identical corpus; articles are
+    independent streams, generated one after another in a fixed order.
     """
     config.validate()
     specs = _article_specs(config)
@@ -323,15 +312,10 @@ def generate_corpus(
         ]
         labels.append(ArticleLabel(article_id, class_label, source, bias))
 
-    tasks = [
-        (article_id, class_label, config, seeds[i], BASE_TIME + 97 * i)
-        for i, (article_id, class_label) in enumerate(specs)
-    ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_worker, tasks, chunksize=16))
-    else:
-        chunks = [_worker(task) for task in tasks]
-    records = [r for chunk in chunks for r in chunk]
+    profiles = {"D": config.disinformation, "M": config.mainstream}
+    records = []
+    for i, (article_id, class_label) in enumerate(specs):
+        records += _generate_article(
+            article_id, profiles[class_label], config, seeds[i], BASE_TIME + 97 * i
+        )
     return records, labels

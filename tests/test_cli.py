@@ -1,5 +1,6 @@
 """End-to-end CLI tests: the pipeline chain, manifests, determinism at any
-jobs count, and the one-line error contract."""
+jobs count, the one-line error contract, and the README's agreement with
+the parser."""
 
 import argparse
 import json
@@ -73,6 +74,47 @@ def test_every_long_option_is_documented():
                     if not re.search(pattern, text):
                         missing.append((command, option, doc_name))
     assert missing == []
+
+
+def _usage_lines(text):
+    """Each `diffnet <subcommand> ...` line of ``text``, its indented
+    continuation lines joined to it."""
+    lines, current = [], None
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["diffnet"]:
+            current = [line]
+            lines.append(current)
+        elif current is not None and line.startswith("  ") and words:
+            current.append(line)
+        else:
+            current = None
+    return [" ".join(" ".join(parts).replace("\\", " ").split()) for parts in lines]
+
+
+def test_every_usage_flag_is_accepted():
+    """The README command block and the cli docstring show a subcommand only
+    the flags its parser takes."""
+    subparsers = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    doc = cli.__doc__
+    cv = re.search(r"where CV is (.*)", doc).group(1)
+    usages = _usage_lines(block) + [
+        line.replace("[CV]", cv) for line in _usage_lines(doc)
+    ]
+    shown = {line.split()[1] for line in usages}
+    assert shown == set(subparsers.choices)
+    unknown = [
+        (line.split()[1], flag)
+        for line in usages
+        for flag in re.findall(r"--[A-Za-z][\w-]*", line)
+        if flag not in subparsers.choices[line.split()[1]]._option_string_actions
+    ]
+    assert unknown == []
 
 
 # ------------------------------------------------------------- durations
@@ -229,19 +271,24 @@ def test_temporal_emits_seven_rows(workspace, tmp_path, capsys):
 
 # ----------------------------------------------------------- determinism
 
-def test_synth_reruns_and_jobs_are_byte_identical(workspace, tmp_path):
+def test_synth_reruns_are_byte_identical(workspace, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["synth", "--config", str(config), "--out", str(a)]) == 0
-    assert main(["synth", "--config", str(config), "--jobs", "2",
-                 "--out", str(b)]) == 0
-    assert (a / "tweets.jsonl").read_bytes() == (b / "tweets.jsonl").read_bytes()
-    assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
-    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    for out in (a, b):
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    for name in ("tweets.jsonl", "labels.csv", "config.json", "manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
     assert (a / "tweets.jsonl").read_bytes() == (
         workspace / "corpus" / "tweets.jsonl"
     ).read_bytes()
+
+
+def test_synth_has_no_jobs_flag(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["synth", "--jobs", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("E_USAGE: unrecognized arguments: --jobs")
+    assert not out.exists()
 
 
 def test_featurize_jobs_byte_identical(workspace, tmp_path):
@@ -253,74 +300,67 @@ def test_featurize_jobs_byte_identical(workspace, tmp_path):
     assert out.read_bytes() == (workspace / "features.csv").read_bytes()
 
 
-def test_jobs_env_default(workspace, tmp_path, monkeypatch):
+def test_jobs_env_sets_no_default(workspace, tmp_path, monkeypatch):
+    # the job count comes from --jobs alone, so DIFFNET_JOBS=2 still runs at 1
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(kwargs.get("jobs", args[1] if len(args) > 1 else None))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "featurize", recording(cli.featurize))
+    monkeypatch.setattr(cli, "temporal_sweep", recording(cli.temporal_sweep))
     monkeypatch.setenv("DIFFNET_JOBS", "2")
+    cascades = str(workspace / "cascades")
     out = tmp_path / "features.csv"
+    assert main(["featurize", "--cascades", cascades, "--out", str(out)]) == 0
     assert main([
-        "featurize", "--cascades", str(workspace / "cascades"),
-        "--out", str(out),
+        "temporal", "--cascades", cascades, "--lifetimes", "1h",
+        "--out", str(tmp_path / "t"),
     ]) == 0
+    assert seen == [1, 1]
     assert out.read_bytes() == (workspace / "features.csv").read_bytes()
 
 
-def test_bad_jobs_env_only_breaks_commands_with_jobs(
-    workspace, tmp_path, capsys, monkeypatch
-):
+def test_bad_jobs_env_breaks_no_command(workspace, tmp_path, capsys, monkeypatch):
+    # DIFFNET_JOBS=abc is not read: every command runs and gives the same bytes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    cascades = str(workspace / "cascades")
+    temporal = ["temporal", "--cascades", cascades, "--lifetimes", "1h,7d", "--out"]
+    assert main(temporal + [str(tmp_path / "t0")]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("DIFFNET_JOBS", "abc")
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("diffnet ")
-    assert main([
-        "evaluate", "--features", str(workspace / "features.csv"),
-        "--out", str(tmp_path / "eval"),
-    ]) == 0
-    assert main([
-        "evaluate", "--features", str(tmp_path / "nope.csv"),
-        "--out", str(tmp_path / "nope"),
-    ]) == 1
-    assert capsys.readouterr().err.startswith("E_INPUT_MISSING:")
-    cascades = str(workspace / "cascades")
-    for argv in (
-        ["featurize", "--cascades", cascades, "--out", str(tmp_path / "f" / "x.csv")],
-        ["temporal", "--cascades", cascades, "--out", str(tmp_path / "t")],
-        ["synth", "--out", str(tmp_path / "s")],
-    ):
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(
-            "E_USAGE: DIFFNET_JOBS must be an integer"
-        )
-    # nothing was written, not even a manifest
-    assert not any((tmp_path / d).exists() for d in ("f", "t", "s"))
-    # an explicit --jobs is used without reading the environment
-    out = tmp_path / "features.csv"
-    assert main(["featurize", "--cascades", cascades, "--jobs", "1",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == (workspace / "features.csv").read_bytes()
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    assert main(["featurize", "--cascades", cascades,
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(temporal + [str(tmp_path / "t")]) == 0
+    assert (tmp_path / "s" / "tweets.jsonl").read_bytes() == (
+        workspace / "corpus" / "tweets.jsonl"
+    ).read_bytes()
+    assert (tmp_path / "f.csv").read_bytes() == (workspace / "features.csv").read_bytes()
+    for name in ("series.csv", "report.txt"):
+        assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "t0" / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["synth", "featurize", "temporal"])
+@pytest.mark.parametrize("command", ["featurize", "temporal"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_jobs_below_one_is_a_usage_error(
-    workspace, tmp_path, capsys, monkeypatch, command, jobs, source
-):
+def test_jobs_below_one_is_a_usage_error(workspace, tmp_path, capsys, command, jobs):
     cascades = str(workspace / "cascades")
     out = tmp_path / "out"
     argv = {
-        "synth": ["synth", "--out", str(out)],
         "featurize": ["featurize", "--cascades", cascades, "--out", str(out / "f.csv")],
         "temporal": ["temporal", "--cascades", cascades, "--out", str(out)],
     }[command]
-    if source == "flag":
-        argv += ["--jobs", jobs]
-        name = "--jobs"
-    else:
-        monkeypatch.setenv("DIFFNET_JOBS", jobs)
-        name = "DIFFNET_JOBS"
-    assert main(argv) == 2
+    assert main(argv + ["--jobs", jobs]) == 2
     err = capsys.readouterr().err
-    assert err == f"E_USAGE: {name} must be at least 1, got {jobs}\n"
+    assert err == f"E_USAGE: --jobs must be at least 1, got {jobs}\n"
     assert not out.exists()
 
 
@@ -390,6 +430,23 @@ def test_ingest_counts_undecodable_lines_as_malformed(workspace, tmp_path, capsy
     ])
     assert code == 0
     assert "skipped 2 malformed" in capsys.readouterr().out
+    for name in ("tweets.jsonl", "labels.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (
+            workspace / "cascades" / name
+        ).read_bytes()
+
+
+def test_ingest_skips_byte_order_marks(workspace, tmp_path, capsys):
+    corpus = workspace / "corpus"
+    for name in ("tweets.jsonl", "labels.csv"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (corpus / name).read_bytes())
+    code = main([
+        "ingest", "--tweets", str(tmp_path / "tweets.jsonl"),
+        "--labels", str(tmp_path / "labels.csv"),
+        "--window", "14d", "--min-tweets", "10", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert "skipped 0 malformed" in capsys.readouterr().out
     for name in ("tweets.jsonl", "labels.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (
             workspace / "cascades" / name

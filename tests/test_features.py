@@ -416,6 +416,13 @@ class TestFeaturesFile:
         back = read_features_file(path)
         assert back == sorted(rows, key=lambda r: r.article_id)
 
+    def test_reader_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_features_file(path, _feature_rows())
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_features_file(bom) == read_features_file(path)
+
     def test_featurize_article_n_users(self):
         cascade = _cascade(
             [_tweet(1, "u1"), _tweet(2, "u2", retweet_of="u1"), _tweet(3, "u3")]

@@ -19,6 +19,7 @@ from diffnet.ingest import (
     apply_censoring,
     filter_min_tweets,
     group_cascades,
+    load_labels_file,
     load_tweets_file,
     parse_labels,
     parse_records,
@@ -574,6 +575,28 @@ class TestRecordContract:
             tracemalloc.stop()
         assert len(result.records) == len(lines) > 5000
         assert retained / len(lines) < 255
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is skipped, not read as data."""
+
+    @pytest.mark.parametrize("dumps", [json.dumps, _canonical])
+    def test_tweets_file(self, tmp_path, dumps):
+        text = "".join(_line(i, dumps) + "\n" for i in range(1, 4))
+        plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        result = load_tweets_file(bom)
+        assert (len(result.records), result.malformed) == (3, 0)
+        assert result == load_tweets_file(plain)
+
+    def test_labels_file(self, tmp_path):
+        text = "article_id,label,source,bias\na1,D,x.org,right\na2,M,y.org,\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_labels_file(bom) == load_labels_file(plain)
+        assert list(load_labels_file(bom)) == ["a1", "a2"]
 
 
 class TestLabels:
