@@ -3,7 +3,7 @@
     diffnet synth    --out DIR [--config F] [--seed N]
     diffnet ingest   --tweets F --labels F --out DIR [--start TS]
                      [--window 14d] [--min-tweets 50]
-    diffnet featurize --cascades DIR --out FILE [--jobs N]
+    diffnet featurize --cascades DIR --out FILE
     diffnet evaluate --features F --out DIR [--size-class X] [CV]
     diffnet ablate   --features F --layer {Q,RT,M,R} --out DIR [CV]
     diffnet baseline-single-layer --cascades DIR --out DIR [CV]
@@ -12,8 +12,7 @@
                      [--folds 10] [--C 1.0] [--seed 0] --out DIR
     diffnet rank-features --features F --method {chi2,ks} [--top K]
                      [--alpha 0.05] --out DIR [CV]
-    diffnet temporal --cascades DIR [--lifetimes 1h,...,7d] --out DIR
-                     [--jobs N] [CV]
+    diffnet temporal --cascades DIR [--lifetimes 1h,...,7d] --out DIR [CV]
 
 where CV is [--folds 10] [--test-fraction 0.2] [--C 1.0] [--seed 0].
 
@@ -21,8 +20,7 @@ A cascades directory is what `ingest` (or `synth`) writes: `tweets.jsonl`
 plus `labels.csv`. Every run first writes a `manifest.json` recording the
 command, resolved options, sha256 digests of its inputs, the seed and the
 output names, then produces the outputs; reruns with the same inputs and
-seed are byte-identical at any `--jobs` setting (default 1). A `--jobs`
-below 1 is `E_USAGE`.
+seed are byte-identical.
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
@@ -98,13 +96,6 @@ def parse_duration(text: str) -> int:
     if not match or int(match.group(1)) == 0:
         raise CliError("E_USAGE", f"bad duration {text!r} (use e.g. 30m, 12h, 14d)")
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
-
-
-def _jobs(args) -> int:
-    """`--jobs`, default 1; below 1 is E_USAGE."""
-    if args.jobs < 1:
-        raise CliError("E_USAGE", f"--jobs must be at least 1, got {args.jobs}")
-    return args.jobs
 
 
 def _require_file(path: str) -> Path:
@@ -267,14 +258,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    jobs = _jobs(args)
     cascades, inputs = _load_cascades(args.cascades)
     out = Path(args.out)
     write_manifest(
         Path(str(out) + ".manifest.json"), "featurize",
         {"cascades": args.cascades}, inputs, None, [out.name],
     )
-    rows = featurize(cascades, jobs)
+    rows = featurize(cascades)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_features_file(out, rows)
     print(f"featurize: {len(rows)} articles -> {out}")
@@ -390,7 +380,6 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_temporal(args) -> int:
-    jobs = _jobs(args)
     raw = [part.strip() for part in args.lifetimes.split(",")]
     if not any(raw):
         raise CliError("E_USAGE", "--lifetimes must list at least one duration")
@@ -401,7 +390,6 @@ def cmd_temporal(args) -> int:
     results = temporal_sweep(
         cascades, lifetimes, folds=args.folds,
         test_fraction=args.test_fraction, seed=args.seed, C=args.C,
-        jobs=jobs,
     )
     out = Path(args.out)
     config = {
@@ -470,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("featurize", help="compute the 38-feature table")
     sub.add_argument("--cascades", required=True)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_featurize)
 
@@ -524,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lifetimes",
                      default=",".join(str(s) for s in LIFETIME_LADDER))
     _add_cv_flags(sub)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_temporal)
 

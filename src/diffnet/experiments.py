@@ -241,8 +241,20 @@ def rank_features_ks(
     return rows
 
 
-# the name perfbench/worker.py calls and perfbench/tracing.py wraps
-featurize_cascades = featurize
+def _check_jobs(jobs: int) -> None:
+    # ``jobs`` stays only because perfbench/worker.py passes ``jobs=1``;
+    # every article is featurized in the calling process
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
+
+
+def featurize_cascades(
+    cascades: Sequence[ArticleCascade], jobs: int = 1
+) -> list[ArticleFeatures]:
+    """:func:`~diffnet.features.featurize`, under the name perfbench/worker.py
+    calls and perfbench/tracing.py wraps."""
+    _check_jobs(jobs)
+    return featurize(cascades)
 
 
 def temporal_sweep(
@@ -259,14 +271,15 @@ def temporal_sweep(
 
     Each cut keeps a prefix of its time-sorted cascade, and many cuts of an
     article keep the same prefix, so every distinct (article, prefix length)
-    is featurized once, ``jobs`` processes sharing the work, and CV then
-    runs once per distinct row of shared vectors: lifetimes that keep the
-    same prefix of every article share one report. The article set never shrinks
-    (the earliest tweet always survives) and every cell reuses the same
-    master seed, so the longest lifetime on a fully covered corpus
-    reproduces the untruncated report. Any jobs count gives the same series.
-    Bad CV settings raise ValueError before anything is featurized.
+    is featurized once, through :func:`~diffnet.features.featurize`, and CV
+    then runs once per distinct row of shared vectors: lifetimes that keep
+    the same prefix of every article share one report. The article set never
+    shrinks (the earliest tweet always survives) and every cell reuses the
+    same master seed, so the longest lifetime on a fully covered corpus
+    reproduces the untruncated report. ``jobs`` must be 1; it and bad CV
+    settings raise ValueError before anything is featurized.
     """
+    _check_jobs(jobs)
     check_folds(folds, test_fraction, seed)
     check_C(C)
     prefixes: list[ArticleCascade] = []
@@ -282,7 +295,7 @@ def temporal_sweep(
                 prefixes.append(cut)
             row.append(slot[key])
         rows.append(tuple(row))
-    samples = featurize(prefixes, jobs)
+    samples = featurize(prefixes)
     # lifetimes past every cascade's span keep the same prefixes, so equal
     # rows share one (frozen) report
     reports: dict[tuple[int, ...], EvaluationReport] = {}

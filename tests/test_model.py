@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
 
 from diffnet import model as model_module
 from diffnet.features import N_FEATURES, ArticleFeatures, write_features_file
@@ -310,6 +309,8 @@ class TestMetrics:
         )
 
     def test_midranks_match_scipy_rankdata_exactly(self):
+        from scipy.stats import rankdata
+
         rng = np.random.default_rng(31)
         for trial in range(2000):
             n = int(rng.integers(2, 60))
