@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import graphops
-from .ingest import ArticleCascade, ArticleLabel
+from .ingest import ArticleCascade, ArticleLabel, csv_rows
 from .netbuild import (
     LAYER_KINDS,
     LayerGraph,
@@ -171,7 +171,7 @@ def write_features_file(path, rows: Iterable[ArticleFeatures]) -> None:
 
 def read_features_file(path) -> list[ArticleFeatures]:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, "features")
         try:
             header = next(reader)
         except StopIteration:

@@ -17,7 +17,8 @@ components (each one parents first), each node's parent and whether the
 undirected projection has a cycle; a forest has |E_und| = n - #trees. An
 arc that joins two trees reroots the smaller at its end, listing the
 reversed path first, and hangs it under the other end, so no node moves
-more than log2(n) times. Adjacency lists are built only on first use.
+more than log2(n) times. Only a graph with a cycle builds lists, on first
+use and in one walk of the arcs: successors, predecessors, undirected.
 
 So each kernel can test cheaply whether the undirected projection is a
 forest (|E_und| = n - #WCC) and count reciprocal pairs (|E_dir| -
@@ -36,8 +37,8 @@ a tree takes an O(n) distance path: one reverse walk of its nodes,
 children before parents, sums subtree sizes for the pair sum and keeps
 each node's height for the diameter.
 
-The general paths run in numpy on one undirected adjacency in compressed
-form, built once per graph: an offsets array and a flat neighbour array.
+The general paths run in numpy on the undirected lists in compressed
+form, part of the general form: an offsets array and a flat neighbour array.
 Any component that is not a tree runs a bit-parallel breadth-first
 search: each node holds one bit per source of a block, packed into
 ``uint64`` words, and each level is one gather of the frontier words
@@ -71,15 +72,16 @@ class DirectedGraph:
     ``ids[i]`` is the node id of label i, and ``arcs`` holds the distinct
     label pairs (i, j) with i != j, as a set or a dict's keys; neither is
     copied. The graph is fixed once built, so whatever a kernel derives
-    from it is cached.
+    from it is cached: the forest pass at construction and, for a graph
+    with a cycle, the general form of ``_lists()`` on first use.
     """
 
-    __slots__ = ("_ids", "_arcs", "_und", "_und_edges", "_und_csr", "_succ", "_pred", "_wcc")
+    __slots__ = ("_ids", "_arcs", "_und_edges", "_wcc", "_form")
 
     def __init__(self, ids: list, arcs) -> None:
         self._ids = ids
         self._arcs = arcs
-        self._und = self._und_csr = self._succ = self._pred = None
+        self._form = None
         self._grow_forest()
 
     def _grow_forest(self) -> None:
@@ -128,7 +130,7 @@ class DirectedGraph:
                 for v in comp:
                     label[v] = c
         self._wcc = (label, comps, parent)
-        # a forest has |E_und| = n - #trees; otherwise _adjacency counts it
+        # a forest has |E_und| = n - #trees; otherwise _lists counts it
         self._und_edges = None if cyclic else len(label) - len(comps)
 
     def number_of_nodes(self) -> int:
@@ -140,44 +142,31 @@ class DirectedGraph:
     def undirected_adj(self) -> dict:
         """Adjacency of the undirected simple projection, keyed by id."""
         ids = self._ids
-        return {v: set(map(ids.__getitem__, nbrs)) for v, nbrs in zip(ids, self._adjacency())}
+        return {v: set(map(ids.__getitem__, nbrs)) for v, nbrs in zip(ids, self._lists()[2])}
 
-    def _adjacency(self) -> list[list[int]]:
-        """The undirected projection as deduplicated neighbour lists of the
-        integer labels (cached), counting |E_und| as they are built."""
-        if self._und is None:
+    def _lists(self) -> tuple[list, list, list, np.ndarray, np.ndarray]:
+        """The general form ``(succ, pred, und, offsets, nbrs)`` (cached),
+        built in one walk of the arcs that counts |E_und|: each label's
+        successors, predecessors and undirected neighbours, and the last
+        in compressed form, label v's being ``nbrs[offsets[v]:offsets[v + 1]]``.
+        The arcs are distinct, so no list holds a repeat."""
+        if self._form is None:
             arcs = self._arcs
-            # one entry per undirected edge; a reciprocal pair enters from i < j
-            und_pairs = [(i, j) for i, j in arcs if i < j or (j, i) not in arcs]
-            und: list[list[int]] = [[] for _ in self._ids]
-            for i, j in und_pairs:
-                und[i].append(j)
-                und[j].append(i)
-            self._und = und
-            self._und_edges = len(und_pairs)
-        return self._und
-
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The undirected adjacency as ``(offsets, nbrs)`` (cached): the
-        neighbours of label v are ``nbrs[offsets[v]:offsets[v + 1]]``."""
-        if self._und_csr is None:
-            und = self._adjacency()
-            offsets = np.fromiter(accumulate(map(len, und), initial=0), np.intp, len(und) + 1)
-            nbrs = np.fromiter(chain.from_iterable(und), np.intp, offsets[-1])
-            self._und_csr = offsets, nbrs
-        return self._und_csr
-
-    def _directed(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Successors and predecessors of each integer label (cached); only
-        the kernels that follow directions need them. The arcs are
-        distinct, so the lists hold no repeats."""
-        if self._succ is None:
-            self._succ = succ = [[] for _ in self._ids]
-            self._pred = pred = [[] for _ in self._ids]
-            for i, j in self._arcs:
+            succ, pred, und = ([[] for _ in self._ids] for _ in range(3))
+            edges = 0
+            for i, j in arcs:
                 succ[i].append(j)
                 pred[j].append(i)
-        return self._succ, self._pred
+                # one entry per undirected edge; a reciprocal pair enters from i < j
+                if i < j or (j, i) not in arcs:
+                    und[i].append(j)
+                    und[j].append(i)
+                    edges += 1
+            offsets = np.fromiter(accumulate(map(len, und), initial=0), np.intp, len(und) + 1)
+            nbrs = np.fromiter(chain.from_iterable(und), np.intp, offsets[-1])
+            self._und_edges = edges
+            self._form = succ, pred, und, offsets, nbrs
+        return self._form
 
     def _components(self) -> tuple[list[int], list[list[int]], list[int]]:
         """Per node its component label and tree parent (-1 at a root), and
@@ -187,7 +176,7 @@ class DirectedGraph:
     def _reciprocal_pairs(self) -> int:
         """|E_dir| - |E_und|: each reciprocal pair is two arcs on one edge."""
         if self._und_edges is None:
-            self._adjacency()  # counts |E_und|
+            self._lists()  # counts |E_und|
         return len(self._arcs) - self._und_edges
 
     def _is_forest(self) -> bool:
@@ -225,7 +214,7 @@ def scc_groups(g: DirectedGraph) -> tuple[int, list[list[int]]]:
         for v, first in top.items():
             groups.setdefault(first, [first]).append(v)
         return n - len(top), list(groups.values())
-    succ, pred = g._directed()
+    succ, pred = g._lists()[:2]
     seen = [False] * n
     left: list[int] = []
     for root in range(n):
@@ -346,7 +335,7 @@ def component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
     n = len(order)
     tree = g._is_forest()
     if not tree:
-        und = g._adjacency()
+        und = g._lists()[2]
         tree = sum(len(und[v]) for v in order) == 2 * (n - 1)
     if tree:
         size = [1] * len(parent)
@@ -364,7 +353,7 @@ def component_distance_stats(g: DirectedGraph, c: int) -> tuple[int, int]:
             if h > hp:
                 height[p] = h
         return diameter, 2 * total
-    offsets, nbrs = g._csr()
+    offsets, nbrs = g._lists()[3:]
     if n < len(parent):
         # relabel the component 0..n-1; its nodes' neighbours all lie in it
         order = np.array(order)
@@ -406,7 +395,7 @@ def undirected_distance_stats(
     if len(comps[c]) == n and all(label[v] == c for v in members):
         return component_distance_stats(g, c)
     pos = dict(zip(members, range(n)))
-    und = g._adjacency()
+    und = g._lists()[2]
     sub = DirectedGraph(
         [ids[v] for v in members],
         {(pos[v], pos[w]) for v in members for w in und[v] if w in pos},
@@ -446,8 +435,8 @@ def average_clustering(g: DirectedGraph) -> float:
     n = g.number_of_nodes()
     if n == 0 or g._is_forest():
         return 0.0
-    core = _two_core(g._adjacency())
-    offsets, nbrs = g._csr()
+    _, _, und, offsets, nbrs = g._lists()
+    core = _two_core(und)
     degree = offsets[1:] - offsets[:-1]
     src = np.repeat(np.arange(n), degree)
     keep = core[src] & core[nbrs]
@@ -486,7 +475,7 @@ def main_kcore_number(g: DirectedGraph) -> int:
         # any subgraph of a forest has a node with at most one neighbour,
         # so at most total degree 2, which a reciprocal pair reaches
         return 2 if g._reciprocal_pairs() else 1
-    succ, pred = g._directed()
+    succ, pred = g._lists()[:2]
     deg = [len(s) + len(p) for s, p in zip(succ, pred)]
     rest = range(len(deg))
     while True:

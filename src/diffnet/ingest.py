@@ -303,8 +303,17 @@ def write_tweets_file(path, records: Iterable[TweetRecord]) -> None:
             fh.write("\n")
 
 
+def csv_rows(lines: Iterable[str], what: str):
+    """The rows of a CSV file; a row csv refuses raises CorpusFormatError."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{what} line {reader.line_num}: {exc}") from None
+
+
 def parse_labels(rows: Iterable[str]) -> dict[str, ArticleLabel]:
-    reader = csv.reader(rows)
+    reader = csv_rows(rows, "labels")
     try:
         header = next(reader)
     except StopIteration:
@@ -332,6 +341,8 @@ def load_labels_file(path) -> dict[str, ArticleLabel]:
             return parse_labels(fh)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read labels file: {exc}") from exc
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
 
 
 def write_labels_file(path, labels: Iterable[ArticleLabel]) -> None:

@@ -172,7 +172,10 @@ def default_config(seed: int = 0) -> GeneratorConfig:
 
 def load_config(path) -> GeneratorConfig:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return GeneratorConfig.from_json_dict(json.load(fh))
+        try:
+            return GeneratorConfig.from_json_dict(json.load(fh))
+        except RecursionError:
+            raise ValueError("config is nested too deeply") from None
 
 
 def _source_pool(class_label: str, n: int) -> list[tuple[str, str]]:

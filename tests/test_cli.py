@@ -594,6 +594,51 @@ def test_bad_cv_values_end_in_one_invariant_line(workspace, tmp_path, capsys, co
     assert not (out / "ranking.csv").exists()
 
 
+# a field one character over the csv module's default size limit
+_OVERSIZE = "x" * 131_073
+_CSV_COMMANDS = {
+    **_CV_COMMANDS,
+    "ingest": ["ingest", "--tweets", "{ws}/cascades/tweets.jsonl",
+               "--labels", "{ws}/cascades/labels.csv", "--window", "14d", "--min-tweets", "10"],
+    "featurize": ["featurize", "--cascades", "{ws}/cascades"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_COMMANDS))
+def test_oversize_csv_field_ends_in_one_format_line(workspace, tmp_path, capsys, command):
+    # labels.csv feeds the commands that read cascades; the others read a
+    # features file. Either way the oversize field sits in the second row
+    given = tmp_path / "in"
+    (given / "cascades").mkdir(parents=True)
+    for name in ("tweets.jsonl", "labels.csv"):
+        (given / "cascades" / name).write_bytes((workspace / "cascades" / name).read_bytes())
+    for name in ("cascades/labels.csv", "features.csv"):
+        lines = (workspace / name).read_text().splitlines()
+        lines[2] = _OVERSIZE + lines[2][lines[2].index(","):]
+        (given / name).write_text("\n".join(lines) + "\n")
+    args = [a.format(ws=given) for a in _CSV_COMMANDS[command]]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "line 3: field larger than field limit" in err, err
+    # no output and no manifest
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.parametrize("where", ["top", "disinformation"])
+def test_deeply_nested_generator_config(tmp_path, capsys, where):
+    nested = "[" * 200_000
+    bad = tmp_path / "deep.json"
+    bad.write_text(nested if where == "top" else '{"disinformation": ' + nested)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:") and "nested too deeply" in err, err[:200]
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 _EARLY_CV_CHECKS = [
     (cmd, bad, "E_INVARIANT") for cmd in ("temporal", "baseline-single-layer")
     for bad in (["--folds", "0"], ["--test-fraction", "1.5"], ["--C", "0"], ["--seed", "-1"])

@@ -8,7 +8,7 @@ import bruteforce as bf
 from graphs import digraph, layer
 
 from diffnet import graphops
-from diffnet.features import extract_layer_features
+from diffnet.features import LayerFeatures, extract_layer_features
 from diffnet.graphops import (
     DirectedGraph,
     average_clustering,
@@ -46,7 +46,7 @@ class TestBasics:
         # the adjacency lists hold each neighbour once, so a forest with
         # reciprocal pairs is still seen as a forest by every shortcut
         g = digraph([(1, 2), (2, 1), (2, 3), (3, 2), (4, 3)])
-        assert sorted(map(sorted, g._adjacency())) == [[0, 2], [1], [1, 3], [2]]
+        assert sorted(map(sorted, g._lists()[2])) == [[0, 2], [1], [1, 3], [2]]
         assert g._is_forest()
         assert g._reciprocal_pairs() == 2
 
@@ -214,7 +214,7 @@ class TestClusteringKernel:
         nodes = rng.sample(range(n), n)
         _exact_clustering(edges, nodes)
         g = digraph(edges, nodes=nodes)
-        assert set(np.flatnonzero(graphops._two_core(g._adjacency()))) == {
+        assert set(np.flatnonzero(graphops._two_core(g._lists()[2]))) == {
             nodes.index(v) for v in bf.two_core(nodes, edges)
         }
 
@@ -234,7 +234,7 @@ class TestClusteringKernel:
             nodes = list(range(n))
             edges = _random_forest_edges(rng, nodes, 0) + _random_edges(rng, nodes, 1.5 / n)
             g = digraph(edges, nodes=nodes)
-            assert set(np.flatnonzero(graphops._two_core(g._adjacency()))) == bf.two_core(nodes, edges)
+            assert set(np.flatnonzero(graphops._two_core(g._lists()[2]))) == bf.two_core(nodes, edges)
 
 
 class TestKCore:
@@ -474,7 +474,7 @@ class TestWideSparseComponent:
 
     def test_two_core_is_the_triangles(self, star):
         nodes, _, chorded, g = star
-        core = graphops._two_core(g._adjacency())
+        core = graphops._two_core(g._lists()[2])
         assert {nodes[i] for i in np.flatnonzero(core)} == {0, *chorded}
 
     def test_clustering_closed_form_and_memory(self, star):
@@ -673,6 +673,72 @@ class TestGeneralDirectedKernels:
                 assert main_kcore_number(g) == bf.main_kcore_peeling(nodes, edges)
 
 
+class TestGeneralForm:
+    """A graph with a cycle builds its successors, predecessors and
+    undirected lists in one walk, on first use by whichever kernel runs
+    first, and that walk counts |E_und|."""
+
+    KERNELS = {
+        "pairs": lambda g: g._reciprocal_pairs(),
+        "adj": lambda g: g.undirected_adj(),
+        "scc": graphops.scc_groups,
+        "wcc": graphops.largest_component,
+        "distance": lambda g: graphops.component_distance_stats(g, graphops.largest_component(g)[1]),
+        "cc": average_clustering,
+        "kcore": main_kcore_number,
+        "density": density,
+    }
+
+    def test_reciprocal_pair_counted_first_counts_once(self):
+        # a triangle and a reciprocal pair, whose arcs run from the larger
+        # label to the smaller and back
+        g = digraph([(1, 2), (2, 3), (3, 1), (4, 3), (3, 4)])
+        assert not g._is_forest() and g._form is None
+        assert g._reciprocal_pairs() == 1
+        assert g._form is not None and g._und_edges == 4
+        assert g.undirected_adj() == {1: {2, 3}, 2: {1, 3}, 3: {1, 2, 4}, 4: {3}}
+
+    def test_kernels_one_at_a_time_in_any_order(self):
+        rng = random.Random(2026)
+        for n in (3, 4, 6, 9, 15, 30):
+            for _ in range(4):
+                nodes = list(range(n))
+                edges = _random_cyclic_edges(rng, nodes)
+                edges += [(v, u) for u, v in rng.sample(edges, 2)]  # reciprocal pairs
+                lg = layer("RT", dict.fromkeys(edges, 1))
+                expected = extract_layer_features(lg)
+                arcs = set(edges)
+                pairs = sum((v, u) in arcs for u, v in arcs) // 2
+                adj = {v: set() for v in nodes}
+                for u, v in arcs:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                for first in self.KERNELS:
+                    order = [first] + rng.sample([k for k in self.KERNELS if k != first], 7)
+                    g = lg.to_directed_graph()
+                    assert not g._is_forest() and g._form is None
+                    got = {}
+                    for name in order:
+                        got[name] = self.KERNELS[name](g)
+                        assert g._form is not None or name in ("wcc", "density")
+                    assert (got["pairs"], got["adj"]) == (pairs, adj)
+                    (n_scc, sccs), (n_wcc, _, size) = got["scc"], got["wcc"]
+                    max_dist, dist_sum = got["distance"]
+                    assert LayerFeatures(
+                        scc=n_scc,
+                        lscc=max(map(len, sccs), default=1),
+                        wcc=n_wcc,
+                        lwcc=size,
+                        dwcc=max_dist,
+                        cc=got["cc"],
+                        kc=got["kcore"],
+                        d=got["density"],
+                        sv=dist_sum / (size * (size - 1)),
+                    ) == expected
+                assert expected.cc == bf.avg_clustering(nodes, edges)
+                assert expected.kc == bf.main_kcore_peeling(nodes, edges)
+
+
 def _ordered_forest(rng, n, reciprocal, new_root=0.2):
     """Arcs of a random forest on labels 0..n-1, in the order a layer makes
     them: each arc names the next unseen label as a child of a seen one,
@@ -787,7 +853,7 @@ class TestForestPass:
             _check_components_against_oracle(g, ids, edges)
             assert _metrics(g) == _metrics(DirectedGraph(ids, set(arcs)))
             # no kernel of a forest builds adjacency lists
-            assert g._und is None and g._und_csr is None
+            assert g._form is None
             # the same arc order on permuted labels: the pass compares no labels
             perm = rng.sample(range(n), n)
             relabelled = [None] * n
@@ -795,7 +861,7 @@ class TestForestPass:
                 relabelled[perm[i]] = v
             h = DirectedGraph(relabelled, dict.fromkeys((perm[i], perm[j]) for i, j in arcs).keys())
             assert _metrics(h) == _metrics(g)
-            assert h._und is None
+            assert h._form is None
 
     def test_every_order_of_small_forests(self):
         # the order changes nothing: no metric, and no adjacency lists
@@ -813,7 +879,7 @@ class TestForestPass:
                     g = DirectedGraph(ids, dict.fromkeys(order).keys())
                     _check_parents_first(g)
                     assert _metrics(g) == expected
-                    assert g._und is None
+                    assert g._form is None
                     grows = _fits_pass(n, order)
                     grown += grows
                     joined += not grows
@@ -828,7 +894,7 @@ class TestForestPass:
         assert label == [0, 0, 1, 1, 0, 0]
         assert parent == [-1, 0, -1, 2, 1, 4]
         assert (g._und_edges, g._reciprocal_pairs()) == (4, 1)
-        assert g._und is None
+        assert g._form is None
 
     @pytest.mark.parametrize("late", [False, True])
     @pytest.mark.parametrize("flip", [False, True])
@@ -848,7 +914,7 @@ class TestForestPass:
         _check_parents_first(g)
         edges = _id_edges(g._ids, arcs)
         _check_components_against_oracle(g, g._ids, edges)
-        assert g._is_forest() and g._und is None
+        assert g._is_forest() and g._form is None
 
     @pytest.mark.parametrize(
         "case", ["reversed", "shuffled", "set", "chord", "isolated", "isolated_middle", "joined"]
@@ -892,7 +958,7 @@ class TestForestPass:
                 edges = _id_edges(nodes, arcs)
                 _check_components_against_oracle(g, nodes, edges)
                 # only a graph with a cycle builds adjacency lists
-                assert (g._und is None) == (case != "chord")
+                assert (g._form is None) == (case != "chord")
                 if case == "joined":
                     # still a forest: one path of n + 3 nodes
                     assert g._is_forest() and len(g._components()[1]) == 1
@@ -930,7 +996,7 @@ class TestTreeDiameter:
             dwcc, total = graphops.component_distance_stats(g, 0)
             assert dwcc == bf.diameter(ids, edges)
             assert total == bf.distance_stats_bfs(ids, edges)[1]
-            assert g._und is None
+            assert g._form is None
 
     def test_random_trees_beside_a_cycle(self):
         # the triangle makes the graph cyclic, and the tree component
@@ -967,14 +1033,14 @@ class TestTreeDiameter:
         g = DirectedGraph(list(index), dict.fromkeys(labelled).keys())
         assert g._is_forest()
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
-        assert g._und is None
+        assert g._form is None
         assert extract_layer_features(layer("RT", dict.fromkeys(arcs, 1))).dwcc == n - 1
         # the same arc order under a random labelling of nodes 0..n-1
         perm = random.Random(82).sample(range(n), n)
         g = DirectedGraph(list(range(n)), dict.fromkeys((perm[u], perm[v]) for u, v in arcs).keys())
         assert g._is_forest()
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
-        assert g._und is None
+        assert g._form is None
 
     def test_long_path_in_shuffled_order(self):
         # every arc may start a tree or join two: the pass reroots as it goes
@@ -988,7 +1054,7 @@ class TestTreeDiameter:
         assert g._is_forest() and len(g._components()[1]) == 1
         _check_parents_first(g)
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
-        assert g._und is None
+        assert g._form is None
 
     @pytest.mark.parametrize("depth", [4, 7, 15])
     def test_complete_binary_tree_leaves_first(self, depth):
@@ -1005,4 +1071,4 @@ class TestTreeDiameter:
         assert graphops.component_distance_stats(g, 0) == (2 * (depth - 1), 2 * wiener)
         if depth <= 7:
             assert graphops.component_distance_stats(g, 0) == bf.distance_stats_bfs(range(n), arcs)
-        assert g._und is None
+        assert g._form is None

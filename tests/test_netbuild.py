@@ -38,7 +38,7 @@ def _cascade(tweets):
 
 def _graph_shape(g):
     """Labels, arc set, undirected edge count and sorted adjacency."""
-    und = g._adjacency()
+    und = g._lists()[2]
     return g._ids, set(g._arcs), g._und_edges, [sorted(nbrs) for nbrs in und]
 
 
@@ -317,7 +317,7 @@ class TestAggregates:
             forest = len({frozenset(e) for e in edges}) == len(merged.ids) - len(
                 bf.wcc_sets(merged.ids, edges)
             )
-            assert (graphs[-1]._und is None) == forest
+            assert (graphs[-1]._form is None) == forest
             forests += forest
             # in a forest, an arc between two named users that no earlier
             # arc linked joins two trees

@@ -13,11 +13,12 @@ from diffnet.netbuild import LayerGraph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# names of the id-keyed graph API, which graphs built from labelled arcs replaced
+# names of the id-keyed graph API, which graphs built from labelled arcs
+# replaced, and the graph's views that its one general form replaced
 REMOVED = {
     diffnet: ("diameter_undirected", "structural_virality", "largest_wcc"),
     diffnet.graphops: ("diameter_undirected", "structural_virality", "largest_wcc"),
-    DirectedGraph: ("nodes", "_labels", "_labelled"),
+    DirectedGraph: ("nodes", "_labels", "_labelled", "_adjacency", "_directed", "_csr"),
     LayerGraph: ("nodes", "_labelled"),
     TweetRecord: ("interaction_free",),
 }
