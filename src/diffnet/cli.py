@@ -24,12 +24,13 @@ seed are byte-identical.
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
-(`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`, `E_LIMIT`) exits 1. A run
-that runs out of memory ends in `E_LIMIT`. A `--folds` below
-1, a `--test-fraction` outside (0, 1), a `--C` that is not finite and
-positive, a `--seed` below 0 or an `--alpha` outside (0, 1) is
-`E_INVARIANT`, raised before any network is built and before any
-manifest, report or ranking is written.
+(`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`, `E_LIMIT`) exits 1. A
+missing input file is `E_INPUT_MISSING`, and one that cannot be read or
+parsed is `E_FORMAT` naming the file; running out of memory is
+`E_LIMIT`. A `--folds` below 1, a `--test-fraction` outside (0, 1), a
+`--C` that is not finite and positive, a `--seed` below 0 or an
+`--alpha` outside (0, 1) is `E_INVARIANT`, raised before any network is
+built and before any manifest, report or ranking is written.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ def parse_duration(text: str) -> int:
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
 
 
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError("E_INPUT_MISSING", f"no such file: {path}")
-    return p
-
-
 def _digest(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -136,28 +130,24 @@ def write_manifest(
         fh.write("\n")
 
 
-def _load_cascades(directory: str):
-    d = Path(directory)
-    tweets, labels = d / "tweets.jsonl", d / "labels.csv"
-    if not tweets.is_file() or not labels.is_file():
-        raise CliError(
-            "E_INPUT_MISSING",
-            f"cascades directory must hold tweets.jsonl and labels.csv: {directory}",
-        )
-    parsed = load_tweets_file(tweets)
+def _load_corpus(tweets: Path, labels: Path):
+    """Cascades, parse result and unlabeled count; labels first, so bad labels fail fast."""
     label_map = load_labels_file(labels)
-    cascades, _ = group_cascades(parsed.records, label_map)
+    parsed = load_tweets_file(tweets)
+    cascades, unlabeled = group_cascades(parsed.records, label_map)
     if not cascades:
-        raise CliError("E_INVARIANT", f"no labeled cascades in {directory}")
-    return cascades, [tweets, labels]
+        raise CliError("E_INVARIANT", f"no record in {tweets} has a label in {labels}")
+    return cascades, parsed, unlabeled
+
+
+def _load_cascades(directory: str):
+    inputs = [Path(directory) / "tweets.jsonl", Path(directory) / "labels.csv"]
+    return _load_corpus(*inputs)[0], inputs
 
 
 def _load_samples(features: str):
-    path = _require_file(features)
-    try:
-        rows = read_features_file(path)
-    except ValueError as exc:
-        raise CliError("E_FORMAT", f"{features}: {exc}") from exc
+    path = Path(features)
+    rows = read_features_file(path)
     if not rows:
         raise CliError("E_INVARIANT", f"features file is empty: {features}")
     return rows, path
@@ -187,12 +177,8 @@ def _cv_config(args) -> dict:
 def cmd_synth(args) -> int:
     inputs = []
     if args.config is not None:
-        config_path = _require_file(args.config)
-        inputs.append(config_path)
-        try:
-            config = load_config(config_path)
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise CliError("E_FORMAT", f"{args.config}: {exc}") from exc
+        inputs.append(Path(args.config))
+        config = load_config(inputs[0])
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
     else:
@@ -214,16 +200,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    tweets_path = _require_file(args.tweets)
-    labels_path = _require_file(args.labels)
     window = parse_duration(args.window)
     if args.min_tweets < 1:
         raise CliError("E_USAGE", "--min-tweets must be >= 1")
-    parsed = load_tweets_file(tweets_path)
-    label_map = load_labels_file(labels_path)
-    cascades, unlabeled = group_cascades(parsed.records, label_map)
-    if not cascades:
-        raise CliError("E_INVARIANT", "no labeled records to ingest")
+    inputs = [Path(args.tweets), Path(args.labels)]
+    cascades, parsed, unlabeled = _load_corpus(*inputs)
     start = args.start
     if start is None:
         start = min(c.tweets[0].timestamp for c in cascades)
@@ -241,8 +222,8 @@ def cmd_ingest(args) -> int:
         "min_tweets": args.min_tweets,
     }
     write_manifest(
-        out / "manifest.json", "ingest", config, [tweets_path, labels_path],
-        None, ["labels.csv", "tweets.jsonl"],
+        out / "manifest.json", "ingest", config, inputs, None,
+        ["labels.csv", "tweets.jsonl"],
     )
     write_labels_file(out / "labels.csv", [c.label for c in kept])
     write_tweets_file(out / "tweets.jsonl", [t for c in kept for t in c.tweets])
@@ -342,6 +323,8 @@ def cmd_bias_eval(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
+    check_folds(args.folds, args.test_fraction, args.seed)
+    check_C(args.C)
     samples, path = _load_samples(args.features)
     if args.top < 1:
         raise CliError("E_USAGE", "--top must be >= 1")

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import graphops
-from .ingest import ArticleCascade, ArticleLabel, csv_rows
+from .ingest import ArticleCascade, ArticleLabel, csv_rows, read_input
 from .netbuild import (
     LAYER_KINDS,
     LayerGraph,
@@ -170,40 +170,43 @@ def write_features_file(path, rows: Iterable[ArticleFeatures]) -> None:
 
 
 def read_features_file(path) -> list[ArticleFeatures]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv_rows(fh, "features")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("features file is empty") from None
-        if header != _header():
-            raise ValueError("features file header does not match")
-        rows = []
-        first_row: dict[str, int] = {}
-        for k, row in enumerate(reader, 1):
-            if len(row) != len(METADATA_COLUMNS) + N_FEATURES:
-                raise ValueError(f"features row {k} has {len(row)} columns")
-            article_id, label, source, bias, n_users = row[:5]
-            where = f"features row {k}, column"
-            if first_row.setdefault(article_id, k) != k:
-                raise ValueError(
-                    f"{where} article_id: {article_id!r} repeats row {first_row[article_id]}"
-                )
-            count = _parse(int, n_users)
-            if count is None or count < 0:
-                raise ValueError(f"{where} n_users: {n_users!r} is not a count")
-            values = [_parse(float, v) for v in row[5:]]
-            for name, text, value in zip(FEATURE_NAMES, row[5:], values):
-                if value is None or not math.isfinite(value):
-                    raise ValueError(f"{where} {name}: {text!r} is not a finite number")
-            rows.append(
-                ArticleFeatures(
-                    article_id=article_id,
-                    label=ArticleLabel(article_id, label, source, bias),
-                    n_users=count,
-                    vector=np.array(values, dtype=np.float64),
-                )
+    return read_input(path, _parse_features, newline="")
+
+
+def _parse_features(lines: Iterable[str]) -> list[ArticleFeatures]:
+    reader = csv_rows(lines, "features")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("features file is empty") from None
+    if header != _header():
+        raise ValueError("features file header does not match")
+    rows = []
+    first_row: dict[str, int] = {}
+    for k, row in enumerate(reader, 1):
+        if len(row) != len(METADATA_COLUMNS) + N_FEATURES:
+            raise ValueError(f"features row {k} has {len(row)} columns")
+        article_id, label, source, bias, n_users = row[:5]
+        where = f"features row {k}, column"
+        if first_row.setdefault(article_id, k) != k:
+            raise ValueError(
+                f"{where} article_id: {article_id!r} repeats row {first_row[article_id]}"
             )
+        count = _parse(int, n_users)
+        if count is None or count < 0:
+            raise ValueError(f"{where} n_users: {n_users!r} is not a count")
+        values = [_parse(float, v) for v in row[5:]]
+        for name, text, value in zip(FEATURE_NAMES, row[5:], values):
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{where} {name}: {text!r} is not a finite number")
+        rows.append(
+            ArticleFeatures(
+                article_id=article_id,
+                label=ArticleLabel(article_id, label, source, bias),
+                n_users=count,
+                vector=np.array(values, dtype=np.float64),
+            )
+        )
     return rows
 
 

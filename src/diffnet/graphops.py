@@ -71,9 +71,10 @@ class DirectedGraph:
 
     ``ids[i]`` is the node id of label i, and ``arcs`` holds the distinct
     label pairs (i, j) with i != j, as a set or a dict's keys; neither is
-    copied. The graph is fixed once built, so whatever a kernel derives
-    from it is cached: the forest pass at construction and, for a graph
-    with a cycle, the general form of ``_lists()`` on first use.
+    copied, and a loop (i, i) raises ValueError. The graph is fixed once
+    built, so whatever a kernel derives from it is cached: the forest pass
+    at construction and, for a graph with a cycle, the general form of
+    ``_lists()`` on first use.
     """
 
     __slots__ = ("_ids", "_arcs", "_und_edges", "_wcc", "_form")
@@ -85,7 +86,7 @@ class DirectedGraph:
         self._grow_forest()
 
     def _grow_forest(self) -> None:
-        """``_components()``, and |E_und| unless there is a cycle or a self-loop."""
+        """``_components()``, and |E_und| unless there is a cycle."""
         label = [-1] * len(self._ids)
         parent = [-1] * len(self._ids)
         comps, cyclic = [], False
@@ -101,12 +102,14 @@ class DirectedGraph:
                     parent[j] = i
                     comps.append([i, j])
                 else:
-                    cyclic = True
+                    raise ValueError(f"self-loop at node {self._ids[i]!r}")
             elif b < 0:
                 label[j] = a
                 parent[j] = i
                 comps[a].append(j)
             elif a == b:
+                if i == j:
+                    raise ValueError(f"self-loop at node {self._ids[i]!r}")
                 cyclic |= parent[i] != j and parent[j] != i
             else:
                 if len(comps[a]) > len(comps[b]):  # move the smaller tree

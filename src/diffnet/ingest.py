@@ -287,13 +287,24 @@ def record_to_json(record: TweetRecord) -> str:
     return f'{line},"timestamp":{record.timestamp},"tweet_id":{_quote(record.tweet_id)}}}'
 
 
-def load_tweets_file(path) -> ParseResult:
+def read_input(path, parse, **open_args):
+    """``parse`` of the file at ``path`` opened as UTF-8 after any byte-order
+    mark. A missing path raises FileNotFoundError; any other OSError, and any
+    ValueError from ``parse``, raises CorpusFormatError naming the path first."""
     try:
-        # an invalid byte decodes to a lone surrogate, so only its line is malformed
-        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-            return parse_records(fh)
+        with open(path, "r", encoding="utf-8-sig", **open_args) as fh:
+            return parse(fh)
+    except FileNotFoundError:
+        raise
     except OSError as exc:
-        raise CorpusFormatError(f"cannot read tweets file: {exc}") from exc
+        raise CorpusFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
+def load_tweets_file(path) -> ParseResult:
+    # an invalid byte decodes to a lone surrogate, so only its line is malformed
+    return read_input(path, parse_records, errors="surrogateescape")
 
 
 def write_tweets_file(path, records: Iterable[TweetRecord]) -> None:
@@ -336,13 +347,7 @@ def parse_labels(rows: Iterable[str]) -> dict[str, ArticleLabel]:
 
 
 def load_labels_file(path) -> dict[str, ArticleLabel]:
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return parse_labels(fh)
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read labels file: {exc}") from exc
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
+    return read_input(path, parse_labels, newline="")
 
 
 def write_labels_file(path, labels: Iterable[ArticleLabel]) -> None:

@@ -38,6 +38,7 @@ from .ingest import (
     BIAS_UNLABELED,
     ArticleLabel,
     TweetRecord,
+    read_input,
 )
 
 BASE_TIME = 1_000_000
@@ -170,12 +171,15 @@ def default_config(seed: int = 0) -> GeneratorConfig:
     )
 
 
+def _parse_config(fh) -> GeneratorConfig:
+    try:
+        return GeneratorConfig.from_json_dict(json.load(fh))
+    except RecursionError:
+        raise ValueError("config is nested too deeply") from None
+
+
 def load_config(path) -> GeneratorConfig:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            return GeneratorConfig.from_json_dict(json.load(fh))
-        except RecursionError:
-            raise ValueError("config is nested too deeply") from None
+    return read_input(path, _parse_config)
 
 
 def _source_pool(class_label: str, n: int) -> list[tuple[str, str]]:

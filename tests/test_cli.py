@@ -565,14 +565,14 @@ _CV_COMMANDS = {
     "ablate": ["ablate", "--features", "{ws}/features.csv", "--layer", "RT"],
     "bias-eval": ["bias-eval", "--features", "{ws}/features.csv", "--train-bias", "left"],
     "rank-features": ["rank-features", "--features", "{ws}/features.csv", "--method", "chi2"],
+    "rank-features-ks": ["rank-features", "--features", "{ws}/features.csv", "--method", "ks"],
     "temporal": ["temporal", "--cascades", "{ws}/cascades", "--lifetimes", "1d"],
     "baseline-single-layer": ["baseline-single-layer", "--cascades", "{ws}/cascades"],
 }
 _BAD_CV_VALUES = (
     [(cmd, ["--folds", v]) for cmd in _CV_COMMANDS for v in ("0", "-1")]
     + [(cmd, ["--test-fraction", "1.5"]) for cmd in _CV_COMMANDS if cmd != "bias-eval"]
-    + [(cmd, ["--C", v]) for cmd in _CV_COMMANDS if cmd != "rank-features"
-       for v in ("0", "-1", "nan", "inf")]
+    + [(cmd, ["--C", v]) for cmd in _CV_COMMANDS for v in ("0", "-1", "nan", "inf")]
     + [(cmd, ["--seed", "-1"]) for cmd in _CV_COMMANDS]
 )
 
@@ -667,6 +667,89 @@ def test_bad_cv_values_rejected_before_featurizing(
         2 if code == "E_USAGE" else 1
     )
     assert capsys.readouterr().err.startswith(code + ":")
+
+
+# each input file, the command that reads it, and the path of the file
+# under the directory the command is given
+_INPUTS = {
+    "tweets": (["featurize", "--cascades", "{given}/cascades"], "cascades/tweets.jsonl"),
+    "labels": (["featurize", "--cascades", "{given}/cascades"], "cascades/labels.csv"),
+    "features": (["evaluate", "--features", "{given}/features.csv"], "features.csv"),
+    "config": (["synth", "--config", "{given}/config.json"], "config.json"),
+}
+
+
+def _break_input(path, fault):
+    """Put ``fault`` into the input file at ``path``."""
+    name = path.name
+    if fault == "missing":
+        path.unlink()
+    elif fault == "directory":
+        path.unlink()
+        path.mkdir()
+    elif fault == "invalid byte" and name == "tweets.jsonl":
+        # an undecodable byte spoils only its own line: spoil most lines
+        first = path.read_bytes().splitlines()[0]
+        path.write_bytes(b"\n".join([first, b'{"tweet_id": "\xff"}', b"\xff"]) + b"\n")
+    elif fault == "invalid byte":
+        # in the last field of the second line: a label's bias, a feature, the seed
+        data = path.read_bytes()
+        cut = data.index(b"\n", data.index(b"\n") + 1) - 1
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    elif name == "config.json":
+        path.write_text('{"nonsense": true}')
+    elif name == "tweets.jsonl":
+        path.write_text("not json\n" * 3)
+    else:
+        path.write_text("article,label\na1,D\n")
+
+
+_INPUT_FAULTS = [
+    (given, fault) for given in _INPUTS
+    for fault in ("invalid byte", "directory", "malformed", "missing")
+]
+
+
+@pytest.mark.parametrize(
+    "given,fault", _INPUT_FAULTS, ids=[f"{g}-{f.replace(' ', '-')}" for g, f in _INPUT_FAULTS]
+)
+def test_each_input_fault_ends_in_one_line_naming_the_file(
+    workspace, tmp_path, capsys, given, fault
+):
+    root = tmp_path / "in"
+    (root / "cascades").mkdir(parents=True)
+    for name in ("cascades/tweets.jsonl", "cascades/labels.csv", "features.csv"):
+        (root / name).write_bytes((workspace / name).read_bytes())
+    (root / "config.json").write_text(json.dumps(CONFIG, indent=1))
+    args, name = _INPUTS[given]
+    path = root / name
+    _break_input(path, fault)
+    code = main([a.format(given=root) for a in args] + ["--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("E_INPUT_MISSING:" if fault == "missing" else "E_FORMAT:"), err
+    assert str(path) in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # no output and no manifest
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+def test_labels_are_read_before_the_tweets(workspace, tmp_path, capsys, monkeypatch):
+    # a broken labels file fails before the tweets file is parsed
+    def parsed(*args):
+        raise AssertionError("parsed the tweets before reading the labels")
+
+    monkeypatch.setattr(cli, "load_tweets_file", parsed)
+    cascades = tmp_path / "cascades"
+    cascades.mkdir()
+    (cascades / "tweets.jsonl").write_bytes((workspace / "cascades" / "tweets.jsonl").read_bytes())
+    (cascades / "labels.csv").write_bytes(b"article_id,label,source,bias\na1,X,,\n")
+    out = tmp_path / "features.csv"
+    assert main(["featurize", "--cascades", str(cascades), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_FORMAT: {cascades / 'labels.csv'}: "), err
+    assert not out.exists()
 
 
 def test_manifest_written_before_failing_result(workspace, tmp_path, capsys):

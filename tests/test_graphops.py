@@ -964,21 +964,14 @@ class TestForestPass:
                     assert g._is_forest() and len(g._components()[1]) == 1
 
     @pytest.mark.parametrize("at", ["seen", "next"])
-    def test_self_loop_falls_back(self, at):
-        # a loop on a labelled node, or on the next label, which no other
-        # arc names: the general kernels run
+    def test_self_loop_is_refused(self, at):
+        # a loop on a labelled node, inside its tree, or on the next label,
+        # which no other arc names: a simple graph holds neither
         arcs = [(0, 1), (1, 2), (3, 1)]
         loop = (2, 2) if at == "seen" else (4, 4)
         ids = ["a", "b", "c", "d", "e"][: 4 if at == "seen" else 5]
-        g = DirectedGraph(ids, dict.fromkeys(arcs + [loop]).keys())
-        assert not g._is_forest()
-        _check_parents_first(g)
-        edges = _id_edges(ids, arcs)
-        assert _comp_key(weakly_connected_components(g)) == _comp_key(bf.wcc_sets(ids, edges))
-        assert _comp_key(strongly_connected_components(g)) == _comp_key(bf.scc_sets(ids, edges))
-        assert undirected_distance_stats(g, ["a", "b", "c", "d"]) == bf.distance_stats_bfs(
-            ids[:4], edges
-        )
+        with pytest.raises(ValueError, match=f"self-loop at node {ids[loop[0]]!r}"):
+            DirectedGraph(ids, dict.fromkeys(arcs + [loop]).keys())
 
 
 class TestTreeDiameter:
