@@ -27,10 +27,10 @@ status follows the code alone: `E_USAGE` exits 2, and every other code
 (`E_INPUT_MISSING`, `E_FORMAT`, `E_INVARIANT`, `E_LIMIT`) exits 1. A
 missing input file is `E_INPUT_MISSING`, and one that cannot be read or
 parsed is `E_FORMAT` naming the file; running out of memory is
-`E_LIMIT`. A `--folds` below 1, a `--test-fraction` outside (0, 1), a
-`--C` that is not finite and positive, a `--seed` below 0 or an
-`--alpha` outside (0, 1) is `E_INVARIANT`, raised before any network is
-built and before any manifest, report or ranking is written.
+`E_LIMIT`. Every setting is checked before any input is read. A bad
+`--folds`, `--test-fraction`, `--C`, `--seed` or `--alpha` is
+`E_INVARIANT`, and so is a `--C` so large that the fit overflows; any
+other bad setting is `E_USAGE`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ from .ingest import (
     write_labels_file,
     write_tweets_file,
 )
-from .model import SIZE_CLASSES, check_C, check_folds, size_class_of, stratified_shuffle_cv
+from .model import SIZE_CLASSES, size_class_of, stratified_shuffle_cv
 from .netbuild import LAYER_KINDS
 from .synth import GeneratorConfig, default_config, generate_corpus, load_config
 
@@ -97,6 +98,36 @@ def parse_duration(text: str) -> int:
     if not match or int(match.group(1)) == 0:
         raise CliError("E_USAGE", f"bad duration {text!r} (use e.g. 30m, 12h, 14d)")
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
+
+
+def _setting(convert, rule, message: str, code: str = "E_INVARIANT"):
+    """A `type=` callable that checks a flag as argparse reads it: text that
+    ``convert`` rejects is argparse's usage error, and a value outside
+    ``rule`` is ``code`` with ``message``."""
+    def parse(text: str):
+        value = convert(text)
+        if not rule(value):
+            raise CliError(code, f"{message}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it: "invalid int value"
+    return parse
+
+
+_FOLDS = _setting(int, lambda v: v >= 1, "folds must be >= 1")
+_TEST_FRACTION = _setting(float, lambda v: 0.0 < v < 1.0, "test fraction must be in (0, 1)")
+_C = _setting(float, lambda v: 0.0 < v < math.inf, "C must be finite and > 0")
+_SEED = _setting(int, lambda v: v >= 0, "seed must be >= 0")
+_ALPHA = _setting(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
+# the library trains on v and tests on 1 - v, so both must lie in (0, 1)
+_TRAIN_FRACTION = _setting(float, lambda v: 0.0 < 1.0 - v < 1.0,
+                           "--train-fraction must leave a test share in (0, 1)", "E_USAGE")
+_TOP = _setting(int, lambda v: v >= 1, "--top must be >= 1", "E_USAGE")
+_MIN_TWEETS = _setting(int, lambda v: v >= 1, "--min-tweets must be >= 1", "E_USAGE")
+_LIFETIMES = _setting(  # durations in seconds; empty entries are skipped
+    lambda text: [parse_duration(part) for part in text.split(",") if part.strip()],
+    bool, "--lifetimes must list at least one duration", "E_USAGE",
+)
 
 
 def _digest(path: Path) -> str:
@@ -183,7 +214,6 @@ def cmd_synth(args) -> int:
             config = dataclasses.replace(config, seed=args.seed)
     else:
         config = default_config(seed=0 if args.seed is None else args.seed)
-    config.validate()  # a --seed below 0, before the manifest
     out = Path(args.out)
     write_manifest(
         out / "manifest.json", "synth", config.to_json_dict(), inputs,
@@ -200,15 +230,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    window = parse_duration(args.window)
-    if args.min_tweets < 1:
-        raise CliError("E_USAGE", "--min-tweets must be >= 1")
     inputs = [Path(args.tweets), Path(args.labels)]
     cascades, parsed, unlabeled = _load_corpus(*inputs)
     start = args.start
     if start is None:
         start = min(c.tweets[0].timestamp for c in cascades)
-    censored = apply_censoring(cascades, start, window)
+    censored = apply_censoring(cascades, start, args.window)
     kept = filter_min_tweets(censored, args.min_tweets)
     if not kept:
         raise CliError("E_INVARIANT", "no article passed the window and size filters")
@@ -218,7 +245,7 @@ def cmd_ingest(args) -> int:
         "tweets": args.tweets,
         "labels": args.labels,
         "start": start,
-        "window": window,
+        "window": args.window,
         "min_tweets": args.min_tweets,
     }
     write_manifest(
@@ -284,8 +311,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    check_folds(args.folds, args.test_fraction, args.seed)
-    check_C(args.C)
     cascades, inputs = _load_cascades(args.cascades)
     report = single_layer_baseline(
         cascades, folds=args.folds, test_fraction=args.test_fraction,
@@ -302,8 +327,6 @@ def cmd_baseline(args) -> int:
 def cmd_bias_eval(args) -> int:
     samples, path = _load_samples(args.features)
     excluded = tuple(args.exclude_source or ())
-    if not 0.0 < args.train_fraction < 1.0:
-        raise CliError("E_USAGE", "--train-fraction must be in (0, 1)")
     report = bias_restricted_eval(
         samples, args.train_bias, folds=args.folds,
         train_fraction=args.train_fraction, seed=args.seed, C=args.C,
@@ -323,11 +346,7 @@ def cmd_bias_eval(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
-    check_folds(args.folds, args.test_fraction, args.seed)
-    check_C(args.C)
     samples, path = _load_samples(args.features)
-    if args.top < 1:
-        raise CliError("E_USAGE", "--top must be >= 1")
     out = Path(args.out)
     config = {"features": args.features, "method": args.method, "top": args.top}
     if args.method == "chi2":
@@ -363,22 +382,16 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_temporal(args) -> int:
-    raw = [part.strip() for part in args.lifetimes.split(",")]
-    if not any(raw):
-        raise CliError("E_USAGE", "--lifetimes must list at least one duration")
-    lifetimes = [parse_duration(part) for part in raw if part]
-    check_folds(args.folds, args.test_fraction, args.seed)
-    check_C(args.C)
     cascades, inputs = _load_cascades(args.cascades)
     results = temporal_sweep(
-        cascades, lifetimes, folds=args.folds,
+        cascades, args.lifetimes, folds=args.folds,
         test_fraction=args.test_fraction, seed=args.seed, C=args.C,
     )
     out = Path(args.out)
     config = {
         **_cv_config(args),
         "cascades": args.cascades,
-        "lifetimes": lifetimes,
+        "lifetimes": args.lifetimes,
     }
     write_manifest(
         out / "manifest.json", "temporal", config, inputs, args.seed,
@@ -409,10 +422,10 @@ def cmd_temporal(args) -> int:
 # ----------------------------------------------------------------- parser
 
 def _add_cv_flags(sub) -> None:
-    sub.add_argument("--folds", type=int, default=10)
-    sub.add_argument("--test-fraction", type=float, default=0.2)
-    sub.add_argument("--C", type=float, default=1.0)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--folds", type=_FOLDS, default=10)
+    sub.add_argument("--test-fraction", type=_TEST_FRACTION, default=0.2)
+    sub.add_argument("--C", type=_C, default=1.0)
+    sub.add_argument("--seed", type=_SEED, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("synth", help="generate a labeled synthetic corpus")
     sub.add_argument("--config", default=None, help="generator config JSON")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_SEED, default=None)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_synth)
 
@@ -434,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--labels", required=True)
     sub.add_argument("--start", type=int, default=None,
                      help="observation window start (default: first tweet)")
-    sub.add_argument("--window", default="14d")
-    sub.add_argument("--min-tweets", type=int, default=50)
+    sub.add_argument("--window", type=parse_duration, default="14d")
+    sub.add_argument("--min-tweets", type=_MIN_TWEETS, default=50)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_ingest)
 
@@ -471,10 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--features", required=True)
     sub.add_argument("--train-bias", choices=("left", "right"), required=True)
     sub.add_argument("--exclude-source", action="append", default=None)
-    sub.add_argument("--train-fraction", type=float, default=0.8)
-    sub.add_argument("--folds", type=int, default=10)
-    sub.add_argument("--C", type=float, default=1.0)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--train-fraction", type=_TRAIN_FRACTION, default=0.8)
+    sub.add_argument("--folds", type=_FOLDS, default=10)
+    sub.add_argument("--C", type=_C, default=1.0)
+    sub.add_argument("--seed", type=_SEED, default=0)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_bias_eval)
 
@@ -482,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="order features by class separation")
     sub.add_argument("--features", required=True)
     sub.add_argument("--method", choices=("chi2", "ks"), required=True)
-    sub.add_argument("--top", type=int, default=10)
-    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--top", type=_TOP, default=10)
+    sub.add_argument("--alpha", type=_ALPHA, default=0.05)
     _add_cv_flags(sub)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_rank_features)
@@ -491,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("temporal",
                           help="evaluate across lifetime truncations")
     sub.add_argument("--cascades", required=True)
-    sub.add_argument("--lifetimes",
-                     default=",".join(str(s) for s in LIFETIME_LADDER))
+    sub.add_argument("--lifetimes", type=_LIFETIMES, default=list(LIFETIME_LADDER))
     _add_cv_flags(sub)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_temporal)

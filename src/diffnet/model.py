@@ -179,8 +179,8 @@ def train_logistic(
     C: float = 1.0,
     class_weights: Optional[str] = None,
 ) -> LogisticModel:
-    """Fit the L2 logistic model; raises on single-class input and unless C
-    is finite and positive."""
+    """Fit the L2 logistic model; raises on single-class input, unless C
+    is finite and positive, and when C is so large that the fit overflows."""
     check_C(C)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -190,6 +190,26 @@ def train_logistic(
         raise ValueError("training data contains a single class")
     omega = resolve_sample_weights(y, class_weights)
 
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            theta, history, converged, iterations = _newton(X, y, C, omega)
+    except FloatingPointError:
+        raise ValueError(f"C={C!r} is too large: the fit overflows") from None
+    return LogisticModel(
+        weights=theta[:-1],
+        intercept=float(theta[-1]),
+        C=C,
+        converged=converged,
+        n_iterations=iterations,
+        objective_history=history,
+    )
+
+
+def _newton(
+    X: np.ndarray, y: np.ndarray, C: float, omega: np.ndarray
+) -> tuple[np.ndarray, list[float], bool, int]:
+    """Damped Newton from theta = 0: theta, the objective history, whether
+    the gradient test passed, and the iterations taken."""
     d = X.shape[1]
     theta = np.zeros(d + 1)
     obj = logistic_objective(theta, X, y, C, omega)
@@ -230,14 +250,7 @@ def train_logistic(
         history.append(obj)
         grad = logistic_gradient(theta, X, y, C, omega)
         converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
-    return LogisticModel(
-        weights=theta[:-1],
-        intercept=float(theta[-1]),
-        C=C,
-        converged=converged,
-        n_iterations=iterations,
-        objective_history=history,
-    )
+    return theta, history, converged, iterations
 
 
 def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:

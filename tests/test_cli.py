@@ -92,29 +92,56 @@ def _usage_lines(text):
     return [" ".join(" ".join(parts).replace("\\", " ").split()) for parts in lines]
 
 
-def test_every_usage_flag_is_accepted():
-    """The README command block and the cli docstring show a subcommand only
-    the flags its parser takes."""
+def _usages(doc):
+    """``{subcommand: flags}`` from the usage lines of ``doc``, the README's
+    "Command line" section or the cli docstring, with `CV` expanded."""
+    if doc == "README.md":
+        text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        text = re.search(r"## Command line\n(.*?)\n## ", text, re.S).group(1)
+        lines = _usage_lines(re.search(r"```sh\n(.*?)```", text, re.S).group(1))
+    else:
+        text = cli.__doc__
+        lines = _usage_lines(text)
+    cv = re.search(r"where `?CV`? is (.*)", text).group(1)
+    usages = {}
+    for line in lines:
+        flags = re.findall(r"--[A-Za-z][\w-]*", line.replace("[CV]", cv))
+        usages.setdefault(line.split()[1], set()).update(flags)
+    return usages
+
+
+def _parser_flags():
+    """``{subcommand: long options}`` of ``build_parser()``, without --help."""
     subparsers = next(
         a for a in cli.build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
-    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
-    doc = cli.__doc__
-    cv = re.search(r"where CV is (.*)", doc).group(1)
-    usages = _usage_lines(block) + [
-        line.replace("[CV]", cv) for line in _usage_lines(doc)
-    ]
-    shown = {line.split()[1] for line in usages}
-    assert shown == set(subparsers.choices)
-    unknown = [
-        (line.split()[1], flag)
-        for line in usages
-        for flag in re.findall(r"--[A-Za-z][\w-]*", line)
-        if flag not in subparsers.choices[line.split()[1]]._option_string_actions
-    ]
-    assert unknown == []
+    return {
+        command: {o for o in sub._option_string_actions if o.startswith("--")} - {"--help"}
+        for command, sub in subparsers.choices.items()
+    }
+
+
+def test_every_usage_flag_is_accepted():
+    """The README command block and the cli docstring show a subcommand only
+    the flags its parser takes."""
+    parser = _parser_flags()
+    for doc in ("README.md", "cli.__doc__"):
+        usages = _usages(doc)
+        assert set(usages) == set(parser), doc
+        unknown = {c: flags - parser[c] for c, flags in usages.items()}
+        assert unknown == {c: set() for c in parser}, doc
+
+
+@pytest.mark.parametrize("doc", ["README.md", "cli.__doc__"])
+def test_every_parser_flag_is_in_its_usage_line(doc):
+    """Each flag a subcommand's parser takes is shown on that subcommand's
+    usage line in the README's "Command line" section and in the cli
+    docstring."""
+    usages, parser = _usages(doc), _parser_flags()
+    assert {c: flags - usages.get(c, set()) for c, flags in parser.items()} == {
+        c: set() for c in parser
+    }
 
 
 # ------------------------------------------------------------- durations
@@ -569,29 +596,111 @@ _CV_COMMANDS = {
     "temporal": ["temporal", "--cascades", "{ws}/cascades", "--lifetimes", "1d"],
     "baseline-single-layer": ["baseline-single-layer", "--cascades", "{ws}/cascades"],
 }
-_BAD_CV_VALUES = (
-    [(cmd, ["--folds", v]) for cmd in _CV_COMMANDS for v in ("0", "-1")]
-    + [(cmd, ["--test-fraction", "1.5"]) for cmd in _CV_COMMANDS if cmd != "bias-eval"]
-    + [(cmd, ["--C", v]) for cmd in _CV_COMMANDS for v in ("0", "-1", "nan", "inf")]
-    + [(cmd, ["--seed", "-1"]) for cmd in _CV_COMMANDS]
+# every setting on every command that takes it: the bad value, its code and
+# the words of the message that name it
+_SETTING_COMMANDS = {
+    **_CV_COMMANDS,
+    "ingest": ["ingest", "--tweets", "{ws}/tweets.jsonl", "--labels", "{ws}/labels.csv"],
+    "synth": ["synth", "--config", "{ws}/config.json"],
+}
+_BAD_SETTINGS = (
+    [(cmd, ["--folds", v], "E_INVARIANT", "folds must") for cmd in _CV_COMMANDS
+     for v in ("0", "-1")]
+    + [(cmd, ["--test-fraction", "1.5"], "E_INVARIANT", "test fraction must")
+       for cmd in _CV_COMMANDS if cmd != "bias-eval"]
+    + [(cmd, ["--C", v], "E_INVARIANT", "C must") for cmd in _CV_COMMANDS
+       for v in ("0", "-1", "nan", "inf")]
+    + [(cmd, ["--seed", "-1"], "E_INVARIANT", "seed must") for cmd in _CV_COMMANDS]
+    + [("synth", ["--seed", "-1"], "E_INVARIANT", "seed must")]
+    + [(cmd, ["--alpha", "2"], "E_INVARIANT", "alpha must")
+       for cmd in ("rank-features", "rank-features-ks")]
+    + [(cmd, ["--top", "0"], "E_USAGE", "--top must")
+       for cmd in ("rank-features", "rank-features-ks")]
+    + [("bias-eval", ["--train-fraction", v], "E_USAGE", "--train-fraction must")
+       for v in ("2", "1", "0", "1e-300")]
+    + [("ingest", ["--min-tweets", "0"], "E_USAGE", "--min-tweets must"),
+       ("ingest", ["--window", "2x"], "E_USAGE", "bad duration '2x'"),
+       ("temporal", ["--lifetimes", "1x"], "E_USAGE", "bad duration '1x'"),
+       ("temporal", ["--lifetimes", ","], "E_USAGE", "--lifetimes must"),
+       ("evaluate", ["--folds", "abc"], "E_USAGE", "argument --folds: invalid int value"),
+       ("ablate", ["--C", "x"], "E_USAGE", "argument --C: invalid float value")]
 )
 
 
 @pytest.mark.parametrize(
-    "command,bad", _BAD_CV_VALUES, ids=[f"{c} {' '.join(b)}" for c, b in _BAD_CV_VALUES]
+    "command,bad,code,named", _BAD_SETTINGS,
+    ids=[f"{c} {' '.join(b)}" for c, b, _, _ in _BAD_SETTINGS],
 )
-def test_bad_cv_values_end_in_one_invariant_line(workspace, tmp_path, capsys, command, bad):
-    args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
-    out = tmp_path / "out"
-    assert main(args + bad + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("E_INVARIANT:"), err
+def test_bad_cv_values_end_in_one_invariant_line(
+    tmp_path, capsys, monkeypatch, command, bad, code, named
+):
+    """Every bad setting ends in its own code, on every command that takes
+    it, before any input is read: the inputs are missing, and reading one
+    fails the test."""
+    def touched(*args):
+        raise AssertionError("read an input before the settings were checked")
+
+    for module, name in [(cli, "load_tweets_file"), (cli, "load_labels_file"),
+                         (cli, "read_features_file"), (cli, "load_config"),
+                         (features, "featurize_article"), (experiments, "build_network")]:
+        monkeypatch.setattr(module, name, touched)
+    args = [a.format(ws=tmp_path / "missing") for a in _SETTING_COMMANDS[command]]
+    status = main(args + bad + ["--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert status == (2 if code == "E_USAGE" else 1)
+    assert err.startswith(code + ":"), err
     assert err.count("\n") == 1 and "Traceback" not in err
-    # the message names the option: "folds", "test fraction", "C", "seed"
-    assert bad[0][2:].replace("-", " ") in err, err
-    assert not (out / "manifest.json").exists()
-    assert not (out / "report.txt").exists()
-    assert not (out / "ranking.csv").exists()
+    assert named in err, err
+    # no output and no manifest
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# the commands that featurize cascades, with the settings of the table that
+# they check before featurizing
+_EARLY_CV_CHECKS = [
+    (cmd, bad, code) for cmd, bad, code, _ in _BAD_SETTINGS
+    if cmd in ("temporal", "baseline-single-layer")
+    and " ".join(bad) in ("--folds 0", "--test-fraction 1.5", "--C 0", "--seed -1",
+                          "--lifetimes 1x", "--lifetimes ,")
+]
+
+
+@pytest.mark.parametrize(
+    "command,bad,code", _EARLY_CV_CHECKS,
+    ids=[f"{c} {' '.join(b)}" for c, b, _ in _EARLY_CV_CHECKS],
+)
+def test_bad_cv_values_rejected_before_featurizing(
+    workspace, tmp_path, capsys, monkeypatch, command, bad, code
+):
+    """The same settings with the cascades present: still nothing is read
+    or featurized before the settings are checked."""
+    def featurized(*args):
+        raise AssertionError("featurized before the CV settings were checked")
+
+    def loaded(*args):
+        raise AssertionError("read the cascades before the settings were checked")
+
+    monkeypatch.setattr(features, "featurize_article", featurized)
+    monkeypatch.setattr(experiments, "build_network", featurized)
+    monkeypatch.setattr(cli, "load_tweets_file", loaded)
+    args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
+    assert main(args + bad + ["--out", str(tmp_path / "out")]) == (
+        2 if code == "E_USAGE" else 1
+    )
+    assert capsys.readouterr().err.startswith(code + ":")
+    assert not (tmp_path / "out").exists()
+
+
+def test_C_whose_fit_overflows_ends_in_one_invariant_line(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["evaluate", "--features", str(workspace / "features.csv"),
+                 "--C", "1e308", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "E_INVARIANT: C=1e+308 is too large: the fit overflows\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # a field one character over the csv module's default size limit
@@ -637,36 +746,6 @@ def test_deeply_nested_generator_config(tmp_path, capsys, where):
     assert err.startswith("E_FORMAT:") and "nested too deeply" in err, err[:200]
     assert err.count("\n") == 1
     assert not out.exists()
-
-
-_EARLY_CV_CHECKS = [
-    (cmd, bad, "E_INVARIANT") for cmd in ("temporal", "baseline-single-layer")
-    for bad in (["--folds", "0"], ["--test-fraction", "1.5"], ["--C", "0"], ["--seed", "-1"])
-] + [("temporal", ["--lifetimes", bad], "E_USAGE") for bad in ("1x", ",")]
-
-
-@pytest.mark.parametrize(
-    "command,bad,code", _EARLY_CV_CHECKS,
-    ids=[f"{c} {' '.join(b)}" for c, b, _ in _EARLY_CV_CHECKS],
-)
-def test_bad_cv_values_rejected_before_featurizing(
-    workspace, tmp_path, capsys, monkeypatch, command, bad, code
-):
-    # the settings are checked before the cascades are even read
-    def featurized(*args):
-        raise AssertionError("featurized before the CV settings were checked")
-
-    def loaded(*args):
-        raise AssertionError("read the cascades before the settings were checked")
-
-    monkeypatch.setattr(features, "featurize_article", featurized)
-    monkeypatch.setattr(experiments, "build_network", featurized)
-    monkeypatch.setattr(cli, "load_tweets_file", loaded)
-    args = [a.format(ws=workspace) for a in _CV_COMMANDS[command]]
-    assert main(args + bad + ["--out", str(tmp_path / "out")]) == (
-        2 if code == "E_USAGE" else 1
-    )
-    assert capsys.readouterr().err.startswith(code + ":")
 
 
 # each input file, the command that reads it, and the path of the file

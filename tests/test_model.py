@@ -182,6 +182,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="C must be finite and > 0"):
             train_logistic(X, np.array([1.0, -1.0, 1.0, -1.0]), C=C)
 
+    @pytest.mark.parametrize("C", [1e308, 1e200])
+    def test_C_whose_fit_overflows_rejected(self, C):
+        # separable data: the near-unpenalized fit drives the margins until
+        # the objective or the Newton slope overflows
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="is too large: the fit overflows"):
+            train_logistic(X, np.array([-1.0, -1.0, 1.0, 1.0]), C=C)
+
     def test_converges_within_budget_on_easy_data(self):
         rng = np.random.default_rng(3)
         X = np.vstack([rng.normal(1, 1, (50, 4)), rng.normal(-1, 1, (50, 4))])
