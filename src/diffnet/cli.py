@@ -67,9 +67,9 @@ from .ingest import (
     write_labels_file,
     write_tweets_file,
 )
-from .model import SIZE_CLASSES, size_class_of, stratified_shuffle_cv
+from .model import MAX_FOLDS, SIZE_CLASSES, size_class_of, stratified_shuffle_cv
 from .netbuild import LAYER_KINDS
-from .synth import GeneratorConfig, default_config, generate_corpus, load_config
+from .synth import default_config, generate_corpus, load_config
 
 
 class CliError(Exception):
@@ -93,10 +93,11 @@ _DURATION_UNITS = {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400}
 
 
 def parse_duration(text: str) -> int:
-    """`45s`, `30m`, `12h`, `14d`, or bare seconds, as an int > 0."""
+    """`45s`, `30m`, `12h`, `14d`, or bare seconds, as an int > 0. A `type=`
+    callable: argparse turns its error into `E_USAGE` naming the flag."""
     match = _DURATION_RE.match(text.strip())
     if not match or int(match.group(1)) == 0:
-        raise CliError("E_USAGE", f"bad duration {text!r} (use e.g. 30m, 12h, 14d)")
+        raise argparse.ArgumentTypeError(f"bad duration {text!r} (use e.g. 30m, 12h, 14d)")
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
 
 
@@ -114,7 +115,7 @@ def _setting(convert, rule, message: str, code: str = "E_INVARIANT"):
     return parse
 
 
-_FOLDS = _setting(int, lambda v: v >= 1, "folds must be >= 1")
+_FOLDS = _setting(int, lambda v: 1 <= v <= MAX_FOLDS, f"folds must be >= 1 and <= {MAX_FOLDS}")
 _TEST_FRACTION = _setting(float, lambda v: 0.0 < v < 1.0, "test fraction must be in (0, 1)")
 _C = _setting(float, lambda v: 0.0 < v < math.inf, "C must be finite and > 0")
 _SEED = _setting(int, lambda v: v >= 0, "seed must be >= 0")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FEATURE_NAMES, ArticleFeatures, assemble_vector, featurize
+from .features import FEATURE_NAMES, METRIC_NAMES, ArticleFeatures, assemble_vector, featurize
 from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
@@ -41,17 +41,15 @@ LIFETIME_LADDER = (
     7 * 86400,
 )
 
-SINGLE_LAYER_FEATURE_NAMES = tuple(
-    f"ALL_{name.split('_', 1)[1]}" for name in FEATURE_NAMES[:9]
-) + ("T", "U")
+SINGLE_LAYER_FEATURE_NAMES = tuple(f"ALL_{m}" for m in METRIC_NAMES) + ("T", "U")
 
 
 def layer_feature_indices(layer: str) -> list[int]:
     """Positions of one layer's nine metrics inside the 38-entry vector."""
     if layer not in LAYER_KINDS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYER_KINDS}")
-    offset = LAYER_KINDS.index(layer) * 9
-    return list(range(offset, offset + 9))
+    offset = LAYER_KINDS.index(layer) * len(METRIC_NAMES)
+    return list(range(offset, offset + len(METRIC_NAMES)))
 
 
 def layer_ablation(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,19 +31,10 @@ from .netbuild import (
     build_network,
 )
 
-METRIC_NAMES = ("SCC", "LSCC", "WCC", "LWCC", "DWCC", "CC", "KC", "D", "SV")
 
-FEATURE_NAMES: tuple[str, ...] = tuple(
-    f"{kind}_{metric}" for kind in LAYER_KINDS for metric in METRIC_NAMES
-) + ("T", "U")
+class LayerFeatures(NamedTuple):
+    """The nine global metrics of one layer, in feature-vector order."""
 
-N_FEATURES = len(FEATURE_NAMES)  # 38
-
-METADATA_COLUMNS = ("article_id", "label", "source", "bias", "n_users")
-
-
-@dataclass(frozen=True)
-class LayerFeatures:
     scc: int
     lscc: int
     wcc: int
@@ -54,18 +45,16 @@ class LayerFeatures:
     d: float
     sv: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            float(self.scc),
-            float(self.lscc),
-            float(self.wcc),
-            float(self.lwcc),
-            float(self.dwcc),
-            self.cc,
-            float(self.kc),
-            self.d,
-            self.sv,
-        )
+
+METRIC_NAMES = tuple(name.upper() for name in LayerFeatures._fields)
+
+FEATURE_NAMES: tuple[str, ...] = tuple(
+    f"{kind}_{metric}" for kind in LAYER_KINDS for metric in METRIC_NAMES
+) + ("T", "U")
+
+N_FEATURES = len(FEATURE_NAMES)  # 38
+
+METADATA_COLUMNS = ("article_id", "label", "source", "bias", "n_users")
 
 
 _EMPTY = LayerFeatures(0, 0, 0, 0, 0, 0.0, 0, 0.0, 0.0)
@@ -101,9 +90,8 @@ def assemble_vector(net: MultiLayerNetwork) -> np.ndarray:
     """Nine entries per layer in network order, then T and U."""
     values: list[float] = []
     for layer in net.layers.values():
-        values.extend(extract_layer_features(layer).as_tuple())
-    values.append(float(net.pure_tweet_count))
-    values.append(float(len(net.pure_authors)))
+        values.extend(extract_layer_features(layer))
+    values += (net.pure_tweet_count, len(net.pure_authors))
     return np.asarray(values, dtype=np.float64)
 
 

@@ -21,7 +21,7 @@ declared at gradient max-norm <= 1e-6, capped at 1000 iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -280,20 +280,13 @@ def rank_auroc(scores: np.ndarray, positive: np.ndarray) -> float:
 METRIC_KEYS = ("AUROC", "macro_precision", "macro_recall", "macro_f1")
 
 
-@dataclass(frozen=True)
-class FoldMetrics:
+class FoldMetrics(NamedTuple):
+    """One fold's scores, in the order of :data:`METRIC_KEYS`."""
+
     auroc: float
     macro_precision: float
     macro_recall: float
     macro_f1: float
-
-    def by_key(self, key: str) -> float:
-        return {
-            "AUROC": self.auroc,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-        }[key]
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -338,7 +331,8 @@ class EvaluationReport:
     folds: tuple[FoldMetrics, ...]
 
     def values(self, key: str) -> np.ndarray:
-        return np.array([f.by_key(key) for f in self.folds])
+        column = METRIC_KEYS.index(key)
+        return np.array([f[column] for f in self.folds])
 
     def mean(self, key: str) -> float:
         return float(self.values(key).mean())
@@ -366,10 +360,10 @@ class EvaluationReport:
             f"fold_{fold}" for fold in range(1, len(self.folds) + 1)
         ]
         rows = [header]
-        for key in METRIC_KEYS:
+        for column, key in enumerate(METRIC_KEYS):
             rows.append(
                 [key, repr(self.mean(key)), repr(self.std(key))]
-                + [repr(f.by_key(key)) for f in self.folds]
+                + [repr(f[column]) for f in self.folds]
             )
         return rows
 
@@ -428,11 +422,16 @@ def stratified_test_indices(
     return np.sort(np.concatenate(picked))
 
 
+# the fold seeds are spawned up front, and a fold costs about 4.5 ms on the
+# 800 articles of default_config: 1000 folds run in about 5 s
+MAX_FOLDS = 1000
+
+
 def check_folds(folds: int, test_fraction: float, seed: int) -> None:
-    """Raise ValueError unless there is at least one fold, the test
-    fraction lies in (0, 1) and the seed is not negative."""
-    if folds < 1:
-        raise ValueError(f"folds must be >= 1, got {folds!r}")
+    """Raise ValueError unless there are 1 to :data:`MAX_FOLDS` folds, the
+    test fraction lies in (0, 1) and the seed is not negative."""
+    if not 1 <= folds <= MAX_FOLDS:
+        raise ValueError(f"folds must be >= 1 and <= {MAX_FOLDS}, got {folds!r}")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction!r}")
     if seed < 0:

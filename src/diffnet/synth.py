@@ -26,9 +26,8 @@ spawned from the master seed.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -49,10 +48,11 @@ CASCADE_GAP_FACTOR = 3.0
 
 
 def _require_finite(config) -> None:
-    # JSON configs may spell NaN and Infinity, which every range test passes
+    # JSON configs may spell NaN and Infinity, which every range test passes,
+    # and integers too large for a float, which the generator cannot convert
     for field in fields(config):
         value = getattr(config, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{field.name} must be a finite number")
 
 

@@ -131,7 +131,7 @@ def test_criterion_2_hand_derived_fixtures():
         "3-cycle KC": main_kcore_number(cycle3) == 2,
         "triangle CC": average_clustering(cycle3) == 1.0,
         "complete density": density(k4) == 1.0,
-        "empty layer zeros": extract_layer_features(layer("RT")).as_tuple()
+        "empty layer zeros": tuple(extract_layer_features(layer("RT")))
         == (0.0,) * 9,
         "single-node SV": undirected_distance_stats(lonely) == (0, 0),
     }

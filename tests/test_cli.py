@@ -15,7 +15,7 @@ import pytest
 import diffnet.cli as cli
 import diffnet.experiments as experiments
 import diffnet.features as features
-from diffnet.cli import CliError, main, parse_duration
+from diffnet.cli import main, parse_duration
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,7 +157,7 @@ def test_parse_duration(text, seconds):
 
 @pytest.mark.parametrize("text", ["", "0h", "-5m", "3x", "h", "1.5d"])
 def test_parse_duration_rejects(text):
-    with pytest.raises(CliError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_duration(text)
 
 
@@ -480,6 +480,27 @@ def test_non_finite_generator_config(tmp_path, capsys, field, literal):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("literal", ["9" * 400, "-" + "9" * 400])
+@pytest.mark.parametrize("field", [
+    "disinformation.cascade_mean", "disinformation.size_exponent",
+    "mainstream.depth_bias", "reply_rate", "inter_arrival_mean",
+])
+def test_huge_integer_in_a_float_generator_setting(tmp_path, capsys, field, literal):
+    """An integer too large for a float is refused with the config, before
+    the manifest is written, not in an OverflowError mid-run."""
+    config = json.loads(json.dumps(CONFIG))
+    *profile, name = field.split(".")
+    (config[profile[0]] if profile else config)[name] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config).replace('"@"', literal))
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_FORMAT:") and f"{name} must be a finite number" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("disinformation.n_articles", 3.5), ("mainstream.size_min", 6.0),
     ("mainstream.size_max", True), ("sources_per_class", 2.5), ("seed", 1.5),
@@ -605,7 +626,7 @@ _SETTING_COMMANDS = {
 }
 _BAD_SETTINGS = (
     [(cmd, ["--folds", v], "E_INVARIANT", "folds must") for cmd in _CV_COMMANDS
-     for v in ("0", "-1")]
+     for v in ("0", "-1", "1001")]
     + [(cmd, ["--test-fraction", "1.5"], "E_INVARIANT", "test fraction must")
        for cmd in _CV_COMMANDS if cmd != "bias-eval"]
     + [(cmd, ["--C", v], "E_INVARIANT", "C must") for cmd in _CV_COMMANDS
@@ -619,8 +640,9 @@ _BAD_SETTINGS = (
     + [("bias-eval", ["--train-fraction", v], "E_USAGE", "--train-fraction must")
        for v in ("2", "1", "0", "1e-300")]
     + [("ingest", ["--min-tweets", "0"], "E_USAGE", "--min-tweets must"),
-       ("ingest", ["--window", "2x"], "E_USAGE", "bad duration '2x'"),
-       ("temporal", ["--lifetimes", "1x"], "E_USAGE", "bad duration '1x'"),
+       ("ingest", ["--window", "2x"], "E_USAGE", "argument --window: bad duration '2x'"),
+       ("temporal", ["--lifetimes", "1x"], "E_USAGE", "argument --lifetimes: bad duration '1x'"),
+       ("temporal", ["--lifetimes", "1h,2x"], "E_USAGE", "argument --lifetimes: bad duration '2x'"),
        ("temporal", ["--lifetimes", ","], "E_USAGE", "--lifetimes must"),
        ("evaluate", ["--folds", "abc"], "E_USAGE", "argument --folds: invalid int value"),
        ("ablate", ["--C", "x"], "E_USAGE", "argument --C: invalid float value")]
@@ -701,6 +723,18 @@ def test_C_whose_fit_overflows_ends_in_one_invariant_line(workspace, tmp_path, c
     assert captured.err == "E_INVARIANT: C=1e+308 is too large: the fit overflows\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_folds_bound_is_accepted_and_one_more_is_not(tmp_path, capsys):
+    """The parser takes MAX_FOLDS folds and rejects one more; the bound
+    itself is parsed, not run."""
+    args = ["evaluate", "--features", str(tmp_path / "f.csv"), "--out", str(tmp_path / "out")]
+    assert cli.build_parser().parse_args(args + ["--folds", "1000"]).folds == 1000
+    assert main(args + ["--folds", "1001"]) == 1
+    assert capsys.readouterr().err == (
+        "E_INVARIANT: folds must be >= 1 and <= 1000, got 1001\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 # a field one character over the csv module's default size limit

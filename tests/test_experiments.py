@@ -101,6 +101,30 @@ class TestLayerIndices:
         with pytest.raises(ValueError):
             layer_feature_indices("ALL")
 
+    def test_names_derived_from_the_record_keep_their_values(self):
+        """Every name list is derived from the LayerFeatures fields; pin each
+        against its literal."""
+        metrics = ("SCC", "LSCC", "WCC", "LWCC", "DWCC", "CC", "KC", "D", "SV")
+        assert features.METRIC_NAMES == metrics
+        assert FEATURE_NAMES == (
+            "Q_SCC", "Q_LSCC", "Q_WCC", "Q_LWCC", "Q_DWCC", "Q_CC", "Q_KC", "Q_D", "Q_SV",
+            "RT_SCC", "RT_LSCC", "RT_WCC", "RT_LWCC", "RT_DWCC", "RT_CC", "RT_KC", "RT_D",
+            "RT_SV",
+            "M_SCC", "M_LSCC", "M_WCC", "M_LWCC", "M_DWCC", "M_CC", "M_KC", "M_D", "M_SV",
+            "R_SCC", "R_LSCC", "R_WCC", "R_LWCC", "R_DWCC", "R_CC", "R_KC", "R_D", "R_SV",
+            "T", "U",
+        )
+        assert SINGLE_LAYER_FEATURE_NAMES == (
+            "ALL_SCC", "ALL_LSCC", "ALL_WCC", "ALL_LWCC", "ALL_DWCC", "ALL_CC",
+            "ALL_KC", "ALL_D", "ALL_SV", "T", "U",
+        )
+        assert [layer_feature_indices(k) for k in ("Q", "RT", "M", "R")] == [
+            [0, 1, 2, 3, 4, 5, 6, 7, 8],
+            [9, 10, 11, 12, 13, 14, 15, 16, 17],
+            [18, 19, 20, 21, 22, 23, 24, 25, 26],
+            [27, 28, 29, 30, 31, 32, 33, 34, 35],
+        ]
+
 
 class TestAblation:
     def _signal_samples(self, rng, layer_idx, n=60):
@@ -540,7 +564,7 @@ class TestSingleLayer:
         # the merged layer's nine metrics, then T and U, and the users of
         # the four-layer network
         net = build_network(cascade)
-        values = extract_layer_features(aggregate_layer(net)).as_tuple() + (
+        values = tuple(extract_layer_features(aggregate_layer(net))) + (
             float(net.pure_tweet_count),
             float(len(net.pure_authors)),
         )

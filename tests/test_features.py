@@ -42,7 +42,7 @@ def _layer(edges):
 class TestLayerFeatures:
     def test_empty_layer_all_zeros(self):
         feats = extract_layer_features(_layer([]))
-        assert feats.as_tuple() == (0.0,) * 9
+        assert tuple(feats) == (0.0,) * 9
 
     def test_single_edge(self):
         feats = extract_layer_features(_layer([("u1", "u2")]))
@@ -132,7 +132,7 @@ def _oracle_features(edges):
 def _assert_matches_oracle(edges):
     got = extract_layer_features(_layer(edges))
     want = _oracle_features(edges)
-    assert replace(got, cc=0.0) == replace(want, cc=0.0)
+    assert got._replace(cc=0.0) == want._replace(cc=0.0)
     assert got.cc == pytest.approx(want.cc)
     return got
 
@@ -265,7 +265,7 @@ class TestLabelledLayers:
             got = extract_layer_features(layer)
             assert got == _features_via_ids(layer.edges)
             want = _oracle_features(list(layer.edges))
-            assert replace(got, cc=0.0) == replace(want, cc=0.0)
+            assert got._replace(cc=0.0) == want._replace(cc=0.0)
             assert got.cc == pytest.approx(want.cc)
 
     @pytest.mark.parametrize("path_first", [True, False])
@@ -291,7 +291,7 @@ class TestLabelledLayers:
         assert got.dwcc == (2 if path_first else 4)
         assert got == _features_via_ids(rt.edges)
         assert got == extract_layer_features(layer("RT", rt.edges))
-        assert replace(got, cc=0.0) == replace(_oracle_features(retweets), cc=0.0)
+        assert got._replace(cc=0.0) == _oracle_features(retweets)._replace(cc=0.0)
 
     def test_self_loops_give_the_features_without_them(self):
         rng = random.Random(75)
@@ -308,11 +308,11 @@ class TestLabelledLayers:
             assert got == _features_via_ids(weighted)
             assert got == extract_layer_features(layer("RT", Counter(edges)))
             want = _oracle_features(edges)
-            assert replace(got, cc=0.0) == replace(want, cc=0.0)
+            assert got._replace(cc=0.0) == want._replace(cc=0.0)
             assert got.cc == pytest.approx(want.cc)
 
     def test_layer_of_self_loops_only_is_empty(self):
-        assert extract_layer_features(layer("RT", {("u1", "u1"): 3})).as_tuple() == (0.0,) * 9
+        assert tuple(extract_layer_features(layer("RT", {("u1", "u1"): 3}))) == (0.0,) * 9
 
 
 class TestVector:
@@ -334,6 +334,20 @@ class TestVector:
         assert np.all(vec[:36] == 0.0)
         assert vec[36] == 5.0
         assert vec[37] == 4.0
+
+    def test_t_and_u_count_only_pure_tweets_and_their_authors(self):
+        """T counts the interaction-free tweets, not all tweets; U counts
+        their distinct authors, not all users, which n_users counts."""
+        tweets = [
+            _tweet(1, "u1"),
+            _tweet(2, "u1"),
+            _tweet(3, "u2"),
+            _tweet(4, "u3", retweet_of="u1"),
+        ]
+        row = featurize_article(_cascade(tweets))
+        assert row.vector[36] == 3.0  # 4 tweets in all
+        assert row.vector[37] == 2.0  # u1 and u2
+        assert row.n_users == 3  # u1, u2 and u3
 
     def test_layer_blocks_land_in_their_slots(self):
         net = build_network(

@@ -434,6 +434,13 @@ class TestFoldPolicy:
         with pytest.raises(ValueError, match="folds must be >= 1"):
             fold_test_indices(self.LABELS, folds, 0.2, 0)
 
+    def test_fold_count_bound(self):
+        """MAX_FOLDS folds are drawn; one more is rejected."""
+        assert model_module.MAX_FOLDS == 1000
+        assert len(fold_test_indices(self.LABELS, 1000, 0.2, 0)) == 1000
+        with pytest.raises(ValueError, match="folds must be >= 1 and <= 1000, got 1001"):
+            fold_test_indices(self.LABELS, 1001, 0.2, 0)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
     def test_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(ValueError, match="test fraction must be in"):

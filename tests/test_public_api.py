@@ -1,6 +1,7 @@
 """The package's public surface: what ``diffnet`` exports, and the README's
 library quickstart run on its own text."""
 
+import ast
 import contextlib
 import io
 import re
@@ -12,6 +13,7 @@ from diffnet.ingest import TweetRecord
 from diffnet.netbuild import LayerGraph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "diffnet"
 
 # names of the id-keyed graph API, which graphs built from labelled arcs
 # replaced, and the graph's views that its one general form replaced
@@ -45,3 +47,24 @@ def test_readme_quickstart_runs_as_written():
     assert len(lines) == 2
     assert lines[0].startswith("AUROC 1.000000 ")
     assert lines[1].startswith("AUROC 0.918171 ")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports at its top level and never references."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports names only to export them
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 9
+    assert {p.name: _unused_imports(p) for p in modules} == {p.name: [] for p in modules}
