@@ -3,6 +3,7 @@ reruns, the one-line error contract, and the README's agreement with the
 parser."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -381,6 +382,75 @@ def test_temporal_reruns_are_byte_identical(workspace, tmp_path):
                      "--lifetimes", "1h,7d", "--out", str(out)]) == 0
     assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
+
+
+# every command once, both rank methods, with paths relative to the run
+# directory so that the manifests hold no temporary path
+_GOLDEN_CHAIN = [
+    ["synth", "--config", "config.json", "--out", "corpus"],
+    ["ingest", "--tweets", "corpus/tweets.jsonl", "--labels", "corpus/labels.csv",
+     "--min-tweets", "10", "--out", "cascades"],
+    ["featurize", "--cascades", "cascades", "--out", "features.csv"],
+    ["evaluate", "--features", "features.csv", "--out", "evaluate"],
+    ["ablate", "--features", "features.csv", "--layer", "M", "--out", "ablate"],
+    ["baseline-single-layer", "--cascades", "cascades", "--out", "baseline"],
+    ["bias-eval", "--features", "features.csv", "--train-bias", "left", "--out", "bias"],
+    ["rank-features", "--features", "features.csv", "--method", "chi2", "--out", "chi2"],
+    ["rank-features", "--features", "features.csv", "--method", "ks", "--out", "ks"],
+    ["temporal", "--cascades", "cascades", "--out", "temporal"],
+]
+# sha256 of each file the chain writes, and of all it prints
+_GOLDEN_SHA256 = {
+    "ablate/manifest.json": "95f8ab97ea943cd08c2187268d242ff5307853a0df3b3978a9eed8669da3ad65",
+    "ablate/metrics.csv": "ca0c94cd8983bc13710704d0af8ee3f1eb669dc35d12c735f74a799900248d20",
+    "ablate/report.txt": "c97e51c7cdbe11a02a27dab2e80df532e72522fbb4b5074d165d484d17da8454",
+    "baseline/manifest.json": "42c053f888f45c87c287cb40048acdb474616dd289330465675fbb79c142cde0",
+    "baseline/metrics.csv": "98866f21698fb18c9714f61ee6b10f866d1ddfe4feacb999be8ed0cfb6e1da07",
+    "baseline/report.txt": "24af37bc118d395a82ef7bab4ff01a97f6250893b2bb644f12345aeae8421381",
+    "bias/manifest.json": "ff60934be79f2c40a55fdef9828b750ad86861e348589abd9e0a473febdf6b3f",
+    "bias/metrics.csv": "80ac9f42722fdc0e1dde1d67aa7cf5f5b33ca1597f04156c97e8c3e39a2261f2",
+    "bias/report.txt": "b7ba5f61a131bd9eb8fb7ae95a7c05d573169efe38049a410d4eefb3f3e4bb52",
+    "cascades/labels.csv": "7a1297bdfa6e8c82b1a2075852f25eab66ad6a8dffc40fd18c1c40a1afbef2a2",
+    "cascades/manifest.json": "39be1629f48623b0920eb3b864a587bc02f96d5032243167b9c4fff89df92010",
+    "cascades/tweets.jsonl": "11f903f3188e25a70acb69a62738581320d0e46828784a384a45c514377ec042",
+    "chi2/manifest.json": "e533e44643664c5e87d7c5128fc28fd09ea3c953e6ec00dd44b4115ac8cba027",
+    "chi2/ranking.csv": "c54ad37657aa5ca156cdb1b1b693321da6229b7bb90b5aa186060f7c14a95958",
+    "config.json": "c9eff821c77c269f93ec4c4877c0125da5179e8e811b113ac7cc6a409d406e0d",
+    "corpus/config.json": "12db0969043f657a441d20bdd3f317b6a1e787187d90c450e57a2ccce6d26836",
+    "corpus/labels.csv": "7a1297bdfa6e8c82b1a2075852f25eab66ad6a8dffc40fd18c1c40a1afbef2a2",
+    "corpus/manifest.json": "1e85906021bd8d5fe5349576477b2ebf3ba0b7296724a73b0c6c46da06dc4564",
+    "corpus/tweets.jsonl": "fcdd71bcceee486668af81e646b752ebf56bf3d33f5c0c3968ee6589ab61190c",
+    "evaluate/manifest.json": "5bf06cf7a5536bd7205906e7189fcb22fafe5289eef6e6cdc2a13805e756b2f5",
+    "evaluate/metrics.csv": "ae6d457014ea12a0e1d21b9af1ccbd704063a965ddd456f1f8ef14b9bf3c498b",
+    "evaluate/report.txt": "2811702da3f356e6acab147422a872dc5cfa7905e872da4499184b6a3c45e24c",
+    "features.csv": "94cc71e619331f3ed138d499fc881add3bfe5d7ed42644b68adf99590d304c30",
+    "features.csv.manifest.json": "204bd5550568146456ae23f1d4e26fbb43ec748b54bc1df7d80303f7dc61026f",
+    "ks/manifest.json": "481ee55974940a8814df9565f24638c9b66ab7b251fb57931abdac6f880b68da",
+    "ks/ranking.csv": "a59b5a953e91a635aca3c4530af66688724ed4b003ba57f36172cad732da277b",
+    "stdout": "8499252087f4b49f8be4f5c0ba7de8efa52f923d12eb830f7b46fe48d812892a",
+    "temporal/manifest.json": "7ebf37063b03bd667f0056009cc6c64b6b86960ca63c2d77e869ea2579b62195",
+    "temporal/report.txt": "16744c793699046b78b4f55878437ea7ca5ff2735d43bbc48c83bf526a0f884c",
+    "temporal/series.csv": "e444575acc190752c6b3fd05302486229518f59d003f0da9a3d28b58adbe2e6e",
+}
+
+
+def test_chain_writes_the_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(CONFIG))
+    for argv in _GOLDEN_CHAIN:
+        assert main(argv) == 0, argv
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for manifest in tmp_path.rglob("*manifest.json"):
+        if manifest.name == "manifest.json":
+            beside = sorted(p.name for p in manifest.parent.iterdir() if p != manifest)
+        else:
+            beside = [manifest.name.removesuffix(".manifest.json")]
+        assert json.loads(manifest.read_text())["outputs"] == beside, manifest
+    assert digests == _GOLDEN_SHA256
 
 
 # ---------------------------------------------------------- error contract
