@@ -17,10 +17,11 @@
 where CV is [--folds 10] [--test-fraction 0.2] [--C 1.0] [--seed 0].
 
 A cascades directory is what `ingest` (or `synth`) writes: `tweets.jsonl`
-plus `labels.csv`. Every run first writes a `manifest.json` recording the
-command, resolved options, sha256 digests of its inputs, the seed and the
-output names, then produces the outputs; reruns with the same inputs and
-seed are byte-identical.
+plus `labels.csv`. Every run, after its work and before its first output,
+writes a `manifest.json` recording the command, resolved options, sha256
+digests of its inputs, the seed and the output names, then writes the
+outputs; reruns with the same inputs and seed are byte-identical. A run
+that fails during its work writes nothing.
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
@@ -40,11 +41,10 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .experiments import (
@@ -67,7 +67,7 @@ from .ingest import (
     write_labels_file,
     write_tweets_file,
 )
-from .model import MAX_FOLDS, SIZE_CLASSES, size_class_of, stratified_shuffle_cv
+from .model import SETTING_RULES, SIZE_CLASSES, size_class_of, stratified_shuffle_cv
 from .netbuild import LAYER_KINDS
 from .synth import default_config, generate_corpus, load_config
 
@@ -115,11 +115,11 @@ def _setting(convert, rule, message: str, code: str = "E_INVARIANT"):
     return parse
 
 
-_FOLDS = _setting(int, lambda v: 1 <= v <= MAX_FOLDS, f"folds must be >= 1 and <= {MAX_FOLDS}")
-_TEST_FRACTION = _setting(float, lambda v: 0.0 < v < 1.0, "test fraction must be in (0, 1)")
-_C = _setting(float, lambda v: 0.0 < v < math.inf, "C must be finite and > 0")
-_SEED = _setting(int, lambda v: v >= 0, "seed must be >= 0")
-_ALPHA = _setting(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
+_FOLDS = _setting(int, *SETTING_RULES["folds"])
+_TEST_FRACTION = _setting(float, *SETTING_RULES["test_fraction"])
+_C = _setting(float, *SETTING_RULES["C"])
+_SEED = _setting(int, *SETTING_RULES["seed"])
+_ALPHA = _setting(float, *SETTING_RULES["alpha"])
 # the library trains on v and tests on 1 - v, so both must lie in (0, 1)
 _TRAIN_FRACTION = _setting(float, lambda v: 0.0 < 1.0 - v < 1.0,
                            "--train-fraction must leave a test share in (0, 1)", "E_USAGE")
@@ -139,27 +139,43 @@ def _digest(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def write_manifest(
-    path: Path,
+def publish(
+    manifest_path: Path,
     command: str,
     config: dict,
     inputs: Sequence[Path],
     seed: Optional[int],
-    outputs: Sequence[str],
+    outputs: dict[Path, Callable[[Path], object]],
 ) -> None:
-    """Reproducibility record, written before any result file."""
+    """Write the manifest, naming the outputs in sorted order, then each output
+    path by its writer. A command calls it once, after its work: a run that
+    fails before leaves nothing, and one that fails writing an output leaves
+    the manifest."""
     manifest = {
         "command": command,
         "config": config,
         "inputs": {str(p): _digest(p) for p in sorted(inputs)},
-        "outputs": list(outputs),
+        "outputs": sorted(path.name for path in outputs),
         "seed": seed,
         "tool_version": __version__,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for path, write in outputs.items():
+        write(path)
+
+
+def _text(text: str):
+    return lambda path: path.write_text(text, encoding="utf-8")
+
+
+def _csv(rows):
+    def write(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return write
 
 
 def _load_corpus(tweets: Path, labels: Path):
@@ -185,15 +201,12 @@ def _load_samples(features: str):
     return rows, path
 
 
-def _write_report(out_dir: Path, command, config, inputs, seed, report) -> None:
-    write_manifest(
-        out_dir / "manifest.json", command, config, inputs, seed,
-        ["metrics.csv", "report.txt"],
-    )
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(report.to_metric_rows())
+def _publish_report(args, command, config, inputs, report) -> None:
+    out = Path(args.out)
+    publish(out / "manifest.json", command, config, inputs, args.seed, {
+        out / "metrics.csv": _csv(report.to_metric_rows()),
+        out / "report.txt": _text(report.to_text()),
+    })
 
 
 def _cv_config(args) -> dict:
@@ -215,17 +228,14 @@ def cmd_synth(args) -> int:
             config = dataclasses.replace(config, seed=args.seed)
     else:
         config = default_config(seed=0 if args.seed is None else args.seed)
-    out = Path(args.out)
-    write_manifest(
-        out / "manifest.json", "synth", config.to_json_dict(), inputs,
-        config.seed, ["config.json", "labels.csv", "tweets.jsonl"],
-    )
     records, labels = generate_corpus(config)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_labels_file(out / "labels.csv", labels)
-    write_tweets_file(out / "tweets.jsonl", records)
+    out = Path(args.out)
+    resolved = config.to_json_dict()
+    publish(out / "manifest.json", "synth", resolved, inputs, config.seed, {
+        out / "config.json": _text(json.dumps(resolved, indent=2, sort_keys=True) + "\n"),
+        out / "labels.csv": lambda path: write_labels_file(path, labels),
+        out / "tweets.jsonl": lambda path: write_tweets_file(path, records),
+    })
     print(f"synth: {len(records)} tweets across {len(labels)} articles -> {out}")
     return 0
 
@@ -249,15 +259,13 @@ def cmd_ingest(args) -> int:
         "window": args.window,
         "min_tweets": args.min_tweets,
     }
-    write_manifest(
-        out / "manifest.json", "ingest", config, inputs, None,
-        ["labels.csv", "tweets.jsonl"],
-    )
-    write_labels_file(out / "labels.csv", [c.label for c in kept])
-    write_tweets_file(out / "tweets.jsonl", [t for c in kept for t in c.tweets])
-    n_tweets = sum(len(c.tweets) for c in kept)
+    tweets = [t for c in kept for t in c.tweets]
+    publish(out / "manifest.json", "ingest", config, inputs, None, {
+        out / "labels.csv": lambda path: write_labels_file(path, [c.label for c in kept]),
+        out / "tweets.jsonl": lambda path: write_tweets_file(path, tweets),
+    })
     print(
-        f"ingest: kept {len(kept)}/{len(cascades)} articles ({n_tweets} tweets); "
+        f"ingest: kept {len(kept)}/{len(cascades)} articles ({len(tweets)} tweets); "
         f"skipped {parsed.malformed} malformed, {parsed.duplicates} duplicate, "
         f"{unlabeled} unlabeled records; dropped "
         f"{len(cascades) - len(censored)} emptied, "
@@ -268,14 +276,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_featurize(args) -> int:
     cascades, inputs = _load_cascades(args.cascades)
-    out = Path(args.out)
-    write_manifest(
-        Path(str(out) + ".manifest.json"), "featurize",
-        {"cascades": args.cascades}, inputs, None, [out.name],
-    )
     rows = featurize(cascades)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_features_file(out, rows)
+    out = Path(args.out)
+    publish(Path(f"{out}.manifest.json"), "featurize", {"cascades": args.cascades},
+            inputs, None, {out: lambda path: write_features_file(path, rows)})
     print(f"featurize: {len(rows)} articles -> {out}")
     return 0
 
@@ -294,7 +298,7 @@ def cmd_evaluate(args) -> int:
     )
     config = {**_cv_config(args), "features": args.features,
               "size_class": args.size_class}
-    _write_report(Path(args.out), "evaluate", config, [path], args.seed, report)
+    _publish_report(args, "evaluate", config, [path], report)
     print(report.summary_line())
     return 0
 
@@ -306,7 +310,7 @@ def cmd_ablate(args) -> int:
         test_fraction=args.test_fraction, seed=args.seed, C=args.C,
     )
     config = {**_cv_config(args), "features": args.features, "layer": args.layer}
-    _write_report(Path(args.out), "ablate", config, [path], args.seed, report)
+    _publish_report(args, "ablate", config, [path], report)
     print(f"{args.layer}: {report.summary_line()}")
     return 0
 
@@ -318,9 +322,7 @@ def cmd_baseline(args) -> int:
         seed=args.seed, C=args.C,
     )
     config = {**_cv_config(args), "cascades": args.cascades}
-    _write_report(
-        Path(args.out), "baseline-single-layer", config, inputs, args.seed, report
-    )
+    _publish_report(args, "baseline-single-layer", config, inputs, report)
     print(f"single-layer: {report.summary_line()}")
     return 0
 
@@ -341,14 +343,13 @@ def cmd_bias_eval(args) -> int:
         "folds": args.folds,
         "C": args.C,
     }
-    _write_report(Path(args.out), "bias-eval", config, [path], args.seed, report)
+    _publish_report(args, "bias-eval", config, [path], report)
     print(f"train-bias={args.train_bias}: {report.summary_line()}")
     return 0
 
 
 def cmd_rank_features(args) -> int:
     samples, path = _load_samples(args.features)
-    out = Path(args.out)
     config = {"features": args.features, "method": args.method, "top": args.top}
     if args.method == "chi2":
         config.update(_cv_config(args))
@@ -369,14 +370,9 @@ def cmd_rank_features(args) -> int:
             [str(i), name, repr(d), repr(p), str(rejected).lower()]
             for i, (name, d, p, rejected) in enumerate(ranking, start=1)
         ]
-    write_manifest(
-        out / "manifest.json", "rank-features", config, [path], args.seed,
-        ["ranking.csv"],
-    )
-    with open(out / "ranking.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    out = Path(args.out)
+    publish(out / "manifest.json", "rank-features", config, [path], args.seed,
+            {out / "ranking.csv": _csv([header, *rows])})
     for row in rows[: args.top]:
         print(" ".join(row[:3]))
     return 0
@@ -394,27 +390,18 @@ def cmd_temporal(args) -> int:
         "cascades": args.cascades,
         "lifetimes": args.lifetimes,
     }
-    write_manifest(
-        out / "manifest.json", "temporal", config, inputs, args.seed,
-        ["report.txt", "series.csv"],
-    )
-    with open(out / "series.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["lifetime_seconds", "auroc_mean", "auroc_std",
-             "macro_f1_mean", "macro_f1_std"]
-        )
-        for lifetime, report in results:
-            writer.writerow(
-                [str(lifetime), repr(report.mean("AUROC")),
-                 repr(report.std("AUROC")), repr(report.mean("macro_f1")),
-                 repr(report.std("macro_f1"))]
-            )
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        for lifetime, report in results:
-            fh.write(f"lifetime {lifetime}s\n")
-            fh.write(report.to_text())
-            fh.write("\n")
+    series = [["lifetime_seconds", "auroc_mean", "auroc_std", "macro_f1_mean", "macro_f1_std"]]
+    series += [
+        [str(lifetime), repr(report.mean("AUROC")), repr(report.std("AUROC")),
+         repr(report.mean("macro_f1")), repr(report.std("macro_f1"))]
+        for lifetime, report in results
+    ]
+    text = "".join(f"lifetime {lifetime}s\n{report.to_text()}\n"
+                   for lifetime, report in results)
+    publish(out / "manifest.json", "temporal", config, inputs, args.seed, {
+        out / "report.txt": _text(text),
+        out / "series.csv": _csv(series),
+    })
     for lifetime, report in results:
         print(f"temporal {lifetime:>8d}s {report.summary_line()}")
     return 0

@@ -16,8 +16,7 @@ from .features import FEATURE_NAMES, METRIC_NAMES, ArticleFeatures, assemble_vec
 from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
-    check_C,
-    check_folds,
+    check_settings,
     evaluate_split,
     fold_test_indices,
     samples_to_xy,
@@ -223,8 +222,7 @@ def rank_features_ks(
     Returns (name, D_statistic, p_value, rejected_at_alpha) sorted by
     decreasing D. ValueError unless 0 < alpha < 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_settings(alpha=alpha)
     X, y = samples_to_xy(samples)
     if X.shape[1] != len(feature_names):
         raise ValueError("feature_names does not match vector width")
@@ -278,8 +276,7 @@ def temporal_sweep(
     settings raise ValueError before anything is featurized.
     """
     _check_jobs(jobs)
-    check_folds(folds, test_fraction, seed)
-    check_C(C)
+    check_settings(folds=folds, test_fraction=test_fraction, seed=seed, C=C)
     prefixes: list[ArticleCascade] = []
     slot: dict[tuple[int, int], int] = {}
     rows = []
@@ -335,8 +332,7 @@ def single_layer_baseline(
     """The comparison row: same CV protocol on the 11 aggregate features.
     Bad CV settings raise ValueError before any network is built.
     """
-    check_folds(folds, test_fraction, seed)
-    check_C(C)
+    check_settings(folds=folds, test_fraction=test_fraction, seed=seed, C=C)
     return stratified_shuffle_cv(
         single_layer_samples(cascades),
         folds=folds,

@@ -315,10 +315,17 @@ def write_tweets_file(path, records: Iterable[TweetRecord]) -> None:
 
 
 def csv_rows(lines: Iterable[str], what: str):
-    """The rows of a CSV file; a row csv refuses raises CorpusFormatError."""
+    """The rows of a CSV file; a row csv refuses, or a field holding a
+    byte-order mark, which would become part of an id, raises
+    CorpusFormatError naming its line."""
     reader = csv.reader(lines)
     try:
-        yield from reader
+        for row in reader:
+            if any("\ufeff" in field for field in row):
+                raise CorpusFormatError(
+                    f"{what} line {reader.line_num}: byte-order mark inside a field"
+                )
+            yield row
     except csv.Error as exc:
         raise CorpusFormatError(f"{what} line {reader.line_num}: {exc}") from None
 

@@ -4,9 +4,9 @@ stratified shuffle-split cross-validation.
 Every cross-validated number (the CV reports, the bias-restricted runs and
 the chi-square ranking) draws its folds from :func:`fold_test_indices`, the
 one place that spawns the fold seeds and draws the stratified test rows.
-The fold count, test fraction and seed are checked by :func:`check_folds`
-and C by :func:`check_C`; the fold policy and the trainer call them, and
-so do callers that must reject bad settings before costly work.
+The rules on the fold count, test fraction, seed, C and alpha, with their
+words, are held once in :data:`SETTING_RULES`; the library checks them by
+:func:`check_settings` before costly work, and the command line reads them.
 
 Labels are the strings ``D`` (treated as the positive class throughout) and
 ``M``. The trainer minimizes
@@ -167,12 +167,6 @@ def _hessian(
     return H
 
 
-def check_C(C: float) -> None:
-    """Raise ValueError unless the inverse penalty C is finite and positive."""
-    if not 0.0 < C < np.inf:
-        raise ValueError(f"C must be finite and > 0, got {C!r}")
-
-
 def train_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -181,7 +175,7 @@ def train_logistic(
 ) -> LogisticModel:
     """Fit the L2 logistic model; raises on single-class input, unless C
     is finite and positive, and when C is so large that the fit overflows."""
-    check_C(C)
+    check_settings(C=C)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -427,15 +421,22 @@ def stratified_test_indices(
 MAX_FOLDS = 1000
 
 
-def check_folds(folds: int, test_fraction: float, seed: int) -> None:
-    """Raise ValueError unless there are 1 to :data:`MAX_FOLDS` folds, the
-    test fraction lies in (0, 1) and the seed is not negative."""
-    if not 1 <= folds <= MAX_FOLDS:
-        raise ValueError(f"folds must be >= 1 and <= {MAX_FOLDS}, got {folds!r}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test fraction must be in (0, 1), got {test_fraction!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+SETTING_RULES = {
+    "folds": (lambda v: 1 <= v <= MAX_FOLDS, f"folds must be >= 1 and <= {MAX_FOLDS}"),
+    "test_fraction": (lambda v: 0.0 < v < 1.0, "test fraction must be in (0, 1)"),
+    "seed": (lambda v: v >= 0, "seed must be >= 0"),
+    "C": (lambda v: 0.0 < v < np.inf, "C must be finite and > 0"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)"),
+}
+
+
+def check_settings(**settings) -> None:
+    """Raise ValueError on the first setting, in the order given, that fails
+    the test of its (test, words) rule in :data:`SETTING_RULES`."""
+    for name, value in settings.items():
+        holds, words = SETTING_RULES[name]
+        if not holds(value):
+            raise ValueError(f"{words}, got {value!r}")
 
 
 def fold_test_indices(
@@ -444,7 +445,7 @@ def fold_test_indices(
     """The fold policy: one stratified test subset of ``labels`` per fold,
     each drawn with its own child of ``SeedSequence(seed)``.
     """
-    check_folds(folds, test_fraction, seed)
+    check_settings(folds=folds, test_fraction=test_fraction, seed=seed)
     return [
         stratified_test_indices(labels, test_fraction, np.random.default_rng(ss))
         for ss in np.random.SeedSequence(seed).spawn(folds)

@@ -39,6 +39,7 @@ from .ingest import (
     TweetRecord,
     read_input,
 )
+from .model import check_settings
 
 BASE_TIME = 1_000_000
 
@@ -116,8 +117,7 @@ class GeneratorConfig:
             raise ValueError("inter_arrival_mean must be positive")
         if self.sources_per_class < 1:
             raise ValueError("sources_per_class must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_settings(seed=self.seed)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -171,9 +171,19 @@ def default_config(seed: int = 0) -> GeneratorConfig:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    # json.load keeps the last value of a repeated key, silently
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
 def _parse_config(fh) -> GeneratorConfig:
     try:
-        return GeneratorConfig.from_json_dict(json.load(fh))
+        return GeneratorConfig.from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
     except RecursionError:
         raise ValueError("config is nested too deeply") from None
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -521,6 +522,45 @@ def test_ingest_skips_byte_order_marks(workspace, tmp_path, capsys):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("labels", lambda row: "\ufeff" + row),
+    ("labels", lambda row: row.replace(",", ",\ufeff", 1)),
+    ("features", lambda row: "\ufeff" + row),
+], ids=["labels-id", "labels-label", "features-id"])
+def test_byte_order_mark_inside_a_field_is_refused(workspace, tmp_path, capsys, name, edit):
+    """A U+FEFF inside a labels or features field would become part of an
+    id, and that article's tweets would be dropped as unlabeled."""
+    shutil.copytree(workspace / "cascades", tmp_path / "cascades")
+    shutil.copy(workspace / "features.csv", tmp_path)
+    bad = tmp_path / ("features.csv" if name == "features" else "cascades/labels.csv")
+    lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = edit(lines[2])
+    bad.write_text("".join(lines), encoding="utf-8")
+    argv = {"labels": ["featurize", "--cascades", str(tmp_path / "cascades")],
+            "features": ["evaluate", "--features", str(bad)]}[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"E_FORMAT: {bad}: {name} line 3: byte-order mark inside a field\n"
+    )
+    assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("text,key", [
+    (json.dumps(CONFIG)[:-1] + ', "seed": 9}', "seed"),
+    (json.dumps(CONFIG).replace('"size_min": 6,', '"size_min": 6, "size_min": 7,', 1), "size_min"),
+], ids=["top-level", "in-a-profile"])
+def test_repeated_generator_config_key(tmp_path, capsys, text, key):
+    """json.load keeps the last of a repeated key; the config refuses it
+    rather than run with one of two values."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"E_FORMAT: {bad}: config key {key!r} is repeated\n"
+    assert not out.exists()
+
+
 def test_bad_generator_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nonsense": true}')
@@ -945,6 +985,27 @@ def test_manifest_written_before_failing_result(workspace, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("E_INVARIANT:")
     assert (tmp_path / "features.csv.manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["synth", "featurize"])
+def test_run_that_fails_during_its_work_writes_nothing(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    """The manifest is written after the work, so a run that fails during
+    it leaves no manifest without its outputs."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_corpus", exhausted)
+    monkeypatch.setattr(features, "featurize_article", exhausted)
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "out")],
+        "featurize": ["featurize", "--cascades", str(workspace / "cascades"),
+                      "--out", str(tmp_path / "out" / "f.csv")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "E_LIMIT: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_of_memory_ends_in_one_limit_line(workspace, tmp_path, capsys, monkeypatch):

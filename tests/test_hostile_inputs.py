@@ -2,7 +2,8 @@
 ``cli.main`` in process.
 
 Each case mutates one input (``tweets.jsonl``, ``labels.csv``, a features
-CSV or a generator config) and runs every command that reads it. Whatever
+CSV or a generator config) and runs every command that reads it; each
+command exits 0 on the unmutated inputs. Whatever
 the mutation, a run must end in a result or in one ``E_*`` line: exit 0, 1
 or 2, stderr empty or one line starting ``E_``, no warning, no output file
 without its manifest, and within a generous wall bound.
@@ -44,18 +45,33 @@ def corpus(tmp_path_factory):
     (root / "config.json").write_text(json.dumps(CONFIG))
     assert main(["synth", "--config", str(root / "config.json"), "--out", str(root / "c")]) == 0
     assert main(["featurize", "--cascades", str(root / "c"), "--out", str(root / "f.csv")]) == 0
+    features = (root / "f.csv").read_bytes()
     return {
         "tweets": (root / "c" / "tweets.jsonl").read_bytes(),
         "labels": (root / "c" / "labels.csv").read_bytes(),
-        "features": (root / "f.csv").read_bytes(),
+        "features": features,
         # the synth output: pretty-printed, one key a line
         "config": (root / "c" / "config.json").read_bytes(),
+        "bias-features": _alternating_biases(features),
     }
+
+
+def _alternating_biases(features: bytes) -> bytes:
+    """The features CSV with its rows' biases left, right, left, ...: the 4+4
+    articles sorted by id then give each bias two articles of each class,
+    which bias-eval needs to train on one bias (the synth biases do not)."""
+    header, *rows = features.splitlines(keepends=True)
+    for i, row in enumerate(rows):
+        fields = row.split(b",")
+        fields[3] = (b"left", b"right")[i % 2]
+        rows[i] = b",".join(fields)
+    return b"".join([header, *rows])
 
 
 # ------------------------------------------------------------ mutations
 # each takes (rng, data, kind) and returns the mutated bytes; kind is the
 # input's name, which picks JSON or CSV for the field-level mutations
+CSV_KINDS = ("labels", "features", "bias-features")
 
 def _lines(data: bytes) -> list[bytes]:
     return data.splitlines(keepends=True)
@@ -124,7 +140,7 @@ def _with_field(choose_payload, config_floats_only=False):
     counts and sizes stay small (see the module docstring)."""
     def mutate(rng, data, kind):
         payload = choose_payload(rng, kind)
-        if kind in ("labels", "features"):
+        if kind in CSV_KINDS:
             lines = _lines(data)
             i = rng.randrange(1, len(lines))
             fields = lines[i].rstrip(b"\n").split(b",")
@@ -154,17 +170,17 @@ def _with_field(choose_payload, config_floats_only=False):
 
 def _oversize(rng, kind):
     field = "x" * OVERSIZE
-    return field if kind in ("labels", "features") else json.dumps(field)
+    return field if kind in CSV_KINDS else json.dumps(field)
 
 
 def _deep(rng, kind):
-    if kind in ("labels", "features"):
+    if kind in CSV_KINDS:
         return "[" * DEEP
     return "[" * DEEP + "1" + "]" * DEEP
 
 
 def _non_finite(rng, kind):
-    if kind in ("labels", "features"):
+    if kind in CSV_KINDS:
         return rng.choice(["nan", "inf", "-inf", "1e999"])
     return rng.choice(["NaN", "Infinity", "-Infinity", "1e999"])
 
@@ -174,7 +190,7 @@ def _huge_integer(rng, kind):
 
 
 def _wrong_type(rng, kind):
-    if kind in ("labels", "features"):
+    if kind in CSV_KINDS:
         return rng.choice(["true", "[]", "-3", "1.5", "", "x"])
     return rng.choice(['"12"', "12", "1.5", "true", "null", "[]", "{}", '["x"]'])
 
@@ -205,6 +221,7 @@ PATHS = {
     "labels": "cascades/labels.csv",
     "features": "features.csv",
     "config": "config.json",
+    "bias-features": "bias-features.csv",
 }
 # the commands that read each input; {root} is the case's directory
 COMMANDS = {
@@ -212,14 +229,26 @@ COMMANDS = {
         ["ingest", "--tweets", "{root}/cascades/tweets.jsonl",
          "--labels", "{root}/cascades/labels.csv", "--min-tweets", "1", "--out", "{root}/out/ingest"],
         ["featurize", "--cascades", "{root}/cascades", "--out", "{root}/out/featurize/f.csv"],
+        ["temporal", "--cascades", "{root}/cascades", "--lifetimes", "1h,1d", "--folds", "2",
+         "--out", "{root}/out/temporal"],
+        ["baseline-single-layer", "--cascades", "{root}/cascades", "--folds", "2",
+         "--out", "{root}/out/baseline"],
     ],
     "features": [
         ["evaluate", "--features", "{root}/features.csv", "--folds", "2",
          "--out", "{root}/out/evaluate"],
         ["rank-features", "--features", "{root}/features.csv", "--method", "ks",
          "--out", "{root}/out/rank"],
+        ["ablate", "--features", "{root}/features.csv", "--layer", "M", "--folds", "2",
+         "--out", "{root}/out/ablate"],
+        ["rank-features", "--features", "{root}/features.csv", "--method", "chi2", "--folds", "2",
+         "--out", "{root}/out/chi2"],
     ],
     "config": [["synth", "--config", "{root}/config.json", "--out", "{root}/out/synth"]],
+    "bias-features": [
+        ["bias-eval", "--features", "{root}/bias-features.csv", "--train-bias", "left",
+         "--folds", "2", "--out", "{root}/out/bias"],
+    ],
 }
 COMMANDS["labels"] = COMMANDS["tweets"]
 
@@ -230,6 +259,21 @@ CASES = [
     for name in MUTATIONS
     for seed in (SEEDS if name != "empty" else SEEDS[:1])
 ]
+
+
+def _write_inputs(root, corpus):
+    (root / "cascades").mkdir()
+    for name, path in PATHS.items():
+        (root / path).write_bytes(corpus[name])
+
+
+def test_every_command_runs_on_the_unmutated_inputs(corpus, tmp_path, capsys):
+    """Each command succeeds before any mutation, so a mutation is what
+    reaches its failure paths."""
+    _write_inputs(tmp_path, corpus)
+    for command in dict.fromkeys(tuple(c) for commands in COMMANDS.values() for c in commands):
+        argv = [arg.format(root=tmp_path) for arg in command]
+        assert main(argv) == 0, (argv[0], capsys.readouterr().err)
 
 
 def _unmanifested(out):
@@ -247,9 +291,7 @@ def _unmanifested(out):
 def test_mutated_input_ends_in_a_result_or_one_error_line(
     corpus, tmp_path, capsys, kind, mutation, seed
 ):
-    (tmp_path / "cascades").mkdir()
-    for name, path in PATHS.items():
-        (tmp_path / path).write_bytes(corpus[name])
+    _write_inputs(tmp_path, corpus)
     rng = random.Random(f"{kind}-{mutation}-{seed}")
     (tmp_path / PATHS[kind]).write_bytes(MUTATIONS[mutation](rng, corpus[kind], kind))
     for command in COMMANDS[kind]:
