@@ -18,10 +18,14 @@ where CV is [--folds 10] [--test-fraction 0.2] [--C 1.0] [--seed 0].
 
 A cascades directory is what `ingest` (or `synth`) writes: `tweets.jsonl`
 plus `labels.csv`. Every run, after its work and before its first output,
-writes a `manifest.json` recording the command, resolved options, sha256
+writes a `manifest.json` recording the command, its config, sha256
 digests of its inputs, the seed and the output names, then writes the
 outputs; reruns with the same inputs and seed are byte-identical. A run
-that fails during its work writes nothing.
+that fails during its work writes nothing. The config is the run's
+resolved flags other than `--out` and `--seed`, with three exceptions:
+`synth` records its generator config, `ingest` records the `--start` it
+resolved, and `rank-features` leaves out the flags its other method reads
+(`--alpha` for `chi2`; `--folds`, `--test-fraction` and `--C` for `ks`).
 
 Failures print a single `E_<CODE>: message` line on stderr. The exit
 status follows the code alone: `E_USAGE` exits 2, and every other code
@@ -120,8 +124,7 @@ _TEST_FRACTION = _setting(float, *SETTING_RULES["test_fraction"])
 _C = _setting(float, *SETTING_RULES["C"])
 _SEED = _setting(int, *SETTING_RULES["seed"])
 _ALPHA = _setting(float, *SETTING_RULES["alpha"])
-# the library trains on v and tests on 1 - v, so both must lie in (0, 1)
-_TRAIN_FRACTION = _setting(float, lambda v: 0.0 < 1.0 - v < 1.0,
+_TRAIN_FRACTION = _setting(float, SETTING_RULES["train_fraction"][0],
                            "--train-fraction must leave a test share in (0, 1)", "E_USAGE")
 _TOP = _setting(int, lambda v: v >= 1, "--top must be >= 1", "E_USAGE")
 _MIN_TWEETS = _setting(int, lambda v: v >= 1, "--min-tweets must be >= 1", "E_USAGE")
@@ -201,20 +204,27 @@ def _load_samples(features: str):
     return rows, path
 
 
-def _publish_report(args, command, config, inputs, report) -> None:
+_CV_FLAGS = ("folds", "test_fraction", "seed", "C")
+
+
+def _cv(args, *drop: str) -> dict:
+    """The CV flags other than ``drop``, as keywords for a library call."""
+    return {name: getattr(args, name) for name in _CV_FLAGS if name not in drop}
+
+
+def _config(args, *drop: str) -> dict:
+    """A manifest's config: the run's resolved flags other than --out,
+    --seed (the manifest's own field) and ``drop``."""
+    skip = {"subcommand", "func", "out", "seed", *drop}
+    return {name: value for name, value in vars(args).items() if name not in skip}
+
+
+def _publish_report(args, inputs, report) -> None:
     out = Path(args.out)
-    publish(out / "manifest.json", command, config, inputs, args.seed, {
+    publish(out / "manifest.json", args.subcommand, _config(args), inputs, args.seed, {
         out / "metrics.csv": _csv(report.to_metric_rows()),
         out / "report.txt": _text(report.to_text()),
     })
-
-
-def _cv_config(args) -> dict:
-    return {
-        "folds": args.folds,
-        "test_fraction": args.test_fraction,
-        "C": args.C,
-    }
 
 
 # ------------------------------------------------------------ subcommands
@@ -231,7 +241,8 @@ def cmd_synth(args) -> int:
     records, labels = generate_corpus(config)
     out = Path(args.out)
     resolved = config.to_json_dict()
-    publish(out / "manifest.json", "synth", resolved, inputs, config.seed, {
+    # the generator config, seed included, stands in for the flags
+    publish(out / "manifest.json", args.subcommand, resolved, inputs, config.seed, {
         out / "config.json": _text(json.dumps(resolved, indent=2, sort_keys=True) + "\n"),
         out / "labels.csv": lambda path: write_labels_file(path, labels),
         out / "tweets.jsonl": lambda path: write_tweets_file(path, records),
@@ -243,24 +254,16 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     inputs = [Path(args.tweets), Path(args.labels)]
     cascades, parsed, unlabeled = _load_corpus(*inputs)
-    start = args.start
-    if start is None:
-        start = min(c.tweets[0].timestamp for c in cascades)
-    censored = apply_censoring(cascades, start, args.window)
+    if args.start is None:  # resolved in place, so the manifest records the start used
+        args.start = min(c.tweets[0].timestamp for c in cascades)
+    censored = apply_censoring(cascades, args.start, args.window)
     kept = filter_min_tweets(censored, args.min_tweets)
     if not kept:
         raise CliError("E_INVARIANT", "no article passed the window and size filters")
 
     out = Path(args.out)
-    config = {
-        "tweets": args.tweets,
-        "labels": args.labels,
-        "start": start,
-        "window": args.window,
-        "min_tweets": args.min_tweets,
-    }
     tweets = [t for c in kept for t in c.tweets]
-    publish(out / "manifest.json", "ingest", config, inputs, None, {
+    publish(out / "manifest.json", args.subcommand, _config(args), inputs, None, {
         out / "labels.csv": lambda path: write_labels_file(path, [c.label for c in kept]),
         out / "tweets.jsonl": lambda path: write_tweets_file(path, tweets),
     })
@@ -278,8 +281,8 @@ def cmd_featurize(args) -> int:
     cascades, inputs = _load_cascades(args.cascades)
     rows = featurize(cascades)
     out = Path(args.out)
-    publish(Path(f"{out}.manifest.json"), "featurize", {"cascades": args.cascades},
-            inputs, None, {out: lambda path: write_features_file(path, rows)})
+    publish(Path(f"{out}.manifest.json"), args.subcommand, _config(args), inputs, None,
+            {out: lambda path: write_features_file(path, rows)})
     print(f"featurize: {len(rows)} articles -> {out}")
     return 0
 
@@ -292,78 +295,52 @@ def cmd_evaluate(args) -> int:
             raise CliError(
                 "E_INVARIANT", f"no articles in size class {args.size_class}"
             )
-    report = stratified_shuffle_cv(
-        samples, folds=args.folds, test_fraction=args.test_fraction,
-        seed=args.seed, C=args.C,
-    )
-    config = {**_cv_config(args), "features": args.features,
-              "size_class": args.size_class}
-    _publish_report(args, "evaluate", config, [path], report)
+    report = stratified_shuffle_cv(samples, **_cv(args))
+    _publish_report(args, [path], report)
     print(report.summary_line())
     return 0
 
 
 def cmd_ablate(args) -> int:
     samples, path = _load_samples(args.features)
-    report = layer_ablation(
-        samples, args.layer, folds=args.folds,
-        test_fraction=args.test_fraction, seed=args.seed, C=args.C,
-    )
-    config = {**_cv_config(args), "features": args.features, "layer": args.layer}
-    _publish_report(args, "ablate", config, [path], report)
+    report = layer_ablation(samples, args.layer, **_cv(args))
+    _publish_report(args, [path], report)
     print(f"{args.layer}: {report.summary_line()}")
     return 0
 
 
 def cmd_baseline(args) -> int:
     cascades, inputs = _load_cascades(args.cascades)
-    report = single_layer_baseline(
-        cascades, folds=args.folds, test_fraction=args.test_fraction,
-        seed=args.seed, C=args.C,
-    )
-    config = {**_cv_config(args), "cascades": args.cascades}
-    _publish_report(args, "baseline-single-layer", config, inputs, report)
+    report = single_layer_baseline(cascades, **_cv(args))
+    _publish_report(args, inputs, report)
     print(f"single-layer: {report.summary_line()}")
     return 0
 
 
 def cmd_bias_eval(args) -> int:
     samples, path = _load_samples(args.features)
-    excluded = tuple(args.exclude_source or ())
     report = bias_restricted_eval(
-        samples, args.train_bias, folds=args.folds,
-        train_fraction=args.train_fraction, seed=args.seed, C=args.C,
-        excluded_sources=excluded,
+        samples, args.train_bias, train_fraction=args.train_fraction,
+        excluded_sources=args.excluded_sources, **_cv(args, "test_fraction"),
     )
-    config = {
-        "features": args.features,
-        "train_bias": args.train_bias,
-        "train_fraction": args.train_fraction,
-        "excluded_sources": list(excluded),
-        "folds": args.folds,
-        "C": args.C,
-    }
-    _publish_report(args, "bias-eval", config, [path], report)
+    _publish_report(args, [path], report)
     print(f"train-bias={args.train_bias}: {report.summary_line()}")
     return 0
 
 
 def cmd_rank_features(args) -> int:
     samples, path = _load_samples(args.features)
-    config = {"features": args.features, "method": args.method, "top": args.top}
+    # each method records only the flags it reads
     if args.method == "chi2":
-        config.update(_cv_config(args))
-        ranking = chi2_ranking(
-            samples, folds=args.folds, test_fraction=args.test_fraction,
-            seed=args.seed,
-        )
+        config = _config(args, "alpha")
+        ranking = chi2_ranking(samples, **_cv(args, "C"))
         header = ["rank", "feature", "chi2_mean"]
         rows = [
             [str(i), name, repr(score)]
             for i, (name, score) in enumerate(ranking, start=1)
         ]
     else:
-        config["alpha"] = args.alpha
+        config = _config(args, *_CV_FLAGS)
         ranking = rank_features_ks(samples, alpha=args.alpha)
         header = ["rank", "feature", "ks_d", "p_value", "rejected"]
         rows = [
@@ -371,7 +348,7 @@ def cmd_rank_features(args) -> int:
             for i, (name, d, p, rejected) in enumerate(ranking, start=1)
         ]
     out = Path(args.out)
-    publish(out / "manifest.json", "rank-features", config, [path], args.seed,
+    publish(out / "manifest.json", args.subcommand, config, [path], args.seed,
             {out / "ranking.csv": _csv([header, *rows])})
     for row in rows[: args.top]:
         print(" ".join(row[:3]))
@@ -380,16 +357,8 @@ def cmd_rank_features(args) -> int:
 
 def cmd_temporal(args) -> int:
     cascades, inputs = _load_cascades(args.cascades)
-    results = temporal_sweep(
-        cascades, args.lifetimes, folds=args.folds,
-        test_fraction=args.test_fraction, seed=args.seed, C=args.C,
-    )
+    results = temporal_sweep(cascades, args.lifetimes, **_cv(args))
     out = Path(args.out)
-    config = {
-        **_cv_config(args),
-        "cascades": args.cascades,
-        "lifetimes": args.lifetimes,
-    }
     series = [["lifetime_seconds", "auroc_mean", "auroc_std", "macro_f1_mean", "macro_f1_std"]]
     series += [
         [str(lifetime), repr(report.mean("AUROC")), repr(report.std("AUROC")),
@@ -398,7 +367,7 @@ def cmd_temporal(args) -> int:
     ]
     text = "".join(f"lifetime {lifetime}s\n{report.to_text()}\n"
                    for lifetime, report in results)
-    publish(out / "manifest.json", "temporal", config, inputs, args.seed, {
+    publish(out / "manifest.json", args.subcommand, _config(args), inputs, args.seed, {
         out / "report.txt": _text(text),
         out / "series.csv": _csv(series),
     })
@@ -471,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="train on one political bias, test on the rest")
     sub.add_argument("--features", required=True)
     sub.add_argument("--train-bias", choices=("left", "right"), required=True)
-    sub.add_argument("--exclude-source", action="append", default=None)
+    sub.add_argument("--exclude-source", action="append", dest="excluded_sources",
+                     default=[])
     sub.add_argument("--train-fraction", type=_TRAIN_FRACTION, default=0.8)
     sub.add_argument("--folds", type=_FOLDS, default=10)
     sub.add_argument("--C", type=_C, default=1.0)

@@ -86,6 +86,7 @@ def bias_restricted_eval(
     of any bias, lands in the test set. Excluded sources are removed from
     the whole pool before anything else.
     """
+    check_settings(train_fraction=train_fraction)
     if train_bias not in ("left", "right"):
         raise ValueError("train_bias must be 'left' or 'right'")
     excluded = set(excluded_sources)

@@ -164,21 +164,21 @@ def read_features_file(path) -> list[ArticleFeatures]:
 def _parse_features(lines: Iterable[str]) -> list[ArticleFeatures]:
     reader = csv_rows(lines, "features")
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ValueError("features file is empty") from None
     if header != _header():
         raise ValueError("features file header does not match")
     rows = []
-    first_row: dict[str, int] = {}
-    for k, row in enumerate(reader, 1):
+    first_line: dict[str, int] = {}
+    for line, row in reader:
         if len(row) != len(METADATA_COLUMNS) + N_FEATURES:
-            raise ValueError(f"features row {k} has {len(row)} columns")
+            raise ValueError(f"features line {line} has {len(row)} columns")
         article_id, label, source, bias, n_users = row[:5]
-        where = f"features row {k}, column"
-        if first_row.setdefault(article_id, k) != k:
+        where = f"features line {line}, column"
+        if first_line.setdefault(article_id, line) != line:
             raise ValueError(
-                f"{where} article_id: {article_id!r} repeats row {first_row[article_id]}"
+                f"{where} article_id: {article_id!r} repeats line {first_line[article_id]}"
             )
         count = _parse(int, n_users)
         if count is None or count < 0:

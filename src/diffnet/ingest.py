@@ -315,9 +315,11 @@ def write_tweets_file(path, records: Iterable[TweetRecord]) -> None:
 
 
 def csv_rows(lines: Iterable[str], what: str):
-    """The rows of a CSV file; a row csv refuses, or a field holding a
-    byte-order mark, which would become part of an id, raises
-    CorpusFormatError naming its line."""
+    """The rows of a CSV file as (line, row) pairs, ``line`` being the file
+    line the row ends on (the header is line 1), so every error names a row
+    by one number. A row csv refuses, or a field holding a byte-order mark,
+    which would become part of an id, raises CorpusFormatError naming its
+    line."""
     reader = csv.reader(lines)
     try:
         for row in reader:
@@ -325,7 +327,7 @@ def csv_rows(lines: Iterable[str], what: str):
                 raise CorpusFormatError(
                     f"{what} line {reader.line_num}: byte-order mark inside a field"
                 )
-            yield row
+            yield reader.line_num, row
     except csv.Error as exc:
         raise CorpusFormatError(f"{what} line {reader.line_num}: {exc}") from None
 
@@ -333,7 +335,7 @@ def csv_rows(lines: Iterable[str], what: str):
 def parse_labels(rows: Iterable[str]) -> dict[str, ArticleLabel]:
     reader = csv_rows(rows, "labels")
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise CorpusFormatError("labels file is empty") from None
     if [h.strip() for h in header] != LABELS_HEADER:
@@ -341,14 +343,14 @@ def parse_labels(rows: Iterable[str]) -> dict[str, ArticleLabel]:
             f"labels header must be {','.join(LABELS_HEADER)}"
         )
     labels: dict[str, ArticleLabel] = {}
-    for row in reader:
+    for line, row in reader:
         if not row:
             continue
         if len(row) != 4:
-            raise CorpusFormatError(f"labels row has {len(row)} fields: {row!r}")
+            raise CorpusFormatError(f"labels line {line} has {len(row)} fields: {row!r}")
         article_id, label, source, bias = (f.strip() for f in row)
         if article_id in labels:
-            raise CorpusFormatError(f"duplicate label row for {article_id!r}")
+            raise CorpusFormatError(f"labels line {line}: duplicate label row for {article_id!r}")
         labels[article_id] = ArticleLabel(article_id, label, source, bias)
     return labels
 

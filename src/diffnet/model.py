@@ -4,9 +4,10 @@ stratified shuffle-split cross-validation.
 Every cross-validated number (the CV reports, the bias-restricted runs and
 the chi-square ranking) draws its folds from :func:`fold_test_indices`, the
 one place that spawns the fold seeds and draws the stratified test rows.
-The rules on the fold count, test fraction, seed, C and alpha, with their
-words, are held once in :data:`SETTING_RULES`; the library checks them by
-:func:`check_settings` before costly work, and the command line reads them.
+The rules on the fold count, test and train fractions, seed, C and alpha,
+with their words, are held once in :data:`SETTING_RULES`; the library checks
+them by :func:`check_settings` before costly work, and the command line
+reads them.
 
 Labels are the strings ``D`` (treated as the positive class throughout) and
 ``M``. The trainer minimizes
@@ -424,6 +425,9 @@ MAX_FOLDS = 1000
 SETTING_RULES = {
     "folds": (lambda v: 1 <= v <= MAX_FOLDS, f"folds must be >= 1 and <= {MAX_FOLDS}"),
     "test_fraction": (lambda v: 0.0 < v < 1.0, "test fraction must be in (0, 1)"),
+    # tests on 1 - v, which rounds to 1.0 for a tiny v that 0 < v < 1 would pass
+    "train_fraction": (lambda v: 0.0 < 1.0 - v < 1.0,
+                       "train fraction must leave a test share in (0, 1)"),
     "seed": (lambda v: v >= 0, "seed must be >= 0"),
     "C": (lambda v: 0.0 < v < np.inf, "C must be finite and > 0"),
     "alpha": (lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)"),

@@ -245,6 +245,21 @@ def test_bias_eval(workspace, tmp_path, capsys):
     assert manifest["config"]["train_bias"] == "left"
 
 
+def test_bias_eval_records_the_excluded_sources(workspace, tmp_path):
+    # the golden chain never passes --exclude-source; the second run checks
+    # that the first one's sources do not leak into a shared default
+    def excluded(out, *flags):
+        assert main([
+            "bias-eval", "--features", str(workspace / "features.csv"),
+            "--train-bias", "left", *flags, "--out", str(out),
+        ]) == 0
+        return json.loads((out / "manifest.json").read_text())["config"]["excluded_sources"]
+
+    flags = ["--exclude-source", "a", "--exclude-source", "b"]
+    assert excluded(tmp_path / "ab", *flags) == ["a", "b"]
+    assert excluded(tmp_path / "none") == []
+
+
 def test_rank_features_chi2(workspace, tmp_path, capsys):
     out = tmp_path / "rank"
     assert main([
@@ -678,10 +693,10 @@ def test_malformed_features_file(tmp_path, capsys):
     "edit,message",
     [
         # the first bad cell is named
-        ({"Q_LWCC": "nan", "R_SV": "inf"}, "row 2, column Q_LWCC: 'nan' is not a finite number"),
-        ({"RT_SCC": "inf"}, "row 2, column RT_SCC: 'inf' is not a finite number"),
-        ({"n_users": "-3"}, "row 2, column n_users: '-3' is not a count"),
-        ({"article_id": None}, "row 2, column article_id: '{first}' repeats row 1"),
+        ({"Q_LWCC": "nan", "R_SV": "inf"}, "line 3, column Q_LWCC: 'nan' is not a finite number"),
+        ({"RT_SCC": "inf"}, "line 3, column RT_SCC: 'inf' is not a finite number"),
+        ({"n_users": "-3"}, "line 3, column n_users: '-3' is not a count"),
+        ({"article_id": None}, "line 3, column article_id: '{first}' repeats line 2"),
     ],
 )
 def test_bad_value_in_features_file(workspace, tmp_path, capsys, edit, message):

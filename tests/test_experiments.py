@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestBiasRestricted:
         with pytest.raises(ValueError):
             bias_restricted_eval([], "center")
 
+    @pytest.mark.parametrize("train_fraction", [1.5, 1.0, 0.0, 1e-20])
+    def test_train_fraction_without_a_test_share(self, train_fraction):
+        # 1 - 1e-20 rounds to 1.0, so a test of 0 < v < 1 alone would pass it;
+        # the message names the caller's setting and value, not the test share
+        samples = self._biased_samples(np.random.default_rng(5))
+        message = f"train fraction must leave a test share in (0, 1), got {train_fraction!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bias_restricted_eval(samples, "left", folds=2, train_fraction=train_fraction)
+
 
 class TestFoldPolicy:
     """bias-eval and the chi-square ranking split through fold_test_indices."""
@@ -230,7 +240,7 @@ class TestFoldPolicy:
         ],
     )
     def test_bad_fold_settings_rejected(self, run):
-        with pytest.raises(ValueError, match="folds must be|test fraction must be"):
+        with pytest.raises(ValueError, match="folds must be|train fraction must leave"):
             run(self._samples())
 
     @pytest.mark.parametrize(

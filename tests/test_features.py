@@ -476,7 +476,8 @@ class TestFeaturesFile:
         cells[header.index(column)] = text
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        message = f"features row 3, column {column}: {text!r} {problem}"
+        # the file line, as csv_rows counts it: the header is line 1
+        message = f"features line 4, column {column}: {text!r} {problem}"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_features_file(path)
 
@@ -487,7 +488,7 @@ class TestFeaturesFile:
         lines = path.read_text().splitlines()
         lines[5] = "a1" + lines[5][2:]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="features row 5, column article_id: 'a1' repeats row 2"):
+        with pytest.raises(ValueError, match="features line 6, column article_id: 'a1' repeats line 3"):
             read_features_file(path)
 
     def test_reader_accepts_negative_and_zero_finite_values(self, tmp_path):

@@ -4,6 +4,7 @@ import inspect
 import json
 import pickle
 import random
+import re
 import tracemalloc
 from operator import attrgetter
 
@@ -625,10 +626,17 @@ class TestLabels:
             parse_labels(["article_id,label,source,bias", "a1,D,x,center"])
 
     def test_duplicate_article(self):
-        with pytest.raises(CorpusFormatError):
+        # errors name the file line, the header (line 1) and blank lines counted
+        message = "labels line 4: duplicate label row for 'a1'"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
             parse_labels(
-                ["article_id,label,source,bias", "a1,D,x,", "a1,M,y,"]
+                ["article_id,label,source,bias", "a1,D,x,", "", "a1,M,y,"]
             )
+
+    def test_wrong_field_count_names_its_line(self):
+        message = "labels line 3 has 3 fields: ['a2', 'M', 'y']"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            parse_labels(["article_id,label,source,bias", "a1,D,x,", "a2,M,y"])
 
 
 def _cascade(article_id, timestamps, label="D"):
