@@ -17,6 +17,9 @@ The pipeline runs in five stages, one module each:
 controllable class gap so the whole stack can be exercised without any
 private data, and :mod:`diffnet.cli` exposes everything as subcommands of
 a single ``diffnet`` executable.
+
+``__all__`` is every public name the package imports below: the import
+lists are the one place a public name is stated.
 """
 
 from .graphops import (
@@ -95,73 +98,10 @@ from .experiments import (
 )
 from .synth import ClassProfile, GeneratorConfig, default_config, generate_corpus
 
-__version__ = "0.1.0"
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and type(value) is not type(graphops)
+)
 
-__all__ = [
-    "ArticleCascade",
-    "ArticleFeatures",
-    "ArticleLabel",
-    "BIAS_LEFT",
-    "BIAS_RIGHT",
-    "BIAS_UNLABELED",
-    "CLASS_DISINFORMATION",
-    "CLASS_LABELS",
-    "CLASS_MAINSTREAM",
-    "ClassProfile",
-    "CorpusFormatError",
-    "DirectedGraph",
-    "EvaluationReport",
-    "FEATURE_NAMES",
-    "FoldMetrics",
-    "GeneratorConfig",
-    "LAYER_KINDS",
-    "LIFETIME_LADDER",
-    "LayerGraph",
-    "LogisticModel",
-    "METRIC_NAMES",
-    "MultiLayerNetwork",
-    "N_FEATURES",
-    "SINGLE_LAYER_FEATURE_NAMES",
-    "TweetRecord",
-    "aggregate_layer",
-    "aggregate_user_count",
-    "apply_censoring",
-    "assemble_vector",
-    "average_clustering",
-    "bias_restricted_eval",
-    "build_network",
-    "chi2_ranking",
-    "default_config",
-    "density",
-    "evaluate_split",
-    "extract_layer_features",
-    "featurize",
-    "featurize_article",
-    "filter_min_tweets",
-    "generate_corpus",
-    "group_cascades",
-    "ks_two_sample",
-    "layer_ablation",
-    "load_labels_file",
-    "load_tweets_file",
-    "main_kcore_number",
-    "metrics",
-    "parse_labels",
-    "parse_records",
-    "predict_proba",
-    "rank_auroc",
-    "rank_features_ks",
-    "read_features_file",
-    "single_layer_baseline",
-    "single_layer_samples",
-    "size_class_of",
-    "stratified_shuffle_cv",
-    "strongly_connected_components",
-    "temporal_sweep",
-    "train_logistic",
-    "truncate_by_lifetime",
-    "weakly_connected_components",
-    "write_features_file",
-    "write_labels_file",
-    "write_tweets_file",
-]
+__version__ = "0.1.0"

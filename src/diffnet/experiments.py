@@ -84,12 +84,16 @@ def bias_restricted_eval(
     Per fold, a stratified random train_fraction of the biased subset is
     used for training (class-weighted model); every sample not trained on,
     of any bias, lands in the test set. Excluded sources are removed from
-    the whole pool before anything else.
+    the whole pool before anything else, and each must be the source of
+    some sample: a mistyped source would exclude nothing.
     """
     check_settings(train_fraction=train_fraction)
     if train_bias not in ("left", "right"):
         raise ValueError("train_bias must be 'left' or 'right'")
     excluded = set(excluded_sources)
+    unknown = excluded.difference(s.label.source for s in samples)
+    if unknown:
+        raise ValueError(f"no sample has excluded source {sorted(unknown)}")
     pool = [s for s in samples if s.label.source not in excluded]
     biased = np.flatnonzero([s.label.bias == train_bias for s in pool])
     if not biased.size:

@@ -45,7 +45,8 @@ search: each node holds one bit per source of a block, packed into
 along the neighbour array, one OR-reduction per node and one popcount,
 O(diameter * m) word operations per block. The sources go in blocks of
 ``_BLOCK_BITS // 2m``, so the gathered words hold about ``_BLOCK_BITS``
-bits, and never less than one word per adjacency entry. The clustering
+bits, and a block holds at least 64 sources: a smaller one would still
+cost a whole word per adjacency entry. The clustering
 coefficient first peels the projection to its 2-core: a node outside it
 lies on no triangle. The core's neighbour sets are packed into ``uint64``
 rows one word of 64 columns at a time, so memory stays O(c + m) words
@@ -295,11 +296,12 @@ def _general_distance_stats(offsets: np.ndarray, nbrs: np.ndarray) -> tuple[int,
     array and ORs each node's segment of them together; the bits a node
     had not yet seen are the new ones. The pair (k, v) adds 1 to the sum
     for every level it is still unreached at, so each level adds the
-    unset bits. Sources go in blocks of ``_BLOCK_BITS // 2m``.
+    unset bits. Sources go in blocks of ``_BLOCK_BITS // 2m``, and at
+    least 64.
     """
     n = len(offsets) - 1
     entries = len(nbrs)
-    block = max(1, _BLOCK_BITS // entries)
+    block = max(64, _BLOCK_BITS // entries)
     max_dist = total = 0
     for start in range(0, n, block):
         width = min(block, n - start)

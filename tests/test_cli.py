@@ -245,6 +245,13 @@ def test_bias_eval(workspace, tmp_path, capsys):
     assert manifest["config"]["train_bias"] == "left"
 
 
+def _right_sources(workspace):
+    """The distinct right-leaning sources of the workspace corpus, sorted:
+    excluding any of them leaves a left-trained run both classes."""
+    rows = (workspace / "corpus" / "labels.csv").read_text().splitlines()[1:]
+    return sorted({row.split(",")[2] for row in rows if row.split(",")[3] == "right"})
+
+
 def test_bias_eval_records_the_excluded_sources(workspace, tmp_path):
     # the golden chain never passes --exclude-source; the second run checks
     # that the first one's sources do not leak into a shared default
@@ -255,9 +262,22 @@ def test_bias_eval_records_the_excluded_sources(workspace, tmp_path):
         ]) == 0
         return json.loads((out / "manifest.json").read_text())["config"]["excluded_sources"]
 
-    flags = ["--exclude-source", "a", "--exclude-source", "b"]
-    assert excluded(tmp_path / "ab", *flags) == ["a", "b"]
+    a, b = _right_sources(workspace)[:2]
+    flags = ["--exclude-source", a, "--exclude-source", b]
+    assert excluded(tmp_path / "ab", *flags) == [a, b]
     assert excluded(tmp_path / "none") == []
+
+
+def test_bias_eval_rejects_a_source_no_article_carries(workspace, tmp_path, capsys):
+    known = _right_sources(workspace)[0]
+    assert main([
+        "bias-eval", "--features", str(workspace / "features.csv"), "--train-bias", "left",
+        "--exclude-source", known, "--exclude-source", known + "x",
+        "--out", str(tmp_path / "x"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == f"E_INVARIANT: no sample has excluded source [{known + 'x'!r}]\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_rank_features_chi2(workspace, tmp_path, capsys):

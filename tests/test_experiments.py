@@ -189,6 +189,13 @@ class TestBiasRestricted:
         )
         assert report.mean("AUROC") > 0.7
 
+    def test_excluded_source_no_sample_carries_rejected(self):
+        # a mistyped source would exclude nothing: every such one is named
+        samples = self._biased_samples(np.random.default_rng(4))
+        for excluded in (["r.org", "x.org", "l.orgg"], ["x.org", "l.orgg"]):
+            with pytest.raises(ValueError, match=r"\['l\.orgg', 'x\.org'\]"):
+                bias_restricted_eval(samples, "left", folds=4, excluded_sources=excluded)
+
     def test_missing_bias_rejected(self):
         samples = [_sample(0, "D", [0.0], bias="right"), _sample(1, "M", [0.0], bias="right")]
         with pytest.raises(ValueError):

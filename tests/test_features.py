@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 import bruteforce as bf
 from graphs import digraph, layer
-from random_cascades import random_cascade
+from random_cascades import random_cascade, reference_layers
 
 from diffnet import graphops
 from diffnet.features import (
@@ -400,6 +401,130 @@ class TestVector:
         base = assemble_vector(build_network(_cascade(tweets)))
         relabeled = assemble_vector(build_network(_cascade([relabel(t) for t in tweets])))
         assert np.array_equal(base, relabeled)
+
+
+def _reply_chain(n):
+    """u1 replies to u0, u2 to u1, and so on: an R path over n users."""
+    return [_tweet(0, "u0")] + [_tweet(i, f"u{i}", reply_to=f"u{i - 1}") for i in range(1, n)]
+
+
+def _star(n):
+    """n - 1 users retweet one hub: an RT star."""
+    return [_tweet(0, "u0")] + [_tweet(i, f"u{i}", retweet_of="u0") for i in range(1, n)]
+
+
+def _mention_list(n):
+    """One tweet that mentions n - 1 users: an M star from one tweet."""
+    return [_tweet(0, "u0", mentions=tuple(f"u{i}" for i in range(1, n)))]
+
+
+def _clique(n):
+    """Every user mentions every other: a complete M layer."""
+    users = [f"u{i}" for i in range(n)]
+    return [_tweet(i, u, mentions=tuple(v for v in users if v != u)) for i, u in enumerate(users)]
+
+
+def _tree_with_chords(n):
+    """A random reply tree plus n // 20 + 1 replies between users it does
+    not join yet: one R layer with cycles."""
+    rng = random.Random(n)
+    tweets = [_tweet(0, "u0")]
+    linked = set()
+    for i in range(1, n):
+        j = rng.randrange(i)
+        tweets.append(_tweet(i, f"u{i}", reply_to=f"u{j}"))
+        linked.add(frozenset((i, j)))
+    while len(linked) < n + n // 20:
+        a, b = rng.sample(range(n), 2)
+        if frozenset((a, b)) not in linked:
+            tweets.append(_tweet(len(tweets), f"u{a}", reply_to=f"u{b}"))
+            linked.add(frozenset((a, b)))
+    return tweets
+
+
+def _reciprocal(n):
+    """A reply chain where each reply but the last is answered: all R arcs
+    but one are reciprocal."""
+    answers = [_tweet(n + i, f"u{i - 1}", reply_to=f"u{i}") for i in range(1, n - 1)]
+    return _reply_chain(n) + answers
+
+
+def _star_features(n):
+    """The layer of a star whose hub points at n - 1 users."""
+    return LayerFeatures(n, 1, 1, n, 2, 0.0, 1, 1 / n, 2 * (n - 1) / n)
+
+
+# name: (builder, the one layer it fills, a hostile size, the closed form
+# of that layer at size n, or None where the test checks distances by BFS)
+SHAPES = {
+    "reply_chain": (
+        _reply_chain, "R", 5000,
+        lambda n: LayerFeatures(n, 1, 1, n, n - 1, 0.0, 1, 1 / n, (n + 1) / 3),
+    ),
+    "star": (_star, "RT", 5000, _star_features),
+    "mention_list": (_mention_list, "M", 5000, _star_features),
+    # 130 users: 16,770 adjacency entries, above 2^14, so a distance block
+    # holds the floor of 64 sources
+    "clique": (
+        _clique, "M", 130,
+        lambda n: LayerFeatures(1, n, 1, n, 1, 1.0, 2 * (n - 1), 1.0, 1.0),
+    ),
+    "tree_with_chords": (_tree_with_chords, "R", 600, None),
+    "reciprocal": (
+        _reciprocal, "R", 5000,
+        lambda n: LayerFeatures(
+            2, n - 1, 1, n, n - 1, 0.0, 2, (2 * n - 3) / (n * (n - 1)), (n + 1) / 3
+        ),
+    ),
+}
+
+
+def _oracle_vector(cascade):
+    """The article vector from the brute-force layers and metrics."""
+    layers, pure = reference_layers(cascade)
+    values = []
+    for kind in LAYER_KINDS:
+        values += _oracle_features(list(layers[kind])) if layers[kind] else (0.0,) * 9
+    return np.array(values + [len(pure), len(set(pure))], dtype=np.float64)
+
+
+class TestHostileShapes:
+    """Hand-built cascades of shapes a corpus rarely holds, small against
+    the brute-force oracle and large within a wall bound."""
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_small_shape_matches_the_oracle(self, name):
+        build, kind, _, closed = SHAPES[name]
+        for n in (3, 4, 12):
+            cascade = _cascade(build(n))
+            got = featurize_article(cascade).vector
+            want = _oracle_vector(cascade)
+            assert got == pytest.approx(want, rel=1e-12)
+            if closed is not None:
+                start = 9 * LAYER_KINDS.index(kind)
+                assert got[start : start + 9] == pytest.approx(closed(n), rel=1e-12)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_hostile_size_within_a_wall_bound(self, name):
+        build, kind, n, closed = SHAPES[name]
+        cascade = _cascade(build(n))
+        start = time.perf_counter()
+        row = featurize_article(cascade)
+        wall = time.perf_counter() - start
+        assert wall < 5.0, f"{name}: {wall:.2f} s"
+        layers, pure = reference_layers(cascade)
+        assert row.n_users == n
+        at = 9 * LAYER_KINDS.index(kind)
+        block = LayerFeatures(*row.vector[at : at + 9])
+        if closed is None:
+            edges = list(layers[kind])
+            assert (block.wcc, block.lwcc, block.d) == (1, n, len(edges) / (n * (n - 1)))
+            dwcc, total = bf.distance_stats_bfs([f"u{i}" for i in range(n)], edges)
+            assert (block.dwcc, block.sv) == (dwcc, total / (n * (n - 1)))
+        else:
+            assert block == pytest.approx(closed(n), rel=1e-12)
+        assert not np.any(np.delete(row.vector[:36], np.s_[at : at + 9]))
+        assert tuple(row.vector[36:]) == (len(pure), len(set(pure)))
 
 
 def _feature_rows():

@@ -428,15 +428,27 @@ class TestDistanceKernelOracle:
             assert undirected_distance_stats(g) == expected
 
     def test_many_source_blocks(self, monkeypatch):
-        # blocks of one to a few sources, each less than a word, so every
-        # block boundary is crossed
+        # a block holds at least 64 sources however few bits it may take:
+        # 130 nodes go in blocks of 64, 64 and 2, so every block boundary
+        # is crossed, and 128 in two whole blocks
+        monkeypatch.setattr(graphops, "_BLOCK_BITS", 1)
         rng = random.Random(33)
-        for bits in (1, 40, 200):
-            monkeypatch.setattr(graphops, "_BLOCK_BITS", bits)
-            for n in range(3, 41, 4):
-                nodes = list(range(n))
-                edges = _random_cyclic_edges(rng, nodes)
-                self._check(digraph(edges, nodes=nodes), nodes, edges)
+        for n in (65, 127, 128, 129, 130):
+            nodes = list(range(n))
+            edges = _random_cyclic_edges(rng, nodes)
+            g = digraph(edges, nodes=nodes)
+            assert undirected_distance_stats(g) == bf.distance_stats_bfs(nodes, edges)
+
+    def test_dense_graph_above_the_block_floor(self):
+        # 8,300 edges on 130 nodes: 16,600 adjacency entries, above 2^14,
+        # where _BLOCK_BITS alone would give blocks under 64 sources
+        rng = random.Random(35)
+        nodes = list(range(130))
+        pairs = [(u, v) for u in nodes for v in nodes if u < v]
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in rng.sample(pairs, 8300)]
+        g = digraph(edges, nodes=nodes)
+        assert graphops._BLOCK_BITS // (2 * len(edges)) < 64
+        assert undirected_distance_stats(g) == bf.distance_stats_bfs(nodes, edges)
 
     def test_set_sized_like_a_component_but_spanning_two_raises(self):
         # either member's component has three nodes, as the set does

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import io
 import re
+import types
 from pathlib import Path
 
 import diffnet
@@ -34,6 +35,25 @@ def test_every_export_resolves_and_no_removed_name_is_left():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
             assert name not in diffnet.__all__
+
+
+def test_exports_are_the_sorted_public_names_of_the_package():
+    # __all__ is derived from the package's imports: a stray import there
+    # (a typing name, say) would join it. Every export is a class or
+    # function defined in diffnet, or a constant: never a submodule
+    exported = diffnet.__all__
+    assert exported == sorted(exported)
+    for name in exported:
+        value = getattr(diffnet, name)
+        assert not name.startswith("_"), name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__.startswith("diffnet."), name
+        else:
+            assert isinstance(value, (str, int, tuple)), name
+    namespace = {}
+    exec("from diffnet import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == exported
 
 
 def test_readme_quickstart_runs_as_written():
