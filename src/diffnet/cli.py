@@ -41,7 +41,6 @@ other bad setting is `E_USAGE`.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -68,6 +67,7 @@ from .ingest import (
     group_cascades,
     load_labels_file,
     load_tweets_file,
+    write_csv,
     write_labels_file,
     write_tweets_file,
 )
@@ -163,9 +163,7 @@ def publish(
         "tool_version": __version__,
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json(manifest)(manifest_path)
     for path, write in outputs.items():
         write(path)
 
@@ -174,11 +172,12 @@ def _text(text: str):
     return lambda path: path.write_text(text, encoding="utf-8")
 
 
+def _json(obj):
+    return _text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _csv(rows):
-    def write(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    return write
+    return lambda path: write_csv(path, rows)
 
 
 def _load_corpus(tweets: Path, labels: Path):
@@ -243,7 +242,7 @@ def cmd_synth(args) -> int:
     resolved = config.to_json_dict()
     # the generator config, seed included, stands in for the flags
     publish(out / "manifest.json", args.subcommand, resolved, inputs, config.seed, {
-        out / "config.json": _text(json.dumps(resolved, indent=2, sort_keys=True) + "\n"),
+        out / "config.json": _json(resolved),
         out / "labels.csv": lambda path: write_labels_file(path, labels),
         out / "tweets.jsonl": lambda path: write_tweets_file(path, records),
     })

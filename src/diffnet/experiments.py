@@ -16,11 +16,13 @@ from .features import FEATURE_NAMES, METRIC_NAMES, ArticleFeatures, assemble_vec
 from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
+    StandardizerParams,
     check_settings,
     evaluate_split,
     fold_test_indices,
     samples_to_xy,
     stratified_shuffle_cv,
+    transform,
 )
 from .netbuild import (
     LAYER_KINDS,
@@ -115,13 +117,10 @@ def bias_restricted_eval(
 
 
 def minmax_scale_columns(X: np.ndarray) -> np.ndarray:
-    """Per-column (x - min)/(max - min); constant columns map to 0."""
+    """Per-column (x - min)/(max - min); constant columns map to 0, as in
+    :func:`~diffnet.model.transform`."""
     lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    Z = (X - lo) / safe
-    return np.where(span == 0.0, 0.0, Z)
+    return transform(StandardizerParams(mean=lo, std=X.max(axis=0) - lo), X)
 
 
 def chi2_scores(X: np.ndarray, positive: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ that is not a count and a feature that is not a finite number.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -22,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import graphops
-from .ingest import ArticleCascade, ArticleLabel, csv_rows, read_input
+from .ingest import ArticleCascade, ArticleLabel, csv_rows, read_input, write_csv
 from .netbuild import (
     LAYER_KINDS,
     LayerGraph,
@@ -137,24 +136,15 @@ def _header() -> list[str]:
 
 
 def write_features_file(path, rows: Iterable[ArticleFeatures]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header())
-        for row in sorted(rows, key=lambda r: r.article_id):
-            if row.vector.shape != (N_FEATURES,):
-                raise ValueError(
-                    f"{row.article_id!r}: vector has shape {row.vector.shape}"
-                )
-            writer.writerow(
-                [
-                    row.article_id,
-                    row.label.class_label,
-                    row.label.source,
-                    row.label.bias,
-                    row.n_users,
-                ]
-                + [repr(float(v)) for v in row.vector]
-            )
+    """A bad vector raises ValueError before the file is opened: no file is written."""
+    table = [_header()]
+    for row in sorted(rows, key=lambda r: r.article_id):
+        if row.vector.shape != (N_FEATURES,):
+            raise ValueError(f"{row.article_id!r}: vector has shape {row.vector.shape}")
+        label = row.label
+        table.append([row.article_id, label.class_label, label.source, label.bias,
+                      row.n_users, *(repr(float(v)) for v in row.vector)])
+    write_csv(path, table)
 
 
 def read_features_file(path) -> list[ArticleFeatures]:

@@ -122,8 +122,9 @@ class ParseResult:
     duplicates: int = 0
 
 
-def _record_from_obj(obj, ids: dict) -> TweetRecord:
-    """Validate one decoded line; equal ids come back as the one str in ``ids``."""
+def _record_from_obj(obj) -> tuple:
+    """The eight fields of one decoded line in TweetRecord order, checked
+    except for the entries of ``mentions``, which comes back as given."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     try:
@@ -147,40 +148,8 @@ def _record_from_obj(obj, ids: dict) -> TweetRecord:
     mentions = obj.get("mentions", [])
     if not isinstance(mentions, list):
         raise ValueError("mentions must be a list")
-    return _new_record(
-        tweet_id, author_id, timestamp, article_id,
-        retweet_of, quote_of, reply_to, mentions, ids,
-    )
-
-
-def _new_record(
-    tweet_id, author_id, timestamp, article_id,
-    retweet_of, quote_of, reply_to, mentions, ids: dict,
-) -> TweetRecord:
-    """The record of checked scalar fields and a ``mentions`` list whose
-    entries are checked here; equal ids come back as the one str in ``ids``."""
-    intern = ids.setdefault
-    if mentions:
-        # dedup preserving order; the reply target never doubles as a mention
-        seen = {reply_to}
-        kept = []
-        for m in mentions:
-            if not (isinstance(m, str) and m):
-                raise ValueError("mentions must be nonempty strings")
-            if m not in seen:
-                seen.add(m)
-                kept.append(intern(m, m))
-        mentions = kept
-    return TweetRecord(
-        tweet_id,
-        intern(author_id, author_id),
-        timestamp,
-        intern(article_id, article_id),
-        retweet_of and intern(retweet_of, retweet_of),
-        quote_of and intern(quote_of, quote_of),
-        reply_to and intern(reply_to, reply_to),
-        tuple(mentions),
-    )
+    return (tweet_id, author_id, timestamp, article_id,
+            retweet_of, quote_of, reply_to, mentions)
 
 
 # The line record_to_json writes when every id is printable ASCII without
@@ -219,6 +188,7 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
     result = ParseResult()
     seen_ids: set[str] = set()
     ids: dict[str, str] = {}
+    intern = ids.setdefault  # equal ids come back as the one str in ids
     considered = 0
     # the decoded dicts and the records hold no cycles: pause the cyclic GC
     gc_was_enabled = gc.isenabled()
@@ -233,18 +203,37 @@ def parse_records(lines: Iterable[str]) -> ParseResult:
                 if canonical is not None:
                     (article_id, author_id, mentions, quote_of, reply_to,
                      retweet_of, timestamp, tweet_id) = canonical.groups()
-                    record = _new_record(
-                        tweet_id, author_id, int(timestamp), article_id,
-                        retweet_of, quote_of, reply_to,
-                        mentions[1:-1].split('","') if mentions else [], ids,
-                    )
+                    timestamp = int(timestamp)
+                    mentions = mentions[1:-1].split('","') if mentions else ()
                 else:
                     if not line.isascii():
                         line.encode("utf-8")  # a lone surrogate here was an invalid byte
                     obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
                     if line[end:].strip(_JSON_SPACE):
                         raise ValueError("extra data after the JSON value")
-                    record = _record_from_obj(obj, ids)
+                    (tweet_id, author_id, timestamp, article_id,
+                     retweet_of, quote_of, reply_to, mentions) = _record_from_obj(obj)
+                if mentions:
+                    # dedup preserving order; the reply target never doubles as a mention
+                    seen = {reply_to}
+                    kept = []
+                    for m in mentions:
+                        if not (isinstance(m, str) and m):
+                            raise ValueError("mentions must be nonempty strings")
+                        if m not in seen:
+                            seen.add(m)
+                            kept.append(intern(m, m))
+                    mentions = kept
+                record = TweetRecord(
+                    tweet_id,
+                    intern(author_id, author_id),
+                    timestamp,
+                    intern(article_id, article_id),
+                    retweet_of and intern(retweet_of, retweet_of),
+                    quote_of and intern(quote_of, quote_of),
+                    reply_to and intern(reply_to, reply_to),
+                    tuple(mentions),
+                )
             except (ValueError, TypeError, RecursionError, StopIteration):
                 # the scanner raises StopIteration where no value starts
                 result.malformed += 1
@@ -332,6 +321,12 @@ def csv_rows(lines: Iterable[str], what: str):
         raise CorpusFormatError(f"{what} line {reader.line_num}: {exc}") from None
 
 
+def write_csv(path, rows: Iterable[Iterable]) -> None:
+    """Write ``rows`` to ``path`` as UTF-8 CSV, every line ending in ``\n``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def parse_labels(rows: Iterable[str]) -> dict[str, ArticleLabel]:
     reader = csv_rows(rows, "labels")
     try:
@@ -360,11 +355,10 @@ def load_labels_file(path) -> dict[str, ArticleLabel]:
 
 
 def write_labels_file(path, labels: Iterable[ArticleLabel]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LABELS_HEADER)
-        for lab in sorted(labels, key=lambda l: l.article_id):
-            writer.writerow([lab.article_id, lab.class_label, lab.source, lab.bias])
+    write_csv(path, [LABELS_HEADER] + [
+        [lab.article_id, lab.class_label, lab.source, lab.bias]
+        for lab in sorted(labels, key=lambda l: l.article_id)
+    ])
 
 
 def group_cascades(

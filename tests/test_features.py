@@ -548,12 +548,33 @@ def _feature_rows():
 class TestFeaturesFile:
     def test_roundtrip_and_column_count(self, tmp_path):
         rows = _feature_rows()
+        # a field csv must quote, with line ends inside it and a non-ASCII letter
+        hostile = 'h,"q"\r\nr\nsé'
+        rows.append(replace(rows[0], article_id=hostile,
+                            label=ArticleLabel(hostile, "D", hostile, "left")))
         path = tmp_path / "features.csv"
         write_features_file(path, rows)
         header = path.read_text().splitlines()[0]
         assert len(header.split(",")) == 43
+        quoted = '"h,""q""\r\nr\nsé"'
+        assert f"\n{quoted},D,{quoted},left," in path.read_bytes().decode("utf-8")
         back = read_features_file(path)
         assert back == sorted(rows, key=lambda r: r.article_id)
+
+    def test_a_bad_vector_writes_no_file(self, tmp_path):
+        rows = _feature_rows()
+        # the bad row sorts last, after every good row
+        rows.append(replace(rows[0], article_id="z", vector=rows[0].vector[:-1]))
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(ValueError, match="'z': vector has shape"):
+            write_features_file(fresh, rows)
+        assert not fresh.exists()
+        existing = tmp_path / "existing.csv"
+        write_features_file(existing, rows[:-1])
+        before = existing.read_bytes()
+        with pytest.raises(ValueError, match="'z': vector has shape"):
+            write_features_file(existing, rows)
+        assert existing.read_bytes() == before
 
     def test_reader_skips_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "features.csv"

@@ -25,6 +25,7 @@ from diffnet.ingest import (
     parse_labels,
     parse_records,
     record_to_json,
+    write_labels_file,
     write_tweets_file,
 )
 from diffnet.synth import default_config, generate_corpus
@@ -637,6 +638,23 @@ class TestLabels:
         message = "labels line 3 has 3 fields: ['a2', 'M', 'y']"
         with pytest.raises(CorpusFormatError, match=re.escape(message)):
             parse_labels(["article_id,label,source,bias", "a1,D,x,", "a2,M,y"])
+
+    def test_file_round_trip(self, tmp_path):
+        # a field csv must quote, with line ends inside it and a non-ASCII letter
+        hostile = 'h,"q"\r\nr\nsé'
+        labels = [
+            ArticleLabel("a2", "M", "y.org"),
+            ArticleLabel(hostile, "D", hostile, "left"),
+            ArticleLabel("a1", "D", "x.org", "right"),
+        ]
+        path = tmp_path / "labels.csv"
+        write_labels_file(path, labels)
+        quoted = '"h,""q""\r\nr\nsé"'
+        assert path.read_bytes() == (
+            "article_id,label,source,bias\na1,D,x.org,right\na2,M,y.org,\n"
+            f"{quoted},D,{quoted},left\n"
+        ).encode("utf-8")
+        assert load_labels_file(path) == {lab.article_id: lab for lab in labels}
 
 
 def _cascade(article_id, timestamps, label="D"):
