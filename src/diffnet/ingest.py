@@ -18,7 +18,7 @@ import csv
 import gc
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -38,7 +38,7 @@ class CorpusFormatError(ValueError):
     """Raised when an input file is structurally unusable."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, unsafe_hash=True)
 class TweetRecord:
     tweet_id: str
     author_id: str
@@ -49,33 +49,10 @@ class TweetRecord:
     reply_to: Optional[str] = None
     mentions: tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        tweet_id: str,
-        author_id: str,
-        timestamp: int,
-        article_id: str,
-        retweet_of: Optional[str] = None,
-        quote_of: Optional[str] = None,
-        reply_to: Optional[str] = None,
-        mentions: tuple[str, ...] = (),
-    ):
-        # the generated frozen __init__ sets each field by name through
-        # object.__setattr__; the slot descriptors take half the time
-        _set_tweet_id(self, tweet_id)
-        _set_author_id(self, author_id)
-        _set_timestamp(self, timestamp)
-        _set_article_id(self, article_id)
-        _set_retweet_of(self, retweet_of)
-        _set_quote_of(self, quote_of)
-        _set_reply_to(self, reply_to)
-        _set_mentions(self, mentions)
-
-
-(
-    _set_tweet_id, _set_author_id, _set_timestamp, _set_article_id,
-    _set_retweet_of, _set_quote_of, _set_reply_to, _set_mentions,
-) = (getattr(TweetRecord, f.name).__set__ for f in fields(TweetRecord))
+    def __reduce__(self):
+        # protocols 0 and 1 cannot pickle a slotted class without it
+        return TweetRecord, (self.tweet_id, self.author_id, self.timestamp, self.article_id,
+                             self.retweet_of, self.quote_of, self.reply_to, self.mentions)
 
 
 @dataclass(frozen=True)

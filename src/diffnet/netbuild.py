@@ -7,24 +7,22 @@ Four directed layers, one per interaction kind:
 * ``Q``  quote:   a quotes b    ->  edge b -> a
 * ``M``  mention: a mentions b  ->  edge a -> b
 
-Repeated interactions between the same ordered pair increment the edge
-weight. Self-interactions are dropped. Tweets with no interaction targets
-at all are "pure": the network stores their count T and their distinct
-authors, whose number is U.
+Repeated interactions between the same ordered pair give one arc.
+Self-interactions are dropped. Tweets with no interaction targets at all
+are "pure": the network stores their count T and their distinct authors,
+whose number is U.
 
 Each layer labels its users 0..n-1 in order of first appearance as the
 tweets are read (the clustering coefficient adds its terms in label
-order, so the labels fix its last bits), and keeps its weighted arcs on
-those labels. Layers and
-graphs are constructed only from such labelled arcs, which the graph
-kernels take as they are, in any order; ``LayerGraph.edges`` maps them
-back to user ids on each read.
+order, so the labels fix its last bits), and keeps its distinct arcs on
+those labels in first-edge order. Layers and graphs are constructed only
+from such labelled arcs, which the graph kernels take as they are, in
+any order; ``LayerGraph.edges`` maps them back to user ids on each read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -35,32 +33,33 @@ LAYER_KINDS = ("Q", "RT", "M", "R")
 
 
 class LayerGraph:
-    """Weighted directed layer; users exist only as edge endpoints.
+    """Directed layer; users exist only as edge endpoints.
 
     ``ids`` lists the layer's users, labelled 0..n-1 in order of first
-    appearance, and ``arcs`` maps each labelled pair (i, j), i != j, to its
-    weight, in the order its first interaction came; nothing is copied.
+    appearance, and ``arcs`` holds each labelled pair (i, j), i != j, once,
+    as a dict's keys in the order its first interaction came; nothing is
+    copied.
     """
 
     __slots__ = ("layer_kind", "ids", "arcs")
 
     def __init__(
-        self, layer_kind: str, ids: list[str], arcs: dict[tuple[int, int], int]
+        self, layer_kind: str, ids: list[str], arcs: dict[tuple[int, int], None]
     ) -> None:
         self.layer_kind, self.ids, self.arcs = layer_kind, ids, arcs
 
     @property
-    def edges(self) -> dict[tuple[str, str], int]:
-        """The weighted arcs keyed by user-id pairs, in first-edge order;
-        computed on each read."""
+    def edges(self) -> list[tuple[str, str]]:
+        """The arcs as user-id pairs, in first-edge order; computed on each
+        read."""
         ids = self.ids
-        return {(ids[i], ids[j]): weight for (i, j), weight in self.arcs.items()}
+        return [(ids[i], ids[j]) for i, j in self.arcs]
 
     def is_empty(self) -> bool:
         return not self.arcs
 
     def to_directed_graph(self) -> DirectedGraph:
-        return DirectedGraph(self.ids, self.arcs.keys())
+        return DirectedGraph(self.ids, self.arcs)
 
 
 @dataclass
@@ -78,7 +77,8 @@ class MultiLayerNetwork:
 def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
     """Construct the four layers plus pure-tweet counters for one article.
 
-    Output depends only on the tweet multiset, not on input order.
+    The arc sets depend only on the tweet multiset; labels and arc order
+    follow the cascade's time order.
     """
     if not cascade.tweets:
         raise ValueError(f"cascade {cascade.article_id!r} has no tweets")
@@ -107,9 +107,9 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
         for target in mentions:
             if target != a:
                 m.append((mx.setdefault(a, len(mx)), mx.setdefault(target, len(mx))))
-    # a Counter keeps each arc where the tweets first make it
+    # a dict keeps each arc where the tweets first make it
     layers = {
-        kind: LayerGraph(kind, list(ix), Counter(p))
+        kind: LayerGraph(kind, list(ix), dict.fromkeys(p))
         for kind, ix, p in zip(LAYER_KINDS, index, pairs)
     }
     return MultiLayerNetwork(
@@ -129,20 +129,19 @@ def aggregate_user_count(net: MultiLayerNetwork) -> int:
 
 
 def aggregate_layer(net: MultiLayerNetwork) -> LayerGraph:
-    """Union of all layer edges as a single directed graph (weights summed).
+    """Union of all layer arcs as a single directed layer.
 
     Each layer's users take merged labels in its label order, layer by
     layer, which is their first appearance over the layers' edges in
     Q/RT/M/R order; the merged arcs keep that first-edge order too.
     """
     index: dict[str, int] = {}
-    arcs: dict[tuple[int, int], int] = {}
+    arcs: dict[tuple[int, int], None] = {}
     for kind in LAYER_KINDS:
         layer = net.layers[kind]
         to = [index.setdefault(v, len(index)) for v in layer.ids]
-        for (i, j), weight in layer.arcs.items():
-            key = (to[i], to[j])
-            arcs[key] = arcs.get(key, 0) + weight
+        for i, j in layer.arcs:
+            arcs[to[i], to[j]] = None
     return LayerGraph("ALL", list(index), arcs)
 
 

@@ -24,12 +24,12 @@ def digraph(edges=(), nodes=()):
     return DirectedGraph(list(index), arcs)
 
 
-def layer(kind, edges=None):
-    """The layer of a dict of weighted id pairs, in the dict's order."""
+def layer(kind, edges=()):
+    """The layer of the id pairs ``edges``, in their order."""
     index = {}
-    arcs = {
-        (index.setdefault(u, len(index)), index.setdefault(v, len(index))): weight
-        for (u, v), weight in (edges or {}).items()
+    arcs = dict.fromkeys(
+        (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        for u, v in edges
         if u != v
-    }
+    )
     return LayerGraph(kind, list(index), arcs)

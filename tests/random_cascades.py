@@ -12,8 +12,10 @@ def _tweet(i, author, ts, **kw):
 
 
 def reference_layers(cascade):
-    """Each layer as a dict of weighted user-id pairs, filled one
-    interaction at a time in tweet order, and the pure tweets' authors."""
+    """Each layer as a dict from user-id pairs to their interaction
+    counts, filled one interaction at a time in tweet order, so that its
+    keys are the layer's arcs in first-edge order; and the pure tweets'
+    authors."""
     want = {kind: {} for kind in LAYER_KINDS}
     pure = []
 

@@ -122,7 +122,7 @@ def test_criterion_1_graph_metric_oracle_equivalence():
 
 
 def test_criterion_2_hand_derived_fixtures():
-    path3 = layer("RT", {(1, 2): 1, (2, 3): 1})
+    path3 = layer("RT", [(1, 2), (2, 3)])
     cycle3 = digraph([(1, 2), (2, 3), (3, 1)])
     k4 = digraph([(u, v) for u in range(4) for v in range(4) if u != v])
     lonely = digraph([], nodes=[7])

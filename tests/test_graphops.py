@@ -97,7 +97,7 @@ class TestDistances:
         g = digraph([(1, 2), (2, 3)])
         # ordered pair distances: 1,1,1,1,2,2
         assert undirected_distance_stats(g) == (2, 8)
-        feats = extract_layer_features(layer("RT", {(1, 2): 1, (2, 3): 1}))
+        feats = extract_layer_features(layer("RT", [(1, 2), (2, 3)]))
         assert (feats.dwcc, feats.sv) == (2, 8 / 6)
 
     def test_single_node_conventions(self):
@@ -717,7 +717,7 @@ class TestGeneralForm:
                 nodes = list(range(n))
                 edges = _random_cyclic_edges(rng, nodes)
                 edges += [(v, u) for u, v in rng.sample(edges, 2)]  # reciprocal pairs
-                lg = layer("RT", dict.fromkeys(edges, 1))
+                lg = layer("RT", edges)
                 expected = extract_layer_features(lg)
                 arcs = set(edges)
                 pairs = sum((v, u) in arcs for u, v in arcs) // 2
@@ -1039,7 +1039,7 @@ class TestTreeDiameter:
         assert g._is_forest()
         assert graphops.component_distance_stats(g, 0) == (n - 1, n * (n * n - 1) // 3)
         assert g._form is None
-        assert extract_layer_features(layer("RT", dict.fromkeys(arcs, 1))).dwcc == n - 1
+        assert extract_layer_features(layer("RT", arcs)).dwcc == n - 1
         # the same arc order under a random labelling of nodes 0..n-1
         perm = random.Random(82).sample(range(n), n)
         g = DirectedGraph(list(range(n)), dict.fromkeys((perm[u], perm[v]) for u, v in arcs).keys())

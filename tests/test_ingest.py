@@ -523,11 +523,13 @@ class TestRecordContract:
         with pytest.raises(TypeError):
             TweetRecord(*args, **kwargs)
 
-    def test_frozen(self):
+    def test_slotted(self):
         record = self._record()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            record.author_id = "u2"
         assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.text = "hello"
+        record.author_id = "u2"
+        assert record_fields(record) == ("t1", "u2", 1001, "a1", "u7", None, None, ("u8", "u9"))
 
     def test_eq_and_hash_follow_the_fields(self):
         a, b = self._record(), self._record()

@@ -56,7 +56,7 @@ class TestLabelledLayers:
         net = build_network(cascade)
         for kind in LAYER_KINDS:
             got = net.layers[kind]
-            assert list(got.edges.items()) == list(want[kind].items())
+            assert got.edges == list(want[kind])
             ref = digraph(want[kind])
             assert got.ids == ref._ids
             assert _graph_shape(got.to_directed_graph()) == _graph_shape(ref)
@@ -78,14 +78,11 @@ class TestLabelledLayers:
     def test_aggregate_equals_union_of_edges(self, seed, n_tweets, n_users):
         cascade = random_cascade(random.Random(seed), n_tweets, n_users)
         want, pure = reference_layers(cascade)
-        union = {}
-        for kind in LAYER_KINDS:
-            for edge, weight in want[kind].items():
-                union[edge] = union.get(edge, 0) + weight
+        union = dict.fromkeys(edge for kind in LAYER_KINDS for edge in want[kind])
         net = build_network(cascade)
         merged = aggregate_layer(net)
         assert merged.layer_kind == "ALL"
-        assert list(merged.edges.items()) == list(union.items())
+        assert merged.edges == list(union)
         ref = digraph(union)
         assert merged.ids == ref._ids
         assert _graph_shape(merged.to_directed_graph()) == _graph_shape(ref)
@@ -104,23 +101,23 @@ class TestLabelledLayers:
         )
         merged = aggregate_layer(net)
         assert merged.ids == ["u2", "u5", "u1", "u3", "u4"]
-        assert merged.edges == {("u2", "u5"): 1, ("u1", "u2"): 1, ("u3", "u4"): 1}
+        assert merged.edges == [("u2", "u5"), ("u1", "u2"), ("u3", "u4")]
 
     def test_layer_from_edges_drops_self_loops(self):
         # x appears first in its self-loop, then in an edge: it takes its
-        # label where the edge first names it
-        rt = layer("RT", {("x", "x"): 2, ("a", "b"): 3, ("b", "x"): 1, ("y", "y"): 1})
+        # label where the edge first names it; a repeated pair is one arc
+        rt = layer("RT", [("x", "x"), ("a", "b"), ("b", "x"), ("a", "b"), ("y", "y")])
         assert rt.ids == ["a", "b", "x"]
-        assert rt.arcs == {(0, 1): 3, (1, 2): 1}
-        assert list(rt.edges.items()) == [(("a", "b"), 3), (("b", "x"), 1)]
-        assert layer("RT", {("x", "x"): 1}).is_empty()
-        assert layer("RT").is_empty() and layer("RT").edges == {}
+        assert list(rt.arcs) == [(0, 1), (1, 2)]
+        assert rt.edges == [("a", "b"), ("b", "x")]
+        assert layer("RT", [("x", "x")]).is_empty()
+        assert layer("RT").is_empty() and layer("RT").edges == []
 
     def test_edges_is_a_view_computed_on_read(self):
-        m = layer("M", {("a", "b"): 2, ("b", "a"): 1})
-        m.edges[("c", "d")] = 1
-        assert m.edges == {("a", "b"): 2, ("b", "a"): 1}
-        assert m.arcs == {(0, 1): 2, (1, 0): 1}
+        m = layer("M", [("a", "b"), ("b", "a")])
+        m.edges.append(("c", "d"))
+        assert m.edges == [("a", "b"), ("b", "a")]
+        assert list(m.arcs) == [(0, 1), (1, 0)]
 
 
 class TestBuildNetwork:
@@ -130,32 +127,32 @@ class TestBuildNetwork:
         assert net.pure_tweet_count == 1
         assert net.pure_authors == {"u1"}
 
-    def test_retweet_direction_and_weight(self):
-        # u2 retweets u1 twice: one RT edge u1 -> u2 with weight 2
+    def test_retweet_direction_and_repeats(self):
+        # u2 retweets u1 twice: one RT arc u1 -> u2
         net = build_network(
             _cascade([_tweet(1, "u2", retweet_of="u1"), _tweet(2, "u2", retweet_of="u1")])
         )
-        assert net.layers["RT"].edges == {("u1", "u2"): 2}
+        assert net.layers["RT"].edges == [("u1", "u2")]
         assert net.pure_tweet_count == 0
 
     def test_reply_direction(self):
         net = build_network(_cascade([_tweet(1, "u1", reply_to="u2")]))
-        assert net.layers["R"].edges == {("u1", "u2"): 1}
+        assert net.layers["R"].edges == [("u1", "u2")]
 
     def test_quote_direction(self):
         net = build_network(_cascade([_tweet(1, "u1", quote_of="u2")]))
-        assert net.layers["Q"].edges == {("u2", "u1"): 1}
+        assert net.layers["Q"].edges == [("u2", "u1")]
 
     def test_mention_direction(self):
         net = build_network(_cascade([_tweet(1, "u1", mentions=("u2", "u3"))]))
-        assert net.layers["M"].edges == {("u1", "u2"): 1, ("u1", "u3"): 1}
+        assert net.layers["M"].edges == [("u1", "u2"), ("u1", "u3")]
 
     def test_quote_with_mention_feeds_two_layers(self):
         net = build_network(
             _cascade([_tweet(1, "u1", quote_of="u2", mentions=("u3",))])
         )
-        assert net.layers["Q"].edges == {("u2", "u1"): 1}
-        assert net.layers["M"].edges == {("u1", "u3"): 1}
+        assert net.layers["Q"].edges == [("u2", "u1")]
+        assert net.layers["M"].edges == [("u1", "u3")]
         assert net.pure_tweet_count == 0
 
     def test_self_interaction_dropped_but_not_pure(self):
@@ -216,7 +213,7 @@ class TestBuildNetwork:
 
     def test_matches_one_interaction_at_a_time(self):
         # the reference adds each interaction to a dict as the tweet makes
-        # it; the layers must hold the same items in the same order
+        # it; the layers must hold the same arcs in the same order
         rng = random.Random(78)
         users = [f"u{k}" for k in range(12)]
         tweets = []
@@ -237,23 +234,24 @@ class TestBuildNetwork:
             ends = {v for edge in want[kind] for v in edge}
             users |= ends
             assert net.layers[kind].layer_kind == kind
-            assert list(net.layers[kind].edges.items()) == list(want[kind].items())
+            assert net.layers[kind].edges == list(want[kind])
             assert set(net.layers[kind].ids) == ends
         assert net.pure_tweet_count == len(pure)
         assert net.pure_authors == frozenset(pure)
         assert aggregate_user_count(net) == len(users)
 
-    def test_weight_sums_match_interaction_counts(self):
+    def test_repeats_give_one_arc_self_interactions_none(self):
         tweets = [
             _tweet(1, "u1", retweet_of="u2"),
             _tweet(2, "u1", retweet_of="u2"),
             _tweet(3, "u3", retweet_of="u3"),  # self, dropped
             _tweet(4, "u4", mentions=("u5", "u6")),
-            _tweet(5, "u4", mentions=("u4", "u5")),  # one self-mention dropped
+            _tweet(5, "u4", mentions=("u4", "u5")),  # self-mention dropped, u5 repeated
         ]
         net = build_network(_cascade(tweets))
-        assert sum(net.layers["RT"].edges.values()) == 2
-        assert sum(net.layers["M"].edges.values()) == 3
+        assert net.layers["RT"].edges == [("u2", "u1")]
+        assert net.layers["RT"].ids == ["u2", "u1"]
+        assert net.layers["M"].edges == [("u4", "u5"), ("u4", "u6")]
 
 
 class TestAggregates:
@@ -287,7 +285,7 @@ class TestAggregates:
             )
         )
         merged = aggregate_layer(net)
-        assert merged.edges == {("u1", "u2"): 3}
+        assert merged.edges == [("u1", "u2")]
 
     def test_every_merged_forest_builds_no_adjacency(self, monkeypatch):
         # the merged layer labels users layer by layer, so a later layer's
@@ -313,7 +311,7 @@ class TestAggregates:
         for cascade in cascades:
             merged = aggregate_layer(build_network(cascade))
             extract_layer_features(merged)  # all nine metrics
-            edges = list(merged.edges)
+            edges = merged.edges
             forest = len({frozenset(e) for e in edges}) == len(merged.ids) - len(
                 bf.wcc_sets(merged.ids, edges)
             )
