@@ -3,6 +3,7 @@ reruns, the one-line error contract, and the README's agreement with the
 parser."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -10,14 +11,27 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diffnet.cli as cli
 import diffnet.experiments as experiments
 import diffnet.features as features
 from diffnet.cli import main, parse_duration
+from diffnet.ingest import (
+    BIAS_RIGHT,
+    ArticleLabel,
+    TweetRecord,
+    group_cascades,
+    write_labels_file,
+    write_tweets_file,
+)
+from diffnet.netbuild import LAYER_KINDS, build_network
+from diffnet.synth import GeneratorConfig, generate_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -470,10 +484,11 @@ _GOLDEN_SHA256 = {
 }
 
 
-def test_chain_writes_the_recorded_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    Path("config.json").write_text(json.dumps(CONFIG))
-    for argv in _GOLDEN_CHAIN:
+def _run_chain(tmp_path, capsys, chain) -> dict[str, str]:
+    """Run each command of ``chain`` in ``tmp_path``, check that every
+    manifest lists the files beside it, and return the sha256 of each file
+    there and of all the chain printed."""
+    for argv in chain:
         assert main(argv) == 0, argv
     digests = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -486,7 +501,132 @@ def test_chain_writes_the_recorded_bytes(tmp_path, monkeypatch, capsys):
         else:
             beside = [manifest.name.removesuffix(".manifest.json")]
         assert json.loads(manifest.read_text())["outputs"] == beside, manifest
-    assert digests == _GOLDEN_SHA256
+    return digests
+
+
+def test_chain_writes_the_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(CONFIG))
+    assert _run_chain(tmp_path, capsys, _GOLDEN_CHAIN) == _GOLDEN_SHA256
+
+
+def _add_cycles(records: list[TweetRecord]) -> list[TweetRecord]:
+    """Each article's tweets in time order, rewritten so that every layer
+    gains cycles, each rewritten tweet followed by the tweets it adds.
+
+    The targets drawn are earlier authors of the article other than the
+    tweet's own. A reply's author replies to a second target with
+    probability 0.3, and its target replies back with probability 0.3. A
+    retweet or quote gains 1-3 mentions with probability 0.5; its author
+    retweets a second target and quotes one, each with probability 0.3;
+    and its target retweets or quotes it back, in kind, with probability
+    0.2.
+    """
+    rng = np.random.default_rng(19)
+    by_article: dict[str, list[TweetRecord]] = {}
+    for r in records:
+        by_article.setdefault(r.article_id, []).append(r)
+    out = []
+    for tweets in by_article.values():
+        seen: dict[str, None] = {}  # the article's authors so far, in time order
+        for t in sorted(tweets, key=attrgetter("timestamp", "tweet_id")):
+            author = t.author_id
+            others = [u for u in seen if u != author]
+            seen[author] = None
+            draw = lambda: others[int(rng.integers(len(others)))]  # noqa: E731
+            added = []  # (id suffix, author, target)
+            if others and t.reply_to is not None:
+                if rng.random() < 0.3:
+                    added.append(("r", author, {"reply_to": draw()}))
+                if rng.random() < 0.3:
+                    added.append(("back", t.reply_to, {"reply_to": author}))
+            elif others and (t.retweet_of or t.quote_of):
+                if rng.random() < 0.5:
+                    extra = (draw() for _ in range(int(rng.integers(1, 4))))
+                    t = replace(t, mentions=tuple(dict.fromkeys((*t.mentions, *extra))))
+                if rng.random() < 0.3:
+                    added.append(("rt", author, {"retweet_of": draw()}))
+                if rng.random() < 0.3:
+                    added.append(("q", author, {"quote_of": draw()}))
+                if rng.random() < 0.2:
+                    if t.retweet_of:
+                        added.append(("back", t.retweet_of, {"retweet_of": author}))
+                    else:
+                        added.append(("back", t.quote_of, {"quote_of": author}))
+            out.append(t)
+            for suffix, who, target in added:
+                when = t.timestamp + int(rng.integers(1, 61))
+                out.append(TweetRecord(f"{t.tweet_id}_{suffix}", who, when, t.article_id, **target))
+    return out
+
+
+def _mention_clique(article_id: str, n: int, start: int) -> list[TweetRecord]:
+    """One tweet a minute from each of ``n`` users, each mentioning all the
+    others: n (n - 1) arcs in the M layer."""
+    users = [f"{article_id}_u{k:05d}" for k in range(1, n + 1)]
+    return [
+        TweetRecord(f"{article_id}_t{k:05d}", user, start + 60 * k, article_id,
+                    mentions=tuple(u for u in users if u != user))
+        for k, user in enumerate(users, 1)
+    ]
+
+
+# the golden corpus rewritten by _add_cycles, plus a 130-user mention
+# clique: the general paths of the graph kernels, which the first chain's
+# forests never take (Kosaraju, peeling, the clustering bit rows, and
+# 64-source distance blocks over more than 2^14 adjacency entries)
+_CYCLIC_CHAIN = [
+    ["ingest", "--tweets", "tweets.jsonl", "--labels", "labels.csv",
+     "--min-tweets", "10", "--out", "cascades"],
+    ["featurize", "--cascades", "cascades", "--out", "features.csv"],
+    ["evaluate", "--features", "features.csv", "--out", "evaluate"],
+    ["baseline-single-layer", "--cascades", "cascades", "--out", "baseline"],
+    ["temporal", "--cascades", "cascades", "--out", "temporal"],
+]
+_CYCLIC_SHA256 = {
+    "baseline/manifest.json": "5981eb5d8e2bd303566ab3d3ffbb36afa25bf15f15cf48bbb5a2917af4ffd1e0",
+    "baseline/metrics.csv": "097776bd9cee77b2d1e81a7c03aa6f64bc91b4e6b34fc0d340f822e3b491cfae",
+    "baseline/report.txt": "3af5e638b4938901f0769fd7a7f3c768b1c4faa1b73a4e84d7efeffdf773cf65",
+    "cascades/labels.csv": "b29b03c2cb7621e09eb5f7e36239863e2498b399f4a4449a32876a23c2bfac2a",
+    "cascades/manifest.json": "12e77132554af8ec9e1bcc31d733c538c01706af6fcb6ef942d84fdfdd61daa1",
+    "cascades/tweets.jsonl": "2dcfc92549d1e617f416aaa3f60efe523f14ef2bdeede35b40efedcfa0d8d8ec",
+    "evaluate/manifest.json": "c55b1cbfa651325e7092d2b0c7f573f1f2b21fafc7b26a2ff85c39a0b7bdfc8e",
+    "evaluate/metrics.csv": "b0bc46f40ca7c57ef0e8d3ffe7219729d056aae5eaae6d0ff4906de9d896f34d",
+    "evaluate/report.txt": "b9ab1c977ff7f8a1f8d2632b7d576fa7e0a6153fa6cc675a3f3e42d9569203d4",
+    "features.csv": "0f914f1f1bd0ef88594c8e4fa9d770a35eb08759002aa041bad40b11a6486043",
+    "features.csv.manifest.json": "36e514ddc0acc4f8cc5954d9376aee7d239a8ff0cf2983b17617b9e5a7746862",
+    "labels.csv": "b29b03c2cb7621e09eb5f7e36239863e2498b399f4a4449a32876a23c2bfac2a",
+    "stdout": "777315a7164af59a164d3e753c7d2d8e8d1260a45e36aab534c4b1bcfb9fa5f3",
+    "temporal/manifest.json": "41f9919239d0e422c17808c7a7d3f7347b4ffbe5accca96cdc9cc8e9a9c75320",
+    "temporal/report.txt": "32009da06d47c15ee9b0daf9873a744a10bde877c0103005acd5656eba530966",
+    "temporal/series.csv": "adbc629924cf7cbd162111fef4b690319690ea236a09c45a20889ff3c35208de",
+    "tweets.jsonl": "6690d59c4117142947e7e065de631f4412f784c5a40c743ad90ca11cd38307d6",
+}
+
+
+def test_cyclic_chain_writes_the_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    records, labels = generate_corpus(GeneratorConfig.from_json_dict(CONFIG))
+    records = _add_cycles(records) + _mention_clique("c0000", 130, records[0].timestamp)
+    labels.append(ArticleLabel("c0000", "D", "src-d2.example", BIAS_RIGHT))
+    # the corpus holds what the chain is meant to pin
+    cascades, _ = group_cascades(records, {label.article_id: label for label in labels})
+    nets = {cascade.article_id: build_network(cascade) for cascade in cascades}
+    for kind in LAYER_KINDS:
+        graphs = [net.layers[kind].to_directed_graph() for net in nets.values()]
+        assert not all(g._is_forest() for g in graphs), kind
+    assert len(nets["c0000"].layers["M"].arcs) == 130 * 129
+    write_tweets_file("tweets.jsonl", records)
+    write_labels_file("labels.csv", labels)
+    digests = _run_chain(tmp_path, capsys, _CYCLIC_CHAIN)
+    with open("features.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(labels)
+    for kind in LAYER_KINDS:
+        assert any(float(row[f"{kind}_CC"]) > 0 for row in rows), kind
+        assert any(float(row[f"{kind}_KC"]) >= 2 for row in rows), kind
+        assert any(float(row[f"{kind}_LSCC"]) > 1 for row in rows), kind
+    assert digests == _CYCLIC_SHA256
 
 
 # ---------------------------------------------------------- error contract
@@ -687,6 +827,7 @@ def test_negative_synth_seed(tmp_path, capsys, with_config):
     err = capsys.readouterr().err
     assert err == "E_INVARIANT: seed must be >= 0, got -1\n"
     assert not (out / "manifest.json").exists()
+
 
 
 def test_unknown_generator_config_key(tmp_path, capsys):
