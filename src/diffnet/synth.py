@@ -212,8 +212,11 @@ def _source_pool(class_label: str, n: int) -> list[tuple[str, str]]:
 def _sample_cascade_size(profile: ClassProfile, rng: np.random.Generator) -> int:
     """Power-law total cascade size (root included), clipped to the bounds."""
     u = rng.random()
-    size = profile.size_min * (1.0 - u) ** (-1.0 / (profile.size_exponent - 1.0))
-    return min(profile.size_max, int(size))
+    try:
+        size = profile.size_min * (1.0 - u) ** (-1.0 / (profile.size_exponent - 1.0))
+        return min(profile.size_max, int(size))
+    except OverflowError:  # a draw past the float range is past size_max too
+        return profile.size_max
 
 
 def _generate_article(
@@ -225,35 +228,33 @@ def _generate_article(
 ) -> list[TweetRecord]:
     rng = np.random.default_rng(seed_seq)
     records: list[TweetRecord] = []
-    tweet_n = 0
-    user_n = 0
-
-    def new_tweet_id() -> str:
-        nonlocal tweet_n
-        tweet_n += 1
-        return f"{article_id}_t{tweet_n:05d}"
+    users: list[str] = []
 
     def new_user() -> str:
-        nonlocal user_n
-        user_n += 1
-        return f"{article_id}_u{user_n:05d}"
+        users.append(f"{article_id}_u{len(users) + 1:05d}")
+        return users[-1]
 
-    def gap(mean: float) -> int:
-        return max(1, int(round(rng.exponential(mean))))
+    def tweet(author, when, retweet_of=None, quote_of=None, reply_to=None, mentions=()):
+        # positional, so that no keyword dict is built per tweet
+        tweet_id = f"{article_id}_t{len(records) + 1:05d}"
+        records.append(TweetRecord(
+            tweet_id, author, when, article_id, retweet_of, quote_of, reply_to, mentions
+        ))
 
     n_cascades = 1 + rng.poisson(profile.cascade_mean - 1.0)
     cascade_start = start_time
     for c in range(n_cascades):
         if c > 0:
-            cascade_start += gap(CASCADE_GAP_FACTOR * config.inter_arrival_mean)
+            mean = CASCADE_GAP_FACTOR * config.inter_arrival_mean
+            cascade_start += max(1, int(round(rng.exponential(mean))))
         root = new_user()
-        records.append(TweetRecord(new_tweet_id(), root, cascade_start, article_id))
+        tweet(root, cascade_start)
         authors = [root]
         t = cascade_start
         n_spreaders = _sample_cascade_size(profile, rng) - 1
         for _ in range(n_spreaders):
             author = new_user()
-            t += gap(config.inter_arrival_mean)
+            t += max(1, int(round(rng.exponential(config.inter_arrival_mean))))
             if len(authors) > 1 and rng.random() < profile.depth_bias:
                 parent = authors[int(rng.integers(1, len(authors)))]
             else:
@@ -265,27 +266,11 @@ def _generate_article(
             if rng.random() < profile.mention_rate:
                 mentions = (parent,)
             if rng.random() < config.quote_rate:
-                records.append(
-                    TweetRecord(
-                        new_tweet_id(), author, t, article_id,
-                        quote_of=parent, mentions=mentions,
-                    )
-                )
+                tweet(author, t, quote_of=parent, mentions=mentions)
             else:
-                records.append(
-                    TweetRecord(
-                        new_tweet_id(), author, t, article_id,
-                        retweet_of=parent, mentions=mentions,
-                    )
-                )
+                tweet(author, t, retweet_of=parent, mentions=mentions)
             if rng.random() < config.reply_rate:
-                records.append(
-                    TweetRecord(
-                        new_tweet_id(), author,
-                        t + int(rng.integers(1, 61)), article_id,
-                        reply_to=parent,
-                    )
-                )
+                tweet(author, t + int(rng.integers(1, 61)), reply_to=parent)
             authors.append(author)
         # standalone pure tweets scattered over the cascade's span; half
         # come from users already active in it
@@ -295,15 +280,8 @@ def _generate_article(
                 who = authors[int(rng.integers(0, len(authors)))]
             else:
                 who = new_user()
-            when = int(rng.integers(cascade_start, max(t, cascade_start) + 1))
-            records.append(TweetRecord(new_tweet_id(), who, when, article_id))
+            tweet(who, int(rng.integers(cascade_start, max(t, cascade_start) + 1)))
     return records
-
-
-def _article_specs(config: GeneratorConfig) -> list[tuple[str, str]]:
-    specs = [("d%04d" % i, "D") for i in range(config.disinformation.n_articles)]
-    specs += [("m%04d" % i, "M") for i in range(config.mainstream.n_articles)]
-    return specs
 
 
 def generate_corpus(
@@ -313,26 +291,27 @@ def generate_corpus(
 
     Same config (including seed) gives an identical corpus; articles are
     independent streams, generated one after another in a fixed order.
+    Labels draw from a stream of their own.
     """
     config.validate()
-    specs = _article_specs(config)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(specs) + 1)
-    label_rng = np.random.default_rng(seeds[-1])
-    pools = {
-        "D": _source_pool("D", config.sources_per_class),
-        "M": _source_pool("M", config.sources_per_class),
-    }
-    labels = []
-    for article_id, class_label in specs:
-        source, bias = pools[class_label][
-            int(label_rng.integers(0, config.sources_per_class))
-        ]
-        labels.append(ArticleLabel(article_id, class_label, source, bias))
-
     profiles = {"D": config.disinformation, "M": config.mainstream}
-    records = []
-    for i, (article_id, class_label) in enumerate(specs):
-        records += _generate_article(
-            article_id, profiles[class_label], config, seeds[i], BASE_TIME + 97 * i
-        )
+    n_total = sum(profile.n_articles for profile in profiles.values())
+    seeds = np.random.SeedSequence(config.seed).spawn(n_total + 1)
+    label_rng = np.random.default_rng(seeds[-1])
+    records: list[TweetRecord] = []
+    labels: list[ArticleLabel] = []
+    for class_label, profile in profiles.items():
+        pool = _source_pool(class_label, config.sources_per_class)
+        for n in range(profile.n_articles):
+            i = len(labels)
+            article_id = "%s%04d" % (class_label.lower(), n)
+            source, bias = pool[int(label_rng.integers(0, config.sources_per_class))]
+            labels.append(ArticleLabel(article_id, class_label, source, bias))
+            try:
+                records += _generate_article(
+                    article_id, profile, config, seeds[i], BASE_TIME + 97 * i
+                )
+            except OverflowError:  # a gap past the float range: no other draw overflows
+                raise ValueError(f"inter_arrival_mean={config.inter_arrival_mean!r} is too "
+                                 "large: a gap overflows") from None
     return records, labels

@@ -36,7 +36,9 @@ TIMEOUT_S = 120
 NET = "tests/test_netbuild.py::"
 ING = "tests/test_ingest.py::"
 GRAPH = "tests/test_graphops.py::"
+SYNTH = "tests/test_synth.py::"
 GOLDEN = "tests/test_cli.py::test_chain_writes_the_recorded_bytes"
+CYCLIC = "tests/test_cli.py::test_cyclic_chain_writes_the_recorded_bytes"
 FEATURES_FILE = "tests/test_features.py::TestFeaturesFile::test_roundtrip_and_column_count"
 LABELS_FILE = ING + "TestLabels::test_file_round_trip"
 
@@ -146,6 +148,39 @@ MUTANTS = (
     Mutant("forest-kcore-ignores-reciprocal-pairs", "graphops.py",
            "return 2 if g._reciprocal_pairs() else 1", "return 1", (
                GRAPH + "TestKCore::test_reciprocal_pair_counts_twice",
+           )),
+    # the last bits of a clustering coefficient follow the order of its terms
+    Mutant("clustering-terms-reversed", "graphops.py",
+           "for l2, k in zip(links2[nonzero].tolist(), degree[core][nonzero].tolist()):",
+           "for l2, k in reversed(list(zip(links2[nonzero].tolist(),"
+           " degree[core][nonzero].tolist()))):",
+           (CYCLIC,)),
+    # the generator: one tweet builder, one loop over the articles
+    Mutant("tweet-numbered-from-zero", "synth.py",
+           'f"{article_id}_t{len(records) + 1:05d}"', 'f"{article_id}_t{len(records):05d}"', (
+               SYNTH + "test_ids_count_up_within_each_article",
+           )),
+    Mutant("pure-author-not-counted", "synth.py",
+           "                who = new_user()\n",
+           '                who = f"{article_id}_u{len(users) + 1:05d}"\n',
+           (GOLDEN,)),
+    Mutant("quote-and-retweet-swapped", "synth.py",
+           "tweet(author, t, quote_of=parent, mentions=mentions)\n"
+           "            else:\n"
+           "                tweet(author, t, retweet_of=parent, mentions=mentions)",
+           "tweet(author, t, retweet_of=parent, mentions=mentions)\n"
+           "            else:\n"
+           "                tweet(author, t, quote_of=parent, mentions=mentions)",
+           (GOLDEN,)),
+    Mutant("article-start-shifted", "synth.py",
+           "BASE_TIME + 97 * i", "BASE_TIME + 97 * (i + 1)", (GOLDEN,)),
+    Mutant("size-overflow-not-clipped", "synth.py",
+           "except OverflowError:  # a draw past", "except ZeroDivisionError:  # a draw past", (
+               SYNTH + "test_a_size_draw_past_the_float_range_is_size_max",
+           )),
+    Mutant("gap-overflow-not-named", "synth.py",
+           "except OverflowError:  # a gap past", "except ZeroDivisionError:  # a gap past", (
+               SYNTH + "test_a_gap_past_the_float_range_names_inter_arrival_mean",
            )),
 )
 

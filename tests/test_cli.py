@@ -523,6 +523,10 @@ def _add_cycles(records: list[TweetRecord]) -> list[TweetRecord]:
     0.2.
     """
     rng = np.random.default_rng(19)
+
+    def draw(others: list[str]) -> str:
+        return others[int(rng.integers(len(others)))]
+
     by_article: dict[str, list[TweetRecord]] = {}
     for r in records:
         by_article.setdefault(r.article_id, []).append(r)
@@ -533,21 +537,20 @@ def _add_cycles(records: list[TweetRecord]) -> list[TweetRecord]:
             author = t.author_id
             others = [u for u in seen if u != author]
             seen[author] = None
-            draw = lambda: others[int(rng.integers(len(others)))]  # noqa: E731
             added = []  # (id suffix, author, target)
             if others and t.reply_to is not None:
                 if rng.random() < 0.3:
-                    added.append(("r", author, {"reply_to": draw()}))
+                    added.append(("r", author, {"reply_to": draw(others)}))
                 if rng.random() < 0.3:
                     added.append(("back", t.reply_to, {"reply_to": author}))
             elif others and (t.retweet_of or t.quote_of):
                 if rng.random() < 0.5:
-                    extra = (draw() for _ in range(int(rng.integers(1, 4))))
+                    extra = (draw(others) for _ in range(int(rng.integers(1, 4))))
                     t = replace(t, mentions=tuple(dict.fromkeys((*t.mentions, *extra))))
                 if rng.random() < 0.3:
-                    added.append(("rt", author, {"retweet_of": draw()}))
+                    added.append(("rt", author, {"retweet_of": draw(others)}))
                 if rng.random() < 0.3:
-                    added.append(("q", author, {"quote_of": draw()}))
+                    added.append(("q", author, {"quote_of": draw(others)}))
                 if rng.random() < 0.2:
                     if t.retweet_of:
                         added.append(("back", t.retweet_of, {"retweet_of": author}))
@@ -556,7 +559,8 @@ def _add_cycles(records: list[TweetRecord]) -> list[TweetRecord]:
             out.append(t)
             for suffix, who, target in added:
                 when = t.timestamp + int(rng.integers(1, 61))
-                out.append(TweetRecord(f"{t.tweet_id}_{suffix}", who, when, t.article_id, **target))
+                tweet_id = f"{t.tweet_id}_{suffix}"
+                out.append(TweetRecord(tweet_id, who, when, t.article_id, **target))
     return out
 
 
@@ -828,6 +832,39 @@ def test_negative_synth_seed(tmp_path, capsys, with_config):
     assert err == "E_INVARIANT: seed must be >= 0, got -1\n"
     assert not (out / "manifest.json").exists()
 
+
+def _small_config(**edits):
+    """CONFIG with two articles a class, and the fields named as profile.field
+    or field set to the values given."""
+    config = json.loads(json.dumps(CONFIG))
+    for profile in ("disinformation", "mainstream"):
+        config[profile]["n_articles"] = 2
+    for field, value in edits.items():
+        *profile, name = field.split(".")
+        (config[profile[0]] if profile else config)[name] = value
+    return config
+
+
+def test_steep_size_exponent_runs_to_the_end(tmp_path, capsys):
+    """A size draw that leaves the float range is clipped to size_max, not
+    an OverflowError."""
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps(_small_config(**{"mainstream.size_exponent": 1.0000001})))
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(steep), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "labels.csv").read_text().splitlines()) == 5
+
+
+def test_gap_that_overflows_ends_in_one_invariant_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_config(inter_arrival_mean=1e308)))
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "E_INVARIANT: inter_arrival_mean=1e+308 is too large: a gap overflows\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unknown_generator_config_key(tmp_path, capsys):

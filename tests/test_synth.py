@@ -190,6 +190,31 @@ def test_generate_rejects_invalid_config():
         generate_corpus(config)
 
 
+
+# -------------------------------------------------------- extreme configs
+
+def test_a_size_draw_past_the_float_range_is_size_max():
+    # an exponent just above 1 passes validate(), and its power law leaves
+    # the float range on nearly every draw; such a draw is size_max, and
+    # it takes one uniform as any size draw does, so every other draw holds
+    steep = small_profile(n_articles=2, size_exponent=1.0000001)
+    fixed = small_profile(n_articles=2, size_min=40, size_max=40)
+    config = small_config(disinformation=steep, mainstream=steep)
+    records, labels = generate_corpus(config)
+    expected = generate_corpus(small_config(disinformation=fixed, mainstream=fixed))
+    assert (records, labels) == expected
+    assert len(labels) == 4
+
+
+def test_a_gap_past_the_float_range_names_inter_arrival_mean():
+    profile = small_profile(n_articles=2)
+    config = small_config(disinformation=profile, mainstream=profile, inter_arrival_mean=1e308)
+    config.validate()
+    with pytest.raises(ValueError) as info:
+        generate_corpus(config)
+    assert str(info.value) == "inter_arrival_mean=1e+308 is too large: a gap overflows"
+
+
 # ----------------------------------------------------------- determinism
 
 def test_same_seed_same_corpus():
@@ -260,6 +285,16 @@ def test_cascade_roots_are_pure_and_timestamps_positive():
         assert root.reply_to is None and not root.mentions
         assert all(t.timestamp > 0 for t in cascade.tweets)
 
+
+def test_ids_count_up_within_each_article():
+    # tweets are numbered as they are made, and users as they first post
+    records, labels = generate_corpus(small_config())
+    for label in labels:
+        tweets = [r for r in records if r.article_id == label.article_id]
+        ids = [f"{label.article_id}_t{k:05d}" for k in range(1, len(tweets) + 1)]
+        assert [r.tweet_id for r in tweets] == ids
+        users = list(dict.fromkeys(r.author_id for r in tweets))
+        assert users == [f"{label.article_id}_u{k:05d}" for k in range(1, len(users) + 1)]
 
 def test_articles_launch_at_distinct_offsets():
     records, _ = generate_corpus(small_config())
