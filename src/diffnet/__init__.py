@@ -5,8 +5,7 @@ The pipeline runs in five stages, one module each:
 - :mod:`diffnet.ingest` parses tweet/label files into per-article cascades,
 - :mod:`diffnet.netbuild` turns a cascade into the four directed interaction
   layers (quote, retweet, mention, reply) plus pure-tweet counters,
-- :mod:`diffnet.features` reduces each layer to nine global structure
-  metrics and assembles the 38-entry article vector,
+- :mod:`diffnet.features` builds each article's row: nine metrics per layer, then T and U,
 - :mod:`diffnet.model` holds standardization, L2 logistic regression and
   stratified shuffle-split cross-validation,
 - :mod:`diffnet.experiments` adds layer ablations, the single-graph
@@ -69,6 +68,7 @@ from .features import (
     extract_layer_features,
     featurize,
     featurize_article,
+    featurize_network,
     read_features_file,
     write_features_file,
 )

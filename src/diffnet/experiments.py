@@ -12,7 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FEATURE_NAMES, METRIC_NAMES, ArticleFeatures, assemble_vector, featurize
+from .features import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    ArticleFeatures,
+    feature_columns,
+    featurize,
+    featurize_network,
+)
 from .ingest import ArticleCascade
 from .model import (
     EvaluationReport,
@@ -24,13 +31,7 @@ from .model import (
     stratified_shuffle_cv,
     transform,
 )
-from .netbuild import (
-    LAYER_KINDS,
-    aggregate_layer,
-    aggregate_user_count,
-    build_network,
-    truncate_by_lifetime,
-)
+from .netbuild import LAYER_KINDS, aggregate_layer, build_network, truncate_by_lifetime
 
 LIFETIME_LADDER = (
     3600,  # 1h
@@ -42,15 +43,15 @@ LIFETIME_LADDER = (
     7 * 86400,
 )
 
-SINGLE_LAYER_FEATURE_NAMES = tuple(f"ALL_{m}" for m in METRIC_NAMES) + ("T", "U")
+SINGLE_LAYER_FEATURE_NAMES = feature_columns(("ALL",))
 
 
 def layer_feature_indices(layer: str) -> list[int]:
     """Positions of one layer's nine metrics inside the 38-entry vector."""
-    if layer not in LAYER_KINDS:
+    indices = [i for i, name in enumerate(FEATURE_NAMES) if name.startswith(f"{layer}_")]
+    if not indices:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYER_KINDS}")
-    offset = LAYER_KINDS.index(layer) * len(METRIC_NAMES)
-    return list(range(offset, offset + len(METRIC_NAMES)))
+    return indices
 
 
 def layer_ablation(
@@ -149,16 +150,15 @@ def chi2_ranking(
     folds: int = 10,
     test_fraction: float = 0.2,
     seed: int = 0,
-    feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> list[tuple[str, float]]:
-    """Rank features by mean chi-square over CV folds, best first.
+    """Rank the 38 features by mean chi-square over CV folds, best first.
 
     Each fold min-max scales its training portion and scores features
     there; the held-out part plays no role in the statistic.
     """
     X, y = samples_to_xy(samples)
-    if X.shape[1] != len(feature_names):
-        raise ValueError("feature_names does not match vector width")
+    if X.shape[1] != N_FEATURES:
+        raise ValueError(f"rows have {X.shape[1]} features, not {N_FEATURES}")
     positive = y > 0
     accum = np.zeros(X.shape[1])
     labels = [s.label.class_label for s in samples]
@@ -168,7 +168,7 @@ def chi2_ranking(
         accum += chi2_scores(minmax_scale_columns(X[train]), positive[train])
     means = accum / folds
     order = sorted(range(len(means)), key=lambda i: (-means[i], i))
-    return [(feature_names[i], float(means[i])) for i in order]
+    return [(FEATURE_NAMES[i], float(means[i])) for i in order]
 
 
 # at or below this x, exp(-pi^2 / (8 x^2)) underflows and the survival
@@ -219,22 +219,22 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 def rank_features_ks(
     samples: Sequence[ArticleFeatures],
     alpha: float = 0.05,
-    feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> list[tuple[str, float, float, bool]]:
-    """Per-feature KS test of class D values against class M values.
+    """Per-feature KS test of class D values against class M values, over
+    the 38 features.
 
     Returns (name, D_statistic, p_value, rejected_at_alpha) sorted by
     decreasing D. ValueError unless 0 < alpha < 1.
     """
     check_settings(alpha=alpha)
     X, y = samples_to_xy(samples)
-    if X.shape[1] != len(feature_names):
-        raise ValueError("feature_names does not match vector width")
+    if X.shape[1] != N_FEATURES:
+        raise ValueError(f"rows have {X.shape[1]} features, not {N_FEATURES}")
     pos = y > 0
     if pos.all() or (~pos).all():
         raise ValueError("need both classes")
     rows = []
-    for i, name in enumerate(feature_names):
+    for i, name in enumerate(FEATURE_NAMES):
         d, p = ks_two_sample(X[pos, i], X[~pos, i])
         rows.append((name, d, p, p < alpha))
     rows.sort(key=lambda r: (-r[1], r[0]))
@@ -315,14 +315,7 @@ def single_layer_samples(cascades: Sequence[ArticleCascade]) -> list[ArticleFeat
     for cascade in cascades:
         net = build_network(cascade)
         merged = dataclasses.replace(net, layers={"ALL": aggregate_layer(net)})
-        rows.append(
-            ArticleFeatures(
-                article_id=cascade.article_id,
-                label=cascade.label,
-                n_users=aggregate_user_count(merged),
-                vector=assemble_vector(merged),
-            )
-        )
+        rows.append(featurize_network(cascade, merged))
     return rows
 
 

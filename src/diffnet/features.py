@@ -47,13 +47,19 @@ class LayerFeatures(NamedTuple):
 
 METRIC_NAMES = tuple(name.upper() for name in LayerFeatures._fields)
 
-FEATURE_NAMES: tuple[str, ...] = tuple(
-    f"{kind}_{metric}" for kind in LAYER_KINDS for metric in METRIC_NAMES
-) + ("T", "U")
+
+def feature_columns(kinds: Iterable[str]) -> tuple[str, ...]:
+    """Column names over layers of the given kinds: nine ``KIND_METRIC`` each, then T, U."""
+    return tuple(f"{kind}_{metric}" for kind in kinds for metric in METRIC_NAMES) + ("T", "U")
+
+
+FEATURE_NAMES = feature_columns(LAYER_KINDS)
 
 N_FEATURES = len(FEATURE_NAMES)  # 38
 
 METADATA_COLUMNS = ("article_id", "label", "source", "bias", "n_users")
+
+_HEADER = (*METADATA_COLUMNS, *FEATURE_NAMES)
 
 
 _EMPTY = LayerFeatures(0, 0, 0, 0, 0, 0.0, 0, 0.0, 0.0)
@@ -115,14 +121,16 @@ class ArticleFeatures:
         )
 
 
-def featurize_article(cascade: ArticleCascade) -> ArticleFeatures:
-    net = build_network(cascade)
+def featurize_network(cascade: ArticleCascade, net: MultiLayerNetwork) -> ArticleFeatures:
+    """The row of ``cascade`` read off ``net``, a network built from it: the
+    users of its layers and pure tweets, and :func:`assemble_vector`."""
     return ArticleFeatures(
-        article_id=cascade.article_id,
-        label=cascade.label,
-        n_users=aggregate_user_count(net),
-        vector=assemble_vector(net),
+        cascade.article_id, cascade.label, aggregate_user_count(net), assemble_vector(net)
     )
+
+
+def featurize_article(cascade: ArticleCascade) -> ArticleFeatures:
+    return featurize_network(cascade, build_network(cascade))
 
 
 def featurize(cascades: Sequence[ArticleCascade]) -> list[ArticleFeatures]:
@@ -131,13 +139,9 @@ def featurize(cascades: Sequence[ArticleCascade]) -> list[ArticleFeatures]:
     return [featurize_article(cascade) for cascade in cascades]
 
 
-def _header() -> list[str]:
-    return list(METADATA_COLUMNS) + list(FEATURE_NAMES)
-
-
 def write_features_file(path, rows: Iterable[ArticleFeatures]) -> None:
     """A bad vector raises ValueError before the file is opened: no file is written."""
-    table = [_header()]
+    table = [_HEADER]
     for row in sorted(rows, key=lambda r: r.article_id):
         if row.vector.shape != (N_FEATURES,):
             raise ValueError(f"{row.article_id!r}: vector has shape {row.vector.shape}")
@@ -157,12 +161,12 @@ def _parse_features(lines: Iterable[str]) -> list[ArticleFeatures]:
         _, header = next(reader)
     except StopIteration:
         raise ValueError("features file is empty") from None
-    if header != _header():
+    if tuple(header) != _HEADER:
         raise ValueError("features file header does not match")
     rows = []
     first_line: dict[str, int] = {}
     for line, row in reader:
-        if len(row) != len(METADATA_COLUMNS) + N_FEATURES:
+        if len(row) != len(_HEADER):
             raise ValueError(f"features line {line} has {len(row)} columns")
         article_id, label, source, bias, n_users = row[:5]
         where = f"features line {line}, column"
@@ -177,14 +181,9 @@ def _parse_features(lines: Iterable[str]) -> list[ArticleFeatures]:
         for name, text, value in zip(FEATURE_NAMES, row[5:], values):
             if value is None or not math.isfinite(value):
                 raise ValueError(f"{where} {name}: {text!r} is not a finite number")
-        rows.append(
-            ArticleFeatures(
-                article_id=article_id,
-                label=ArticleLabel(article_id, label, source, bias),
-                n_users=count,
-                vector=np.array(values, dtype=np.float64),
-            )
-        )
+        label_row = ArticleLabel(article_id, label, source, bias)
+        vector = np.array(values, dtype=np.float64)
+        rows.append(ArticleFeatures(article_id, label_row, count, vector))
     return rows
 
 

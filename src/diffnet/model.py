@@ -118,7 +118,6 @@ def resolve_sample_weights(
 class LogisticModel:
     weights: np.ndarray
     intercept: float
-    C: float
     converged: bool
     n_iterations: int
     objective_history: list[float]
@@ -193,7 +192,6 @@ def train_logistic(
     return LogisticModel(
         weights=theta[:-1],
         intercept=float(theta[-1]),
-        C=C,
         converged=converged,
         n_iterations=iterations,
         objective_history=history,

@@ -68,7 +68,6 @@ class MultiLayerNetwork:
     plus the pure tweets' count T and their authors, U of them.
     """
 
-    article_id: str
     layers: dict[str, LayerGraph]
     pure_tweet_count: int
     pure_authors: frozenset[str]
@@ -112,12 +111,7 @@ def build_network(cascade: ArticleCascade) -> MultiLayerNetwork:
         kind: LayerGraph(kind, list(ix), dict.fromkeys(p))
         for kind, ix, p in zip(LAYER_KINDS, index, pairs)
     }
-    return MultiLayerNetwork(
-        article_id=cascade.article_id,
-        layers=layers,
-        pure_tweet_count=pure_count,
-        pure_authors=frozenset(pure_authors),
-    )
+    return MultiLayerNetwork(layers, pure_count, frozenset(pure_authors))
 
 
 def aggregate_user_count(net: MultiLayerNetwork) -> int:

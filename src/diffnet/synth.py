@@ -272,6 +272,10 @@ def _generate_article(
             if rng.random() < config.reply_rate:
                 tweet(author, t + int(rng.integers(1, 61)), reply_to=parent)
             authors.append(author)
+        # a reply, at most t + 60, is the cascade's last time; every time
+        # written must fit in int64, as the pure-tweet draws below need
+        if t + 60 >= 2**63:
+            raise OverflowError
         # standalone pure tweets scattered over the cascade's span; half
         # come from users already active in it
         n_pure = rng.binomial(n_spreaders, config.pure_rate) if n_spreaders else 0
@@ -311,7 +315,7 @@ def generate_corpus(
                 records += _generate_article(
                     article_id, profile, config, seeds[i], BASE_TIME + 97 * i
                 )
-            except OverflowError:  # a gap past the float range: no other draw overflows
+            except OverflowError:  # a gap past the float range, or a time past int64
                 raise ValueError(f"inter_arrival_mean={config.inter_arrival_mean!r} is too "
                                  "large: a gap overflows") from None
     return records, labels

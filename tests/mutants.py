@@ -10,7 +10,8 @@ temporary directory and first checks every entry: an old text that does
 not occur exactly once is stale, and a refactor that moves it must update
 the entry. It then runs all the named tests once on the unchanged copy,
 where they must pass, and applies one entry at a time, running its tests
-in one child ``pytest`` with ``PYTHONPATH`` at the copy. A failing test
+in one child ``pytest`` with ``PYTHONPATH`` at the copy and third-party
+plugins not loaded. A failing test
 kills the mutant; a timeout kills it too, and is reported as such. A
 child that collects no test or stops on an error kills nothing. The run
 fails on a stale entry, a surviving mutant or such an error.
@@ -37,6 +38,7 @@ NET = "tests/test_netbuild.py::"
 ING = "tests/test_ingest.py::"
 GRAPH = "tests/test_graphops.py::"
 SYNTH = "tests/test_synth.py::"
+EXP = "tests/test_experiments.py::"
 GOLDEN = "tests/test_cli.py::test_chain_writes_the_recorded_bytes"
 CYCLIC = "tests/test_cli.py::test_cyclic_chain_writes_the_recorded_bytes"
 FEATURES_FILE = "tests/test_features.py::TestFeaturesFile::test_roundtrip_and_column_count"
@@ -182,6 +184,41 @@ MUTANTS = (
            "except OverflowError:  # a gap past", "except ZeroDivisionError:  # a gap past", (
                SYNTH + "test_a_gap_past_the_float_range_names_inter_arrival_mean",
            )),
+    Mutant("time-past-int64-not-checked", "synth.py", "if t + 60 >= 2**63:", "if False:", (
+        SYNTH + "test_a_time_past_int64_names_inter_arrival_mean",
+        "tests/test_cli.py::test_time_past_int64_ends_in_one_invariant_line",
+    )),
+    Mutant("synth-seed-flag-ignored", "cli.py",
+           "config = dataclasses.replace(config, seed=args.seed)", "config = config", (
+               "tests/test_cli.py::test_synth_seed_flag_replaces_the_config_seed",
+           )),
+    # lifetime truncation keeps the tweets at the cutoff
+    Mutant("truncate-drops-the-cutoff", "netbuild.py",
+           "from bisect import bisect_right", "from bisect import bisect_left as bisect_right", (
+               NET + "TestTruncate::test_cutoff_is_inclusive",
+               NET + "TestTruncate::test_matches_linear_scan",
+           )),
+    # a reciprocal pair in a forest is one strongly connected component
+    Mutant("forest-scc-ignores-reciprocal-pairs", "graphops.py",
+           "if g._reciprocal_pairs():", "if False:", (
+               GRAPH + "TestComponents::test_two_node_cycle_is_one_scc",
+               GRAPH + "TestForestShortcuts::test_random_forests",
+           )),
+    # the one featurizer of an article row, and the one column layout
+    Mutant("baseline-row-over-four-layers", "experiments.py",
+           "featurize_network(cascade, merged)", "featurize_network(cascade, net)", (
+               EXP + "TestSingleLayer::test_eleven_features_and_names",
+               EXP + "TestSingleLayer::test_matches_merged_layer_reference_on_mini_corpus",
+           )),
+    Mutant("t-and-u-swapped", "features.py", '+ ("T", "U")', '+ ("U", "T")', (
+        "tests/test_features.py::TestVector::test_names_layout",
+        EXP + "TestLayerIndices::test_names_derived_from_the_record_keep_their_values",
+    )),
+    Mutant("ablation-indices-from-another-layer", "experiments.py",
+           "enumerate(FEATURE_NAMES) if", "enumerate(FEATURE_NAMES[9:]) if", (
+               EXP + "TestLayerIndices::test_offsets",
+               EXP + "TestAblation::test_informative_layer_beats_empty_layer",
+           )),
 )
 
 
@@ -221,7 +258,10 @@ def main(argv: list[str]) -> int:
         if failures:
             return 1
         # no bytecode in the copy: a mutated module is compiled afresh
-        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        # no test uses a third-party pytest plugin, and loading the installed
+        # ones costs each child about a second
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1",
+                   PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
         where = subprocess.run(
             [sys.executable, "-c", "import diffnet; print(diffnet.__file__)"],
             cwd=ROOT, env=env, capture_output=True, text=True,

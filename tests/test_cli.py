@@ -867,6 +867,35 @@ def test_gap_that_overflows_ends_in_one_invariant_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pure_rate", [0.0, 0.08])
+def test_time_past_int64_ends_in_one_invariant_line(tmp_path, capsys, pure_rate):
+    """Gaps that stay in the float range but add up past int64: no
+    timestamp column could hold the times, so the run writes nothing."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_config(inter_arrival_mean=1e20, pure_rate=pure_rate)))
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "E_INVARIANT: inter_arrival_mean=1e+20 is too large: a gap overflows\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_synth_seed_flag_replaces_the_config_seed(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_small_config()))
+    reseeded = tmp_path / "reseeded.json"
+    reseeded.write_text(json.dumps(_small_config(seed=5)))
+    flag, file = tmp_path / "flag", tmp_path / "file"
+    assert main(["synth", "--config", str(config), "--seed", "5", "--out", str(flag)]) == 0
+    assert main(["synth", "--config", str(reseeded), "--out", str(file)]) == 0
+    manifest = json.loads((flag / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == 5
+    assert json.loads((flag / "config.json").read_text())["seed"] == 5
+    for name in ("config.json", "labels.csv", "tweets.jsonl"):
+        assert (flag / name).read_bytes() == (file / name).read_bytes()
+
+
 def test_unknown_generator_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(CONFIG, reply_rat=0.5)))
@@ -876,6 +905,33 @@ def test_unknown_generator_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("E_FORMAT:") and "reply_rat" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_ingest_that_keeps_no_article_writes_nothing(workspace, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main([
+        "ingest",
+        "--tweets", str(workspace / "corpus" / "tweets.jsonl"),
+        "--labels", str(workspace / "corpus" / "labels.csv"),
+        "--min-tweets", "100000", "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "E_INVARIANT: no article passed the window and size filters\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_evaluate_on_a_header_only_features_file(workspace, tmp_path, capsys):
+    header = (workspace / "features.csv").read_text().splitlines()[0]
+    empty = tmp_path / "features.csv"
+    empty.write_text(header + "\n")
+    out = tmp_path / "x"
+    assert main(["evaluate", "--features", str(empty), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"E_INVARIANT: features file is empty: {empty}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_malformed_features_file(tmp_path, capsys):

@@ -355,24 +355,29 @@ class TestChi2:
         assert np.all(Z[:, 1] == 0.0)  # constant column
 
     def test_ranking_indicator_on_top_and_scale_invariance(self):
+        # the class indicator sits in the RT_LWCC column, noise in the rest
         rng = np.random.default_rng(6)
         n = 40
         labels = ["D" if i % 2 else "M" for i in range(n)]
-        indicator = np.array([1.0 if l == "D" else 0.0 for l in labels])
-        noise = rng.uniform(0, 1, n)
-        samples = [
-            _sample(i, labels[i], [indicator[i], noise[i]]) for i in range(n)
-        ]
-        names = ("ind", "noise")
-        ranking = chi2_ranking(samples, folds=5, seed=2, feature_names=names)
-        assert ranking[0][0] == "ind"
-        scaled = [
-            _sample(i, labels[i], [indicator[i] * 1000.0, noise[i]])
-            for i in range(n)
-        ]
-        ranking_scaled = chi2_ranking(scaled, folds=5, seed=2, feature_names=names)
+        X = rng.uniform(0, 1, (n, len(FEATURE_NAMES)))
+        col = FEATURE_NAMES.index("RT_LWCC")
+        X[:, col] = [1.0 if l == "D" else 0.0 for l in labels]
+        samples = [_sample(i, labels[i], X[i]) for i in range(n)]
+        ranking = chi2_ranking(samples, folds=5, seed=2)
+        assert ranking[0][0] == "RT_LWCC"
+        X[:, col] *= 1000.0
+        scaled = [_sample(i, labels[i], X[i]) for i in range(n)]
+        ranking_scaled = chi2_ranking(scaled, folds=5, seed=2)
         assert [r[0] for r in ranking_scaled] == [r[0] for r in ranking]
         assert ranking_scaled[0][1] == pytest.approx(ranking[0][1])
+
+    def test_rows_of_another_width_are_rejected(self):
+        for width in (11, 37, 39):
+            samples = [_sample(i, "D" if i % 2 else "M", np.ones(width)) for i in range(10)]
+            with pytest.raises(ValueError, match=f"rows have {width} features, not 38"):
+                chi2_ranking(samples, folds=2)
+            with pytest.raises(ValueError, match=f"rows have {width} features, not 38"):
+                rank_features_ks(samples)
 
     def test_ranking_covers_all_features_sorted(self):
         rng = np.random.default_rng(7)
@@ -424,17 +429,19 @@ class TestKS:
             ks_two_sample([], [1.0])
 
     def test_rank_features_ks_orders_by_statistic(self):
+        # a class-separated M_DWCC column, noise in the rest
         rng = np.random.default_rng(10)
         n = 60
+        col = FEATURE_NAMES.index("M_DWCC")
         samples = []
         for i in range(n):
             label = "D" if i % 2 else "M"
-            strong = 3.0 if label == "D" else -3.0
-            samples.append(
-                _sample(i, label, [strong + rng.normal(0, 0.1), rng.normal()])
-            )
-        rows = rank_features_ks(samples, feature_names=("strong", "noise"))
-        assert rows[0][0] == "strong"
+            vector = rng.normal(size=len(FEATURE_NAMES))
+            vector[col] = (3.0 if label == "D" else -3.0) + rng.normal(0, 0.1)
+            samples.append(_sample(i, label, vector))
+        rows = rank_features_ks(samples)
+        assert rows[0][0] == "M_DWCC"
+        assert sorted(r[0] for r in rows) == sorted(FEATURE_NAMES)
         assert rows[0][1] > rows[1][1]
         assert rows[0][3] is True  # rejected at alpha
         for _, d, p, _ in rows:

@@ -2,6 +2,7 @@
 class gap the defaults are supposed to carry."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -213,6 +214,31 @@ def test_a_gap_past_the_float_range_names_inter_arrival_mean():
     with pytest.raises(ValueError) as info:
         generate_corpus(config)
     assert str(info.value) == "inter_arrival_mean=1e+308 is too large: a gap overflows"
+
+
+@pytest.mark.parametrize("pure_rate", [0.0, 0.08])
+def test_a_time_past_int64_names_inter_arrival_mean(pure_rate):
+    # gaps of about 1e20 s stay in the float range, but the times they add
+    # up to leave int64: with pure tweets the time draw could not take them,
+    # and without, they would be written
+    profile = small_profile(n_articles=2)
+    config = small_config(disinformation=profile, mainstream=profile,
+                          inter_arrival_mean=1e20, pure_rate=pure_rate)
+    with pytest.raises(ValueError) as info:
+        generate_corpus(config)
+    assert str(info.value) == "inter_arrival_mean=1e+20 is too large: a gap overflows"
+
+
+def test_times_below_int64_keep_their_recorded_bytes():
+    # times near 2.7e16: the int64 check must not change a corpus that fits
+    profile = small_profile(n_articles=2)
+    config = small_config(disinformation=profile, mainstream=profile, inter_arrival_mean=1e15)
+    records, _ = generate_corpus(config)
+    text = "".join(record_to_json(r) + "\n" for r in records)
+    assert (len(records), max(r.timestamp for r in records)) == (144, 26677777770502731)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ce3f2edc743d725c4a2a9e9abdf90714cddf98b81b28c1e9440e264ea58c06df"
+    )
 
 
 # ----------------------------------------------------------- determinism
